@@ -54,13 +54,6 @@ class CarrierFieldSpec:
     r_out: float
     q_prime: Tangent
 
-    def bump(self, d: float) -> float:
-        if d <= self.r_in:
-            return 1.0
-        if d >= self.r_out:
-            return 0.0
-        return smooth_step((self.r_out - d) / (self.r_out - self.r_in))
-
 
 def make_carrier(model: ManifoldModel, p: Point, q: Point) -> CarrierFieldSpec:
     """Carrier data for the pair (p, q); requires d(p, q) < r0(p) / 2."""

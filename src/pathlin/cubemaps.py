@@ -7,12 +7,14 @@ The forward map splits a based square map alpha into
                 basepoint,
 both expressed in a fixed basis at the basepoint.  The transport order is
 fixed: the s1-transport is applied after the s2-transport, never averaged.
+The axis curve and each s2-line go through the forward core of linearize.
 
-The inverse first realizes v1 as the axis curve gamma1 (keeping the
-transported frame along it), then solves the coupled position+frame system
-along the s2-direction per s1 node.  Because parallel transport is linear,
-v2's coefficients in the basepoint basis are also its coefficients in the
-transported frame at (s1, 0), so the per-line solves can reuse v2 directly.
+The inverse first realizes v1 as the axis curve gamma1 with the inverse
+core (keeping the transported frame along it), then solves the coupled
+position+frame system along the s2-direction for all s1 nodes in one batch.
+Because parallel transport is linear, v2's coefficients in the basepoint
+basis are also its coefficients in the transported frame at (s1, 0), so the
+per-line solves can reuse v2 directly.
 
 n is fixed at 2; the per-line structure is what a higher-n recursion would
 iterate, but only the square case is implemented.
@@ -29,7 +31,7 @@ from .geometry import Frame, ManifoldModel, Point
 from .linearize import (TangentCurve, _p_forward_detailed, _solve_inverse_batch,
                         p_inverse_detailed)
 from .numerics import Grid
-from .transport import SampledCurve, curve_velocities, transport_frame
+from .transport import SampledCurve
 
 
 @dataclass(frozen=True)
@@ -101,44 +103,27 @@ def _axis_curve(alpha: CubeSample) -> SampledCurve:
 def p2_forward(model: ManifoldModel, alpha: CubeSample,
                frame0: Frame | None = None, substeps: int = 2) -> CubeLinearization:
     """Linearize a sampled square map into (v1, v2) at its basepoint."""
-    i0, j0 = alpha.base_indices
-    axis = _axis_curve(alpha)
-    if frame0 is None:
-        frame0 = model.orthonormal_frame(alpha.basepoint)
-    rep1, axis_frames, _ = _p_forward_detailed(model, axis, frame0, substeps)
+    _, j0 = alpha.base_indices
+    frame0, v1, (charts, _, cols, _), _ = _p_forward_detailed(
+        model, _axis_curve(alpha), frame0, substeps)
 
     n1 = alpha.grid1.nodes.size
     n2 = alpha.grid2.nodes.size
-    m = model.dim
-    v2 = np.empty((n1, n2, m))
+    v2 = np.empty((n1, n2, model.dim))
     for i in range(n1):
         line = SampledCurve(grid=alpha.grid2, points=alpha.points[i],
                             order=2, base_index=j0)
-        line_frames = transport_frame(
-            model, line, model.orthonormal_frame(line.basepoint),
-            substeps=substeps)
-        d2 = curve_velocities(model, line)
-        # coefficients of d2 in the line's parallel frame = components of the
-        # s2-transported vector at (s1, 0) in that frame's initial columns
-        coeff = np.empty((n2, m))
-        for k in range(n2):
-            t = d2[k]
-            fr = line_frames.frames[k]
-            if t.base.chart_id != fr.base.chart_id:
-                t = model.push_tangent(t, fr.base.chart_id)
-            coeff[k] = np.linalg.solve(fr.columns, t.components)
-        w = coeff @ line_frames.frames[j0].columns.T      # vectors at alpha(i, 0)
-
-        fr_axis = axis_frames.frames[i]
-        base_line = line_frames.frames[j0].base
-        if base_line.chart_id != fr_axis.base.chart_id:
-            jac = model.transition_jacobian(base_line, fr_axis.base.chart_id)
+        line_frame, comps, _, _ = _p_forward_detailed(model, line, None,
+                                                      substeps)
+        w = comps @ line_frame.columns.T      # vectors at alpha(s1, 0)
+        if line.basepoint.chart_id != charts[i]:
+            jac = model.transition_jacobian(line.basepoint, charts[i])
             w = w @ jac.T
-        v2[i] = np.linalg.solve(fr_axis.columns, w.T).T
+        v2[i] = np.linalg.solve(cols[i], w.T).T
 
     return CubeLinearization(base=frame0.base, frame0=frame0,
                              grid1=alpha.grid1, grid2=alpha.grid2,
-                             v1=rep1.tangent_curve.components, v2=v2)
+                             v1=v1, v2=v2)
 
 
 def p2_inverse(model: ManifoldModel, lin: CubeLinearization,
@@ -148,17 +133,13 @@ def p2_inverse(model: ManifoldModel, lin: CubeLinearization,
     s2-direction system for every s1 node."""
     v1_curve = TangentCurve(base=lin.base, frame0=lin.frame0, grid=lin.grid1,
                             components=lin.v1)
-    gamma1, axis_frames = p_inverse_detailed(model, v1_curve,
-                                             substeps=substeps)
-    n1 = lin.grid1.nodes.size
-    charts0 = [fr.base.chart_id for fr in axis_frames.frames]
-    coords0 = np.stack([fr.base.coords for fr in axis_frames.frames])
-    frames0 = np.stack([fr.columns for fr in axis_frames.frames])
+    charts0, coords0, frames0, _ = p_inverse_detailed(model, v1_curve,
+                                                      substeps=substeps)
     charts, coords, _, _ = _solve_inverse_batch(
         model, charts0, coords0, frames0, lin.grid2,
         np.asarray(lin.v2), substeps=substeps)
     rows = tuple(
         tuple(Point(charts[i][j], coords[i, j])
               for j in range(lin.grid2.nodes.size))
-        for i in range(n1))
+        for i in range(lin.grid1.nodes.size))
     return CubeSample(grid1=lin.grid1, grid2=lin.grid2, points=rows)

@@ -47,6 +47,8 @@ def load_json(path) -> dict:
 
 
 def _require(payload: dict, field: str, kind=None):
+    if not isinstance(payload, dict):
+        raise ValidationError(f"expected an object holding field {field!r}")
     if field not in payload:
         raise ValidationError(f"missing field {field!r}")
     value = payload[field]
@@ -55,8 +57,31 @@ def _require(payload: dict, field: str, kind=None):
     return value
 
 
+def _numeric(value, field: str, integer: bool = False, minimum: int = 0):
+    """The one reader of numeric fields: a JSON number or a nested list of
+    numbers becomes a finite float array, or, with integer set, a Python
+    int >= minimum.  Strings, booleans, nulls, ragged lists, non-finite
+    values and fractions where an integer is wanted raise ValidationError
+    naming the field."""
+    try:
+        arr = np.asarray(value)
+    except (ValueError, OverflowError):
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf":
+        raise ValidationError(f"field {field!r} must hold numbers only")
+    arr = arr.astype(float, copy=False)
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"field {field!r} must be finite")
+    if not integer:
+        return arr
+    if arr.ndim or arr != int(arr) or arr < minimum:
+        raise ValidationError(f"field {field!r} must be an integer >= {minimum}")
+    return int(arr)
+
+
 def _check_header(payload: dict, kind: str):
-    version = _require(payload, "schema_version", int)
+    version = _numeric(_require(payload, "schema_version"), "schema_version",
+                       integer=True)
     if version != SCHEMA_VERSION:
         raise ValidationError(f"unsupported schema_version {version}")
     actual = _require(payload, "kind", str)
@@ -80,12 +105,14 @@ def grid_to_json(grid: Grid) -> dict:
 def grid_from_json(payload: dict, field: str = "grid") -> Grid:
     spec = _require(payload, field, dict)
     if "nodes" in spec:
-        return Grid(np.asarray(spec["nodes"], dtype=float))
+        return Grid(_numeric(spec["nodes"], f"{field}.nodes"))
     for key in ("start", "end", "n"):
         if key not in spec:
             raise ValidationError(f"field {field!r} needs start/end/n or nodes")
-    return Grid.regular(float(spec["start"]), float(spec["end"]),
-                        int(spec["n"]))
+    return Grid.regular(float(_numeric(spec["start"], f"{field}.start")),
+                        float(_numeric(spec["end"], f"{field}.end")),
+                        _numeric(spec["n"], f"{field}.n", integer=True,
+                                 minimum=1))
 
 
 # -- points, frames ----------------------------------------------------------
@@ -98,11 +125,9 @@ def point_from_json(model: ManifoldModel, payload: dict, where: str) -> Point:
     chart = _require(payload, "chart", str)
     if chart not in model.charts:
         raise ValidationError(f"{where}: unknown chart {chart!r}")
-    coords = np.asarray(_require(payload, "coords", list), dtype=float)
+    coords = _numeric(_require(payload, "coords", list), f"{where}.coords")
     if coords.shape != (model.dim,):
         raise ValidationError(f"{where}: coords must have length {model.dim}")
-    if not np.all(np.isfinite(coords)):
-        raise ValidationError(f"{where}: coords must be finite")
     point = Point(chart, coords)
     if model.domain_status(point) == OUTSIDE:
         raise ValidationError(f"{where}: point lies outside chart {chart!r}")
@@ -116,7 +141,7 @@ def frame_to_json(frame: Frame) -> list:
 
 
 def frame_from_json(base: Point, payload, where: str) -> Frame:
-    cols = np.asarray(payload, dtype=float)
+    cols = _numeric(payload, where)
     m = base.coords.size
     if cols.shape != (m, m):
         raise ValidationError(f"{where}: frame needs {m} vectors of length {m}")
@@ -151,10 +176,9 @@ def curve_from_json(payload: dict) -> tuple[ManifoldModel, SampledCurve]:
             f"{grid.nodes.size} nodes")
     points = tuple(point_from_json(model, s, f"samples[{j}]")
                    for j, s in enumerate(samples))
-    base_index = int(payload.get("base_index", 0))
-    order = int(payload.get("order", 1))
-    if order < 1:
-        raise ValidationError("field 'order' must be at least 1")
+    base_index = _numeric(payload.get("base_index", 0), "base_index",
+                          integer=True)
+    order = _numeric(payload.get("order", 1), "order", integer=True, minimum=1)
     curve = SampledCurve(grid=grid, points=points, order=order,
                          base_index=base_index)
     validate_curve(model, curve)
@@ -199,7 +223,7 @@ def tangent_curve_from_json(payload: dict) -> tuple[ManifoldModel, TangentCurve]
     grid = grid_from_json(payload)
     base = point_from_json(model, _require(payload, "base", dict), "base")
     frame0 = frame_from_json(base, _require(payload, "frame0", list), "frame0")
-    comps = np.asarray(_require(payload, "components", list), dtype=float)
+    comps = _numeric(_require(payload, "components", list), "components")
     if comps.shape != (grid.nodes.size, model.dim):
         raise ValidationError(
             f"field 'components' must be {grid.nodes.size} rows of length "
@@ -261,8 +285,8 @@ def cube_linearization_from_json(payload: dict):
     grid2 = grid_from_json(payload, "grid2")
     base = point_from_json(model, _require(payload, "base", dict), "base")
     frame0 = frame_from_json(base, _require(payload, "frame0", list), "frame0")
-    v1 = np.asarray(_require(payload, "v1", list), dtype=float)
-    v2 = np.asarray(_require(payload, "v2", list), dtype=float)
+    v1 = _numeric(_require(payload, "v1", list), "v1")
+    v2 = _numeric(_require(payload, "v2", list), "v2")
     try:
         lin = CubeLinearization(base=base, frame0=frame0, grid1=grid1,
                                 grid2=grid2, v1=v1, v2=v2)

@@ -1,11 +1,12 @@
 """Chart-atlas manifold abstraction.
 
-A ManifoldModel bundles explicit coordinate charts with transition maps (and
-their Jacobians), a Christoffel-symbol evaluator, a metric evaluator, an
-optional closed-form exp/log/dist oracle, and a conservative injectivity
-floor r0.  The connection is supplied as Gamma^l_{kj} directly; it must be
-compatible with the metric but need not be Levi-Civita, and a constructor
-validator probes the compatibility residual.
+A model is a subclass of ManifoldModel.  It is constructed from explicit
+coordinate charts with transition maps (and their Jacobians), an optional
+closed-form exp/log/dist oracle and a conservative injectivity floor r0,
+and it implements the Christoffel symbols and the metric as methods.  The
+connection is given as Gamma^l_{kj} directly; it must be compatible with
+the metric but need not be Levi-Civita, and the constructor probes the
+compatibility residual.
 
 All values are immutable after construction and every operation is a pure
 function, so concurrent use needs no synchronization.
@@ -128,8 +129,8 @@ class Oracle:
 
     The scalar methods take chart-tagged values.  The *_from kernels are
     fixed-chart batch variants used by the flow machinery: all coordinates
-    live in one named chart, nothing is validated, and the defaults simply
-    loop over the scalar methods.
+    live in one named chart and nothing is validated.  Every method is
+    abstract; each model's oracle implements all six in closed form.
     """
 
     def exp(self, model: "ManifoldModel", p: Point, v: Tangent) -> Point:
@@ -143,48 +144,39 @@ class Oracle:
 
     def dist_from(self, model: "ManifoldModel", p: Point, chart_id: str,
                   coords: np.ndarray) -> np.ndarray:
-        return np.array([self.dist(model, p, Point(chart_id, c))
-                         for c in coords])
+        raise NotImplementedError
 
     def log_from(self, model: "ManifoldModel", p: Point, chart_id: str,
                  coords: np.ndarray) -> np.ndarray:
-        return np.stack([self.log(model, p, Point(chart_id, c)).components
-                         for c in coords])
+        raise NotImplementedError
 
     def exp_from(self, model: "ManifoldModel", p: Point, vecs: np.ndarray,
                  chart_id: str) -> np.ndarray:
-        out = []
-        for v in vecs:
-            q = self.exp(model, p, Tangent(p, v))
-            out.append(model.transition(q, chart_id).coords)
-        return np.stack(out)
+        raise NotImplementedError
 
 
 class ManifoldModel:
     """A chart atlas with connection, metric, and optional closed-form oracle.
 
+    A model is a subclass that implements christoffel and metric.
     christoffel returns Gamma[l, k, j] = Gamma^l_{kj}; the frame equation
     contracts the k slot with the velocity and the j slot with the frame
     component.  Batched variants take (K, m) coordinates and are the hooks the
     transport kernels rely on; christoffel_action_floats is the float-level
-    hook of the single-curve inverse stepper.  Models should override these
-    with closed forms where speed matters.
+    hook of the single-curve inverse stepper.  Their defaults are built on
+    christoffel; models override them with closed forms where speed matters.
     """
 
     def __init__(self, name: str, dim: int, charts: Sequence[ChartSpec],
                  transitions: Mapping[tuple[str, str], TransitionMap],
-                 christoffel, metric, r0, oracle: Oracle | None = None,
-                 validate: bool = True):
+                 r0, oracle: Oracle | None = None):
         self.name = name
         self.dim = dim
         self.charts = {c.chart_id: c for c in charts}
         self.transitions = dict(transitions)
-        self._christoffel = christoffel
-        self._metric = metric
         self._r0 = r0
         self.oracle = oracle
-        if validate:
-            self._validate_compatibility()
+        self._validate_compatibility()
 
     # -- chart bookkeeping ---------------------------------------------------
 
@@ -257,11 +249,11 @@ class ManifoldModel:
     # -- connection and metric ------------------------------------------------
 
     def christoffel(self, chart_id: str, coords: np.ndarray) -> np.ndarray:
-        return self._christoffel(chart_id, np.asarray(coords, dtype=float))
+        raise NotImplementedError
 
     def christoffel_batch(self, chart_id: str, coords: np.ndarray) -> np.ndarray:
         coords = np.asarray(coords, dtype=float)
-        return np.stack([self._christoffel(chart_id, c) for c in coords])
+        return np.stack([self.christoffel(chart_id, c) for c in coords])
 
     def christoffel_action(self, chart_id: str, coords: np.ndarray,
                            r: np.ndarray) -> np.ndarray:
@@ -289,11 +281,7 @@ class ManifoldModel:
                                        np.array(r)).tolist()
 
     def metric(self, chart_id: str, coords: np.ndarray) -> np.ndarray:
-        return self._metric(chart_id, np.asarray(coords, dtype=float))
-
-    def metric_batch(self, chart_id: str, coords: np.ndarray) -> np.ndarray:
-        coords = np.asarray(coords, dtype=float)
-        return np.stack([self._metric(chart_id, c) for c in coords])
+        raise NotImplementedError
 
     def inner(self, u: Tangent, v: Tangent) -> float:
         if u.base.chart_id != v.base.chart_id:

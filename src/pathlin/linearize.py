@@ -14,10 +14,12 @@ from gamma(0) = p and e_i(0) = the chosen basis, continuing across charts.
 On two-sided grids the base node sits in the interior and the system is
 integrated outward in both directions.
 
-Both maps work on arrays and build Point/Frame objects only for what they
-return.  A single curve is integrated by one RK4 stepper, _step_interval,
-whose state is a flat list of m + m^2 Python floats (position, then the
-frame row by row) and whose connection comes from the model's
+Each map has one array core, which every caller in the library uses:
+_p_forward_detailed and p_inverse_detailed.  p_forward and p_inverse wrap
+them and build TangentCurve/Point objects only for what they return.  A
+single curve is integrated by one RK4 stepper, _step_interval, whose state
+is a flat list of m + m^2 Python floats (position, then the frame row by
+row) and whose connection comes from the model's
 christoffel_action_floats: at m = 2 numpy's per-call overhead, not the
 arithmetic, is the cost, and the right-hand side is unrolled for m = 2
 (_frame_rhs_2d, exactly equal to the generic one).  Batches of curves on
@@ -37,8 +39,8 @@ from .errors import ChartContinuationFailure, NoOverlap, NonFiniteState, Validat
 from .geometry import (INSIDE, Frame, ManifoldModel, Point,
                        require_independent_columns)
 from .numerics import Grid
-from .transport import (SampledCurve, _check_frame_base, _frame_field,
-                        _stage_values, _transport_columns, curve_velocities)
+from .transport import (SampledCurve, _check_frame_base, _stage_values,
+                        _transport_columns, curve_velocities)
 
 
 @dataclass(frozen=True)
@@ -90,11 +92,16 @@ class RoundtripReport:
 # Forward map
 # ---------------------------------------------------------------------------
 
-def _forward(model: ManifoldModel, curve: SampledCurve, frame0: Frame | None,
-             substeps: int):
-    """The forward map on arrays.  Returns (report, transported, velocities)
-    with transported = (charts, coords, cols, switch_log) as from
-    transport._transport_columns."""
+def _p_forward_detailed(model: ManifoldModel, curve: SampledCurve,
+                        frame0: Frame | None = None, substeps: int = 2):
+    """The forward core, on arrays.
+
+    Returns (frame0, comps, (charts, coords, cols, switch_log), velocities):
+    the initial frame (the g-orthonormal one when frame0 is None), the
+    (n, m) components of the transported velocities in it, the transported
+    frame columns as from transport._transport_columns, and the curve
+    velocities.
+    """
     if curve.order < 1:
         raise ValidationError("curve order must be at least 1")
     if frame0 is None:
@@ -103,13 +110,22 @@ def _forward(model: ManifoldModel, curve: SampledCurve, frame0: Frame | None,
     velocities = curve_velocities(model, curve)
     transported = _transport_columns(model, curve, frame0, curve.base_index,
                                      substeps, velocities)
-    charts, _, cols, switch_log = transported
+    charts, _, cols, _ = transported
     require_independent_columns(cols)
     rhs = np.stack([
         (r if r.base.chart_id == chart
          else model.push_tangent(r, chart)).components
         for r, chart in zip(velocities, charts)])
     comps = np.linalg.solve(cols, rhs[:, :, None])[:, :, 0]
+    return frame0, comps, transported, velocities
+
+
+def p_forward(model: ManifoldModel, curve: SampledCurve,
+              frame0: Frame | None = None, substeps: int = 2) -> LinearizationReport:
+    """Linearize a based curve: v(t_j) = transport of the velocity to the
+    basepoint, expressed in frame0 (default: g-orthonormalized coordinates)."""
+    frame0, comps, (_, _, _, switch_log), velocities = _p_forward_detailed(
+        model, curve, frame0, substeps)
     gram0 = model.frame_gram(frame0)
     drift = 0.0
     for c, r in zip(comps, velocities):
@@ -117,25 +133,8 @@ def _forward(model: ManifoldModel, curve: SampledCurve, frame0: Frame | None,
         drift = max(drift, abs(norm_v - model.g_norm(r)))
     tc = TangentCurve(base=frame0.base, frame0=frame0, grid=curve.grid,
                       components=comps)
-    report = LinearizationReport(tangent_curve=tc,
-                                 switch_log=tuple(switch_log),
-                                 norm_drift=drift, h=curve.grid.h)
-    return report, transported, velocities
-
-
-def _p_forward_detailed(model: ManifoldModel, curve: SampledCurve,
-                        frame0: Frame | None = None, substeps: int = 2):
-    """p_forward plus the transported FrameField and the curve velocities."""
-    report, transported, velocities = _forward(model, curve, frame0, substeps)
-    return report, _frame_field(curve, *transported), velocities
-
-
-def p_forward(model: ManifoldModel, curve: SampledCurve,
-              frame0: Frame | None = None, substeps: int = 2) -> LinearizationReport:
-    """Linearize a based curve: v(t_j) = transport of the velocity to the
-    basepoint, expressed in frame0 (default: g-orthonormalized coordinates)."""
-    report, _, _ = _forward(model, curve, frame0, substeps)
-    return report
+    return LinearizationReport(tangent_curve=tc, switch_log=tuple(switch_log),
+                               norm_drift=drift, h=curve.grid.h)
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +220,10 @@ def _step_interval(rhs, y, stages, hsub):
     return y
 
 
-def _march_inverse(model: ManifoldModel, v: TangentCurve, substeps: int):
-    """Integrate the coupled system outward from the base node.
+def p_inverse_detailed(model: ManifoldModel, v: TangentCurve,
+                       substeps: int = 2):
+    """The inverse core: integrate the coupled position+frame system outward
+    from the base node.
 
     Returns (charts, coords, frames, switch_log): a chart id per node,
     (n, m) positions, (n, m, m) frame columns and the sorted switch log.
@@ -282,27 +283,14 @@ def _march_inverse(model: ManifoldModel, v: TangentCurve, substeps: int):
     return charts, states[:, :m], frames, switch_log
 
 
-def _realized_curve(v: TangentCurve, charts, coords, order: int) -> SampledCurve:
-    points = tuple(Point(c, x) for c, x in zip(charts, coords))
-    return SampledCurve(grid=v.grid, points=points, order=order,
-                        base_index=v.grid.base_node())
-
-
-def p_inverse_detailed(model: ManifoldModel, v: TangentCurve,
-                       substeps: int = 2, order: int = 3):
-    """Integrate the coupled position+frame system; returns the realized
-    curve together with the transported frame field along it."""
-    charts, coords, frames, switch_log = _march_inverse(model, v, substeps)
-    curve = _realized_curve(v, charts, coords, order)
-    return curve, _frame_field(curve, charts, coords, frames, switch_log)
-
-
 def p_inverse(model: ManifoldModel, v: TangentCurve,
               substeps: int = 2, order: int = 3) -> SampledCurve:
     """Realize a tangent-space curve as a manifold curve through the coupled
     position+frame initial-value problem."""
-    charts, coords, _, _ = _march_inverse(model, v, substeps)
-    return _realized_curve(v, charts, coords, order)
+    charts, coords, _, _ = p_inverse_detailed(model, v, substeps)
+    points = tuple(Point(c, x) for c, x in zip(charts, coords))
+    return SampledCurve(grid=v.grid, points=points, order=order,
+                        base_index=v.grid.base_node())
 
 
 def _solve_inverse_batch(model: ManifoldModel, charts0, coords0: np.ndarray,

@@ -98,11 +98,6 @@ class _ConformalModel(ManifoldModel):
         lam = self._lam(np.asarray(coords, float))
         return (lam * lam) * np.eye(self.dim)
 
-    def metric_batch(self, chart_id, coords):
-        coords = np.asarray(coords, dtype=float)
-        lams = np.asarray(self._lam(coords))
-        return lams[:, None, None] ** 2 * np.eye(self.dim)
-
 
 # ---------------------------------------------------------------------------
 # Flat models (euclidean plane, flat torus)
@@ -128,11 +123,6 @@ class _FlatMixin:
 
     def metric(self, chart_id, coords):
         return np.eye(self.dim)
-
-    def metric_batch(self, chart_id, coords):
-        coords = np.asarray(coords, dtype=float)
-        return np.broadcast_to(np.eye(self.dim),
-                               (coords.shape[0], self.dim, self.dim)).copy()
 
 
 class _EuclideanModel(_FlatMixin, ManifoldModel):
@@ -169,8 +159,7 @@ def _euclidean2() -> ManifoldModel:
     )
     return _EuclideanModel(
         name="euclidean2", dim=2, charts=[chart], transitions={},
-        christoffel=None, metric=None, r0=lambda p: R0_CAP,
-        oracle=_EuclideanOracle())
+        r0=lambda p: R0_CAP, oracle=_EuclideanOracle())
 
 
 # ---------------------------------------------------------------------------
@@ -360,8 +349,7 @@ def _sphere2() -> ManifoldModel:
     transitions = {("north", "south"): inv, ("south", "north"): inv}
     return _SphereModel(
         name="sphere2", dim=2, charts=charts, transitions=transitions,
-        christoffel=None, metric=None, r0=lambda p: math.pi / 2.0,
-        oracle=_SphereOracle())
+        r0=lambda p: math.pi / 2.0, oracle=_SphereOracle())
 
 
 # ---------------------------------------------------------------------------
@@ -458,8 +446,7 @@ def _hyperbolic2() -> ManifoldModel:
     )
     return _DiskModel(
         name="hyperbolic2", dim=2, charts=[chart], transitions={},
-        christoffel=None, metric=None, r0=lambda p: R0_CAP,
-        oracle=_DiskOracle())
+        r0=lambda p: R0_CAP, oracle=_DiskOracle())
 
 
 # ---------------------------------------------------------------------------
@@ -577,8 +564,7 @@ def _torus2() -> ManifoldModel:
                 jacobian=lambda c: np.eye(2))
     return _TorusModel(
         name="torus2", dim=2, charts=charts, transitions=transitions,
-        christoffel=None, metric=None, r0=lambda p: math.pi / 2.0,
-        oracle=_TorusOracle())
+        r0=lambda p: math.pi / 2.0, oracle=_TorusOracle())
 
 
 # ---------------------------------------------------------------------------

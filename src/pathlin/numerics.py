@@ -1,9 +1,9 @@
 """Shared numerical kernels.
 
-Fixed-step classical Runge-Kutta with optional cubic-Hermite dense output,
-4th-order finite-difference differentiation of grid data, Lagrange window
-interpolation, Fornberg stencil weights, and Bernstein/monomial polynomial
-fitting by least squares.
+Fixed-step classical Runge-Kutta on a grid (node values only, no dense
+output), 4th-order finite-difference differentiation of grid data, Lagrange
+window interpolation, Fornberg stencil weights, and Bernstein/monomial
+polynomial fitting by least squares.
 
 Everything here is a pure function over immutable inputs; fixed steps are
 deliberate so results are reproducible across runs and platforms.
@@ -106,33 +106,6 @@ def integrate(f, y0, grid: Grid, substeps: int = 2) -> np.ndarray:
             raise NonFiniteState(f"state became non-finite in interval {j}")
         out[j + 1] = y
     return out
-
-
-class HermiteTrajectory:
-    """Dense output: cubic Hermite between nodes using endpoint derivatives."""
-
-    def __init__(self, grid: Grid, states: np.ndarray, derivatives: np.ndarray):
-        self.grid = grid
-        self.states = np.asarray(states, dtype=float)
-        self.derivatives = np.asarray(derivatives, dtype=float)
-
-    def __call__(self, t: float) -> np.ndarray:
-        nodes = self.grid.nodes
-        j = int(np.clip(np.searchsorted(nodes, t, side="right") - 1, 0, nodes.size - 2))
-        h = nodes[j + 1] - nodes[j]
-        u = (t - nodes[j]) / h
-        h00 = (1 + 2 * u) * (1 - u) ** 2
-        h10 = u * (1 - u) ** 2
-        h01 = u * u * (3 - 2 * u)
-        h11 = u * u * (u - 1)
-        return (h00 * self.states[j] + h10 * h * self.derivatives[j]
-                + h01 * self.states[j + 1] + h11 * h * self.derivatives[j + 1])
-
-
-def integrate_dense(f, y0, grid: Grid, substeps: int = 2) -> HermiteTrajectory:
-    states = integrate(f, y0, grid, substeps)
-    derivs = np.stack([f(t, s) for t, s in zip(grid.nodes, states)])
-    return HermiteTrajectory(grid, states, derivs)
 
 
 # ---------------------------------------------------------------------------

@@ -97,17 +97,16 @@ def conjugation_residual(model: ManifoldModel, curve: SampledCurve,
     basepoint and the grid derivative of the linearized components."""
     if curve.order < 2:
         raise ValidationError("conjugation residual needs curve order >= 2")
-    rep, frames, velocities = _p_forward_detailed(model, curve, frame0,
-                                                  substeps)
+    frame0, comps, (charts, _, cols, _), velocities = _p_forward_detailed(
+        model, curve, frame0, substeps)
     accel = covariant_derivative(model, curve, velocities)
-    dv = differentiate(rep.tangent_curve.components, curve.grid)
-    gram = model.frame_gram(rep.tangent_curve.frame0)
+    dv = differentiate(comps, curve.grid)
+    gram = model.frame_gram(frame0)
     worst = 0.0
-    for j, fr in enumerate(frames.frames):
-        a = accel[j]
-        if a.base.chart_id != fr.base.chart_id:
-            a = model.push_tangent(a, fr.base.chart_id)
-        gap = np.linalg.solve(fr.columns, a.components) - dv[j]
+    for a, chart, e, d in zip(accel, charts, cols, dv):
+        if a.base.chart_id != chart:
+            a = model.push_tangent(a, chart)
+        gap = np.linalg.solve(e, a.components) - d
         worst = max(worst, float(np.sqrt(max(gap @ gram @ gap, 0.0))))
     return worst
 
@@ -123,16 +122,15 @@ def weierstrass_fit(model: ManifoldModel, curve: SampledCurve, degree: int,
     """
     if frame0 is None:
         frame0 = model.orthonormal_frame(curve.basepoint)
-    rep = _p_forward_detailed(model, curve, frame0, substeps)[0]
-    comps = rep.tangent_curve.components
+    comps = _p_forward_detailed(model, curve, frame0, substeps)[1]
     coeffs = fit_poly(comps, curve.grid, degree, basis)
     poly = make_polynomial_like(model, frame0.base, frame0, coeffs,
                                 curve.grid, substeps=substeps)
     c0 = max(model.point_distance(a, b)
              for a, b in zip(curve.points, poly.realized.points))
-    rep_fit = _p_forward_detailed(model, poly.realized, frame0, substeps)[0]
+    comps_fit = _p_forward_detailed(model, poly.realized, frame0, substeps)[1]
     gram = model.frame_gram(frame0)
-    gaps = comps - rep_fit.tangent_curve.components
+    gaps = comps - comps_fit
     c1 = float(np.sqrt(np.maximum(
         np.einsum("ji,ik,jk->j", gaps, gram, gaps), 0.0)).max())
     return WeierstrassFit(curve=poly, c0_error=float(c0), c1_error=c1,
@@ -149,8 +147,7 @@ def taylor_coefficients(model: ManifoldModel, curve: SampledCurve, order: int,
     """
     if curve.order < order + 1:
         raise ValidationError("curve order must exceed the Taylor order")
-    rep = _p_forward_detailed(model, curve, frame0, substeps)[0]
-    comps = rep.tangent_curve.components
+    comps = _p_forward_detailed(model, curve, frame0, substeps)[1]
     base = curve.base_index
     width = order + 4
     if base + width > comps.shape[0]:

@@ -253,30 +253,21 @@ def _check_frame_base(model: ManifoldModel, f0: Frame, point: Point):
 
 
 def transport_frame(model: ManifoldModel, curve: SampledCurve, f0: Frame,
-                    start: int | None = None, substeps: int = 2,
-                    renormalize: bool = False) -> FrameField:
+                    start: int | None = None, substeps: int = 2) -> FrameField:
     """Parallel-transport a frame along the whole curve from `start`
     (default: the curve's base node), switching charts as needed."""
     if start is None:
         start = curve.base_index
     _check_frame_base(model, f0, curve.points[start])
-    transported = _transport_columns(model, curve, f0, start, substeps,
-                                     curve_velocities(model, curve),
-                                     renormalize)
-    return _frame_field(curve, *transported)
-
-
-def _frame_field(curve: SampledCurve, charts, coords: np.ndarray,
-                 cols: np.ndarray, switch_log) -> FrameField:
-    """Frame objects at the API edge from per-node arrays."""
+    charts, coords, cols, switch_log = _transport_columns(
+        model, curve, f0, start, substeps, curve_velocities(model, curve))
     frames = tuple(Frame(Point(c, x), e)
                    for c, x, e in zip(charts, coords, cols))
     return FrameField(curve=curve, frames=frames, switch_log=tuple(switch_log))
 
 
 def _transport_columns(model: ManifoldModel, curve: SampledCurve, f0: Frame,
-                       start: int, substeps: int, velocities,
-                       renormalize: bool = False):
+                       start: int, substeps: int, velocities):
     """Array core of transport_frame, given the curve's velocities.
 
     Returns (charts, coords, cols, switch_log): the chart id of every node,
@@ -291,21 +282,6 @@ def _transport_columns(model: ManifoldModel, curve: SampledCurve, f0: Frame,
     charts = [None] * n_nodes
     coords = [None] * n_nodes
     switch_log: list[tuple[int, str, str]] = []
-
-    norms0 = None
-    if renormalize:
-        norms0 = [model.g_norm(f0.column(i)) for i in range(model.dim)]
-
-    def renorm(matrix: np.ndarray, chart_id: str, xy: np.ndarray) -> np.ndarray:
-        if not renormalize:
-            return matrix
-        g = model.metric(chart_id, xy)
-        out = matrix.copy()
-        for i in range(model.dim):
-            n = np.sqrt(max(out[:, i] @ g @ out[:, i], 0.0))
-            if n > 0:
-                out[:, i] *= norms0[i] / n
-        return out
 
     def sweep(stop: int):
         direction = 1 if stop >= start else -1
@@ -323,7 +299,7 @@ def _transport_columns(model: ManifoldModel, curve: SampledCurve, f0: Frame,
                 current = jac @ current
                 switch_log.append((entry, chart, run.chart_id))
                 chart = run.chart_id
-            cols[entry] = renorm(current, chart, entry_coords)
+            cols[entry] = current
             charts[entry] = chart
             coords[entry] = entry_coords
             if run.hi == run.lo:
@@ -336,7 +312,6 @@ def _transport_columns(model: ManifoldModel, curve: SampledCurve, f0: Frame,
                         raise NonFiniteState(
                             f"frame became non-finite at node {run.lo + k + 1}")
                     node = run.lo + k + 1
-                    current = renorm(current, chart, run.coords[k + 1])
                     cols[node] = current
                     charts[node] = chart
                     coords[node] = run.coords[k + 1]
@@ -347,7 +322,6 @@ def _transport_columns(model: ManifoldModel, curve: SampledCurve, f0: Frame,
                         raise NonFiniteState(
                             f"frame became non-finite at node {run.lo + k - 1}")
                     node = run.lo + k - 1
-                    current = renorm(current, chart, run.coords[k - 1])
                     cols[node] = current
                     charts[node] = chart
                     coords[node] = run.coords[k - 1]

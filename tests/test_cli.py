@@ -8,7 +8,7 @@ import pytest
 from pathlin import Frame, Grid, Point, Tangent, get_model
 from pathlin import fileio
 from pathlin.cli import main
-from pathlin.linearize import TangentCurve
+from pathlin.linearize import TangentCurve, p_forward
 from pathlin.transport import SampledCurve
 
 
@@ -199,4 +199,46 @@ def test_synthesize_numerical_failure_exits_3(tmp_path, capsys, monkeypatch,
     err = capsys.readouterr().err
     assert code == 3
     assert "non-finite" in err
+    assert "Traceback" not in err
+
+
+# each case: (command, input kind, key path into the input payload, the
+# malformed value stored there, the field the error must name)
+_MALFORMED = {
+    "negative_n": ("roundtrip", "curve", ("grid", "n"), -3, "grid.n"),
+    "string_n": ("roundtrip", "curve", ("grid", "n"), "eight", "grid.n"),
+    "string_base_index": ("roundtrip", "curve", ("base_index",), "x",
+                          "base_index"),
+    "non_numeric_coords": ("roundtrip", "curve", ("samples", 5, "coords"),
+                           ["a", 0.0], "samples[5].coords"),
+    "fractional_order": ("roundtrip", "curve", ("order",), 1.7, "order"),
+    "ragged_frame0": ("synthesize", "tangent", ("frame0",),
+                      [[1.0, 0.0], [0.0]], "frame0"),
+    "sample_not_object": ("roundtrip", "curve", ("samples", 5), 1.0,
+                          "chart"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_malformed_field_exits_2(tmp_path, capsys, sphere_fixture, case):
+    command, kind, keys, value, field = _MALFORMED[case]
+    sphere, curve, path = sphere_fixture
+    if kind == "curve":
+        payload = json.loads(path.read_text())
+    else:
+        rep = p_forward(sphere, curve)
+        payload = fileio.tangent_curve_to_json(sphere, rep.tangent_curve)
+    target = payload
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    args = [command, str(bad)]
+    if command == "synthesize":
+        args += ["-o", str(tmp_path / "out.json")]
+    code = main(args)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"'{field}'" in err
     assert "Traceback" not in err

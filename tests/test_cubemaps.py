@@ -158,3 +158,28 @@ def test_degenerate_cube(model):
     lin = p2_forward(model, cube, model.orthonormal_frame(p))
     assert float(np.max(np.abs(lin.v1))) < 1e-10
     assert float(np.max(np.abs(lin.v2))) < 1e-10
+
+
+def test_margin_band_cube_independent_of_stored_charts(sphere):
+    # a small exp patch straddling |x| = 2, where the north chart's margin
+    # band begins.  Stored all in north, the axis transport moves to south
+    # while the s2-lines start from north points, so each line's vectors are
+    # re-expressed in the axis chart; stored in their select_chart charts,
+    # all samples are south points.  Both must give the same (v1, v2).
+    base = Point("north", [1.98, 0.0])
+    f0 = sphere.orthonormal_frame(base)
+    g = Grid.regular(-1.0, 1.0, 24)
+    north = tuple(tuple(
+        sphere.transition(sphere.exp_oracle(
+            base, Tangent(base, f0.columns @ np.array([0.03 * a, 0.03 * b]))),
+            "north")
+        for b in g.nodes) for a in g.nodes)
+    selected = tuple(tuple(sphere.select_chart(p) for p in row)
+                     for row in north)
+    assert {sphere.domain_status(p) for row in north for p in row} == \
+        {"inside", "margin"}
+    assert {p.chart_id for row in selected for p in row} == {"south"}
+    lin_n = p2_forward(sphere, CubeSample(g, g, north), f0)
+    lin_s = p2_forward(sphere, CubeSample(g, g, selected), f0)
+    assert_close(lin_n.v1, lin_s.v1, 1e-10, "v1")
+    assert_close(lin_n.v2, lin_s.v2, 1e-10, "v2")

@@ -9,7 +9,7 @@ from pathlin.errors import (GridTooCoarse, IllConditioned, NonFiniteState,
                             ValidationError)
 from pathlin.numerics import (Grid, PolyCoeffs, basis_matrix, differentiate,
                               eval_poly, fd_weights, fit_poly, fit_residual,
-                              integrate, integrate_dense)
+                              integrate)
 
 from conftest import assert_close
 
@@ -55,13 +55,6 @@ def test_integrate_nonfinite():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NonFiniteState):
             integrate(lambda t, y: y * y, np.array([1.0]), grid)
-
-
-def test_dense_output_matches_solution():
-    grid = Grid.regular(0.0, 1.0, 50)
-    dense = integrate_dense(lambda t, y: y, np.array([1.0]), grid)
-    for t in (0.013, 0.5004, 0.991):
-        assert abs(dense(t)[0] - math.exp(t)) < 1e-8
 
 
 def test_differentiate_polynomial_exact():

@@ -203,13 +203,3 @@ def test_frame_base_mismatch_rejected(euclidean):
     wrong = Frame(Point("xy", [5.0, 5.0]), np.eye(2))
     with pytest.raises(ValidationError):
         transport_frame(euclidean, SampledCurve(grid, pts), wrong)
-
-
-def test_renormalize_flag_pins_column_norms(sphere):
-    rng = np.random.default_rng(43)
-    curve = random_curve(sphere, rng, Grid.regular(0.0, 1.0, 100))
-    f0 = sphere.orthonormal_frame(curve.basepoint)
-    field = transport_frame(sphere, curve, f0, renormalize=True)
-    for fr in field.frames[::10]:
-        for i in range(2):
-            assert abs(sphere.g_norm(fr.column(i)) - 1.0) < 1e-13
