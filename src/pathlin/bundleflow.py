@@ -32,15 +32,18 @@ FLOW_STEPS_PER_UNIT_TIME = 64
 # Carrier field and its flow
 # ---------------------------------------------------------------------------
 
-def smooth_step(x: float) -> float:
-    """The standard smooth 0-to-1 step built from exp(-1/x)."""
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    a = math.exp(-1.0 / x)
-    b = math.exp(-1.0 / (1.0 - x))
-    return a / (a + b)
+def smooth_step(x):
+    """The standard smooth 0-to-1 step built from exp(-1/x), elementwise:
+    0 for x <= 0, 1 for x >= 1."""
+    x = np.asarray(x, dtype=float)
+    out = np.where(x >= 1.0, 1.0, 0.0)
+    mid = (x > 0.0) & (x < 1.0)
+    if np.any(mid):
+        with np.errstate(under="ignore"):
+            a = np.exp(-1.0 / x[mid])
+            b = np.exp(-1.0 / (1.0 - x[mid]))
+        out[mid] = a / (a + b)
+    return out
 
 
 @dataclass(frozen=True)
@@ -71,16 +74,7 @@ _FD_STEP = 1e-5
 
 
 def _bump_many(spec: CarrierFieldSpec, d: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(d)
-    out[d <= spec.r_in] = 1.0
-    mid = (d > spec.r_in) & (d < spec.r_out)
-    if np.any(mid):
-        x = (spec.r_out - d[mid]) / (spec.r_out - spec.r_in)
-        with np.errstate(under="ignore"):
-            a = np.exp(-1.0 / x)
-            b = np.exp(-1.0 / (1.0 - x))
-        out[mid] = a / (a + b)
-    return out
+    return smooth_step((spec.r_out - d) / (spec.r_out - spec.r_in))
 
 
 def carrier_field_many(spec: CarrierFieldSpec, chart_id: str,

@@ -7,7 +7,12 @@ The forward map splits a based square map alpha into
                 basepoint,
 both expressed in a fixed basis at the basepoint.  The transport order is
 fixed: the s1-transport is applied after the s2-transport, never averaged.
-The axis curve and each s2-line go through the forward core of linearize.
+The axis curve goes through the forward core of linearize.  All s2-lines
+then go through one call of the batched transport core, each starting from
+the axis frame at its node: because parallel transport is linear, v2's
+components in the basepoint basis are the line velocity's components in
+the line's transported frame, which one batched solve gives for every
+sample.
 
 The inverse first realizes v1 as the axis curve gamma1 with the inverse
 core (keeping the transported frame along it), then solves the coupled
@@ -27,11 +32,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import Frame, ManifoldModel, Point
+from .geometry import Frame, ManifoldModel, Point, require_independent_columns
 from .linearize import (TangentCurve, _p_forward_detailed, _solve_inverse_batch,
                         p_inverse_detailed)
 from .numerics import Grid
-from .transport import SampledCurve
+from .transport import SampledCurve, _transport_columns, _velocities
 
 
 @dataclass(frozen=True)
@@ -104,22 +109,27 @@ def p2_forward(model: ManifoldModel, alpha: CubeSample,
                frame0: Frame | None = None, substeps: int = 2) -> CubeLinearization:
     """Linearize a sampled square map into (v1, v2) at its basepoint."""
     _, j0 = alpha.base_indices
-    frame0, v1, (charts, _, cols, _), _ = _p_forward_detailed(
+    frame0, v1, (charts, coords, cols, _), _ = _p_forward_detailed(
         model, _axis_curve(alpha), frame0, substeps)
 
-    n1 = alpha.grid1.nodes.size
-    n2 = alpha.grid2.nodes.size
-    v2 = np.empty((n1, n2, model.dim))
-    for i in range(n1):
-        line = SampledCurve(grid=alpha.grid2, points=alpha.points[i],
-                            order=2, base_index=j0)
-        line_frame, comps, _, _ = _p_forward_detailed(model, line, None,
-                                                      substeps)
-        w = comps @ line_frame.columns.T      # vectors at alpha(s1, 0)
-        if line.basepoint.chart_id != charts[i]:
-            jac = model.transition_jacobian(line.basepoint, charts[i])
-            w = w @ jac.T
-        v2[i] = np.linalg.solve(cols[i], w.T).T
+    # Every s2-line starts from the axis frame at its node, re-expressed in
+    # the chart its base sample is stored in; v2 is then the line's
+    # velocities in its transported frame.
+    line_charts = [[p.chart_id for p in row] for row in alpha.points]
+    starts = [row[j0] for row in line_charts]
+    frames = cols.copy()
+    moved = [i for i, c in enumerate(starts) if c != charts[i]]
+    if moved:
+        frames[moved] = np.stack([
+            model.transition_jacobian(Point(charts[i], coords[i]), starts[i])
+            for i in moved]) @ cols[moved]
+    line_coords = np.array([[p.coords for p in row] for row in alpha.points])
+    _, _, line_cols, vel, _ = _transport_columns(
+        model, alpha.grid2, line_charts, line_coords,
+        _velocities(model, alpha.grid2, line_charts, line_coords),
+        starts, frames, j0, substeps)
+    require_independent_columns(line_cols)
+    v2 = np.linalg.solve(line_cols, vel[..., None])[..., 0]
 
     return CubeLinearization(base=frame0.base, frame0=frame0,
                              grid1=alpha.grid1, grid2=alpha.grid2,

@@ -16,8 +16,10 @@ integrated outward in both directions.
 
 Each map has one array core, which every caller in the library uses:
 _p_forward_detailed and p_inverse_detailed.  p_forward and p_inverse wrap
-them and build TangentCurve/Point objects only for what they return.  A
-single curve is integrated by one RK4 stepper, _step_interval, whose state
+them and build TangentCurve/Point objects only for what they return.  The
+forward core transports the frame with transport._transport_columns, the
+batched transport core, as a batch of one, and solves all nodes at once
+for the components.  A single curve is integrated by one RK4 stepper, _step_interval, whose state
 is a flat list of m + m^2 Python floats (position, then the frame row by
 row) and whose connection comes from the model's
 christoffel_action_floats: at m = 2 numpy's per-call overhead, not the
@@ -39,8 +41,8 @@ from .errors import ChartContinuationFailure, NoOverlap, NonFiniteState, Validat
 from .geometry import (INSIDE, Frame, ManifoldModel, Point,
                        require_independent_columns)
 from .numerics import Grid
-from .transport import (SampledCurve, _check_frame_base, _stage_values,
-                        _transport_columns, curve_velocities)
+from .transport import (SampledCurve, _check_frame_base, _curve_arrays,
+                        _stage_values, _transport_columns, curve_velocities)
 
 
 @dataclass(frozen=True)
@@ -98,9 +100,9 @@ def _p_forward_detailed(model: ManifoldModel, curve: SampledCurve,
 
     Returns (frame0, comps, (charts, coords, cols, switch_log), velocities):
     the initial frame (the g-orthonormal one when frame0 is None), the
-    (n, m) components of the transported velocities in it, the transported
-    frame columns as from transport._transport_columns, and the curve
-    velocities.
+    (n, m) components of the transported velocities in it, the curve's
+    charts, positions, frame columns and switch log as from
+    transport._transport_columns, and the curve velocities as Tangents.
     """
     if curve.order < 1:
         raise ValidationError("curve order must be at least 1")
@@ -108,15 +110,15 @@ def _p_forward_detailed(model: ManifoldModel, curve: SampledCurve,
         frame0 = model.orthonormal_frame(curve.basepoint)
     _check_frame_base(model, frame0, curve.basepoint)
     velocities = curve_velocities(model, curve)
-    transported = _transport_columns(model, curve, frame0, curve.base_index,
-                                     substeps, velocities)
-    charts, _, cols, _ = transported
-    require_independent_columns(cols)
-    rhs = np.stack([
-        (r if r.base.chart_id == chart
-         else model.push_tangent(r, chart)).components
-        for r, chart in zip(velocities, charts)])
-    comps = np.linalg.solve(cols, rhs[:, :, None])[:, :, 0]
+    charts, coords = _curve_arrays(curve)
+    charts, coords, cols, vel, logs = _transport_columns(
+        model, curve.grid, charts, coords,
+        np.stack([r.components for r in velocities])[None],
+        [frame0.base.chart_id], frame0.columns[None], curve.base_index,
+        substeps)
+    require_independent_columns(cols[0])
+    comps = np.linalg.solve(cols[0], vel[0][:, :, None])[:, :, 0]
+    transported = charts[0], coords[0], cols[0], logs[0]
     return frame0, comps, transported, velocities
 
 

@@ -12,11 +12,18 @@ Chart continuation: the curve is re-expressed chart-run by chart-run.  A run
 ends when a node's coordinates reach the working chart's margin; the full
 state (position and every frame column) is re-expressed through the
 transition at that node only, never mid-interval, and the switch is logged.
+
+One array core, _transport_columns, transports a batch of B curves on one
+grid: transport_frame and the forward core of linearize call it with B = 1,
+the square-map forward with one element per s2-line.  Elements whose runs
+cover the same nodes in the same chart build their propagators together,
+and the frames of the whole batch advance node by node as (B, m, m) stacks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -24,7 +31,7 @@ from .errors import (ChartContinuationFailure, GridTooCoarse, NoOverlap,
                      NonFiniteState, ValidationError)
 from .geometry import MARGIN, OUTSIDE, Frame, ManifoldModel, Point, Tangent
 from .numerics import (Grid, _D1_CENTRAL, _D1_DENOM, _D1_EDGE0, _D1_EDGE1,
-                       lagrange_weights)
+                       differentiate, lagrange_weights)
 
 
 @dataclass(frozen=True)
@@ -73,6 +80,13 @@ class FrameField:
 _STENCIL_ROWS = (_D1_EDGE0, _D1_EDGE1, _D1_CENTRAL,
                  -_D1_EDGE1[::-1], -_D1_EDGE0[::-1])
 
+# Elements of a batch whose chart runs coincide get their propagators built
+# together, at most this many RK4 stage points at a time.  Building a whole
+# 100-line batch at once raises peak memory by about a fifth for no speed;
+# blocks of this size (16 lines of 100 intervals) keep it at the one-line
+# level.
+_STAGE_POINTS_PER_BLOCK = 8192
+
 
 def _window_start(j: int, n_nodes: int, width: int = 5) -> int:
     half = width // 2
@@ -88,31 +102,58 @@ def _express(model: ManifoldModel, point: Point, chart_id: str, node: int) -> np
             node=node)
 
 
+def _coords_in(model: ManifoldModel, charts, coords: np.ndarray, j: int,
+               chart_id: str) -> np.ndarray:
+    """Node j of one curve (stored charts and (n, m) coordinates) in
+    chart_id."""
+    if charts[j] == chart_id:
+        return coords[j]
+    return _express(model, Point(charts[j], coords[j]), chart_id, j)
+
+
+def _velocities(model: ManifoldModel, grid: Grid, charts,
+                coords: np.ndarray) -> np.ndarray:
+    """4th-order finite-difference velocities of a batch of curves on one
+    uniform grid.
+
+    charts[b][j] and coords (B, n, m) are each node's stored chart and
+    coordinates; the (B, n, m) result is in the same charts.  Curves stored
+    in one chart share a single differentiate call on the stacked
+    (n, B * m) coordinates; the others take each node's stencil window in
+    that node's chart.
+    """
+    grid.require_uniform()
+    b, n, m = coords.shape
+    if n < 5:
+        raise GridTooCoarse("velocity stencils need at least 5 nodes")
+    single = np.array([all(c == row[0] for c in row) for row in charts])
+    out = np.empty_like(coords)
+    same = coords[single]
+    if same.shape[0]:
+        flat = differentiate(same.transpose(1, 0, 2).reshape(n, -1), grid)
+        out[single] = flat.reshape(n, -1, m).transpose(1, 0, 2)
+    scale = _D1_DENOM * grid.h
+    for i in np.flatnonzero(~single):
+        for j in range(n):
+            w = _window_start(j, n)
+            window = np.stack([_coords_in(model, charts[i], coords[i], w + s,
+                                          charts[i][j]) for s in range(5)])
+            out[i, j] = (_STENCIL_ROWS[j - w] @ (window - window[j - w])) / scale
+    return out
+
+
+def _curve_arrays(curve: SampledCurve):
+    """One curve as a batch of one: ([stored charts], (1, n, m) coords)."""
+    return ([[p.chart_id for p in curve.points]],
+            np.stack([p.coords for p in curve.points])[None])
+
+
 def curve_velocities(model: ManifoldModel, curve: SampledCurve) -> tuple[Tangent, ...]:
     """4th-order finite-difference velocity at every node, each expressed in
     that node's own stored chart."""
-    curve.grid.require_uniform()
-    n_nodes = curve.grid.nodes.size
-    if n_nodes < 5:
-        raise GridTooCoarse("velocity stencils need at least 5 nodes")
-    h = curve.grid.h
-    charts = [p.chart_id for p in curve.points]
-    if all(c == charts[0] for c in charts):
-        coords = np.stack([p.coords for p in curve.points])
-        from .numerics import differentiate
-        vel = differentiate(coords, curve.grid)
-        return tuple(Tangent(curve.points[j], vel[j]) for j in range(n_nodes))
-    out = []
-    for j in range(n_nodes):
-        w = _window_start(j, n_nodes)
-        window = np.stack([
-            _express(model, curve.points[w + s], charts[j], w + s)
-            for s in range(5)
-        ])
-        row = _STENCIL_ROWS[j - w]
-        out.append(Tangent(curve.points[j],
-                           (row @ (window - window[j - w])) / (_D1_DENOM * h)))
-    return tuple(out)
+    charts, coords = _curve_arrays(curve)
+    vel = _velocities(model, curve.grid, charts, coords)[0]
+    return tuple(Tangent(p, r) for p, r in zip(curve.points, vel))
 
 
 @dataclass
@@ -121,12 +162,15 @@ class _Run:
     hi: int                  # last node, inclusive
     chart_id: str
     coords: np.ndarray       # (hi - lo + 1, m) positions in chart_id
+    vel: np.ndarray | None = None   # velocities in chart_id, same shape
 
 
-def _build_runs(model: ManifoldModel, curve: SampledCurve, origin: int,
+def _build_runs(model: ManifoldModel, charts, coords: np.ndarray, origin: int,
                 stop: int, start_chart: str) -> list[_Run]:
-    """Split the node range between origin and stop (inclusive, either
-    direction) into chart runs following the margin-switch rule."""
+    """Split one curve's node range between origin and stop (inclusive,
+    either direction) into chart runs following the margin-switch rule,
+    listed in the order of travel.  charts and coords (n, m) are the stored
+    charts and coordinates."""
     step = 1 if stop >= origin else -1
     nodes = range(origin, stop + step, step)
     runs: list[_Run] = []
@@ -141,20 +185,22 @@ def _build_runs(model: ManifoldModel, curve: SampledCurve, origin: int,
                              chart_id=chart,
                              coords=np.stack(run_coords[order])))
 
+    test = model.chart(chart).domain_test
     for j in nodes:
-        coords = _express(model, curve.points[j], chart, j)
-        status = model.chart(chart).domain_test(coords)
+        x = _coords_in(model, charts, coords, j, chart)
+        status = test(x)
         if status == OUTSIDE:
             raise ChartContinuationFailure(
                 f"node {j} left chart {chart!r} without touching its margin",
                 node=j)
         run_nodes.append(j)
-        run_coords.append(coords)
+        run_coords.append(x)
         if status == MARGIN and j != stop:
-            switched = model.select_chart(Point(chart, coords))
+            switched = model.select_chart(Point(chart, x))
             if switched.chart_id != chart:
                 close_run()
                 chart = switched.chart_id
+                test = model.chart(chart).domain_test
                 run_nodes = [j]
                 run_coords = [switched.coords]
     close_run()
@@ -169,6 +215,18 @@ def _stage_offsets(substeps: int) -> np.ndarray:
     return np.linspace(0.0, 1.0, 2 * substeps + 1)
 
 
+@lru_cache(maxsize=None)
+def _stage_weights(width: int, shift: int, substeps: int) -> np.ndarray:
+    """(S, width) read-only Lagrange weights from the nodes shift,
+    shift + 1, ... of a window (relative to an interval's left node) to the
+    interval's S = 2 * substeps + 1 stage offsets."""
+    positions = np.arange(width) + shift
+    wts = np.stack([lagrange_weights(positions, u)
+                    for u in _stage_offsets(substeps)])
+    wts.flags.writeable = False
+    return wts
+
+
 def _stage_values(node_values: np.ndarray, substeps: int) -> np.ndarray:
     """Lagrange interpolation of per-node data to RK4 stage times.
 
@@ -178,14 +236,12 @@ def _stage_values(node_values: np.ndarray, substeps: int) -> np.ndarray:
     """
     n = node_values.shape[0]
     width = min(4, n)
-    offsets = _stage_offsets(substeps)
     starts = np.clip(np.arange(n - 1) - 1, 0, n - width)
     rel = starts - np.arange(n - 1)           # window start relative to interval
-    out = np.empty((n - 1, offsets.size, node_values.shape[1]))
+    out = np.empty((n - 1, 2 * substeps + 1, node_values.shape[1]))
     for shift in np.unique(rel):
         mask = rel == shift
-        positions = np.arange(width) + shift
-        wts = np.stack([lagrange_weights(positions, u) for u in offsets])
+        wts = _stage_weights(width, int(shift), substeps)
         idx = starts[mask][:, None] + np.arange(width)[None, :]
         out[mask] = np.einsum("us,nsm->num", wts, node_values[idx])
     return out
@@ -211,30 +267,38 @@ def _interval_propagators(m_stages: np.ndarray, h: float, substeps: int) -> np.n
     return phi
 
 
-def _run_propagators(model: ManifoldModel, run: _Run, velocities, h: float,
-                     substeps: int) -> np.ndarray:
-    """Propagators for every interval of a chart run."""
-    n_run = run.coords.shape[0]
-    m = run.coords.shape[1]
-    if n_run < 2:
-        return np.empty((0, m, m))
-    vel = np.empty((n_run, m))
-    for k in range(n_run):
-        node = run.lo + k
-        t = velocities[node]
-        if t.base.chart_id == run.chart_id:
-            vel[k] = t.components
-        else:
-            jac = model.transition_jacobian(t.base, run.chart_id)
-            vel[k] = jac @ t.components
-    coords_stages = _stage_values(run.coords, substeps)
-    vel_stages = _stage_values(vel, substeps)
-    flat_c = coords_stages.reshape(-1, m)
-    flat_v = vel_stages.reshape(-1, m)
-    gamma = model.christoffel_batch(run.chart_id, flat_c)
-    m_flat = np.einsum("slkj,sk->slj", gamma, flat_v)
-    m_stages = m_flat.reshape(coords_stages.shape[0], -1, m, m)
-    return _interval_propagators(m_stages, h, substeps)
+def _batch_propagators(model: ManifoldModel, groups, shape, h: float,
+                       substeps: int) -> np.ndarray:
+    """Propagators of a batch, (B, n - 1, m, m), for the intervals its runs
+    cover.  groups maps (chart, lo, hi) to the (element, run) pairs with
+    those nodes and chart; their stage values, Christoffel evaluation and
+    RK4 sweep are shared, in blocks of at most _STAGE_POINTS_PER_BLOCK
+    stage points."""
+    phis = np.empty(shape)
+    m = shape[-1]
+    stages = 2 * substeps + 1
+    for (chart, lo, hi), members in groups.items():
+        n_int = hi - lo
+        per_block = max(1, _STAGE_POINTS_PER_BLOCK // (n_int * stages))
+        for k in range(0, len(members), per_block):
+            block = members[k:k + per_block]
+            g = len(block)
+
+            def stage_points(values):
+                # (n_int + 1, G, m) node values -> (G * n_int * S, m)
+                flat = _stage_values(values.reshape(n_int + 1, g * m),
+                                     substeps)
+                return flat.reshape(n_int, stages, g, m) \
+                    .transpose(2, 0, 1, 3).reshape(-1, m)
+
+            action = model.christoffel_action_batch(
+                chart,
+                stage_points(np.stack([run.coords for _, run in block], 1)),
+                stage_points(np.stack([run.vel for _, run in block], 1)))
+            phis[[i for i, _ in block], lo:hi] = _interval_propagators(
+                action.reshape(g * n_int, stages, m, m), h, substeps
+            ).reshape(g, n_int, m, m)
+    return phis
 
 
 # ---------------------------------------------------------------------------
@@ -259,79 +323,89 @@ def transport_frame(model: ManifoldModel, curve: SampledCurve, f0: Frame,
     if start is None:
         start = curve.base_index
     _check_frame_base(model, f0, curve.points[start])
-    charts, coords, cols, switch_log = _transport_columns(
-        model, curve, f0, start, substeps, curve_velocities(model, curve))
+    charts, coords = _curve_arrays(curve)
+    vel = _velocities(model, curve.grid, charts, coords)
+    charts, coords, cols, _, logs = _transport_columns(
+        model, curve.grid, charts, coords, vel, [f0.base.chart_id],
+        f0.columns[None], start, substeps)
     frames = tuple(Frame(Point(c, x), e)
-                   for c, x, e in zip(charts, coords, cols))
-    return FrameField(curve=curve, frames=frames, switch_log=tuple(switch_log))
+                   for c, x, e in zip(charts[0], coords[0], cols[0]))
+    return FrameField(curve=curve, frames=frames, switch_log=tuple(logs[0]))
 
 
-def _transport_columns(model: ManifoldModel, curve: SampledCurve, f0: Frame,
-                       start: int, substeps: int, velocities):
-    """Array core of transport_frame, given the curve's velocities.
+def _transport_columns(model: ManifoldModel, grid: Grid, charts,
+                       coords: np.ndarray, velocities: np.ndarray, charts0,
+                       frames0: np.ndarray, start: int, substeps: int):
+    """The transport core: parallel-transport start frames along a batch of
+    B curves on one grid, outward from the node `start`.
 
-    Returns (charts, coords, cols, switch_log): the chart id of every node,
-    the (n, m) positions and (n, m, m) frame columns in those charts, and
-    the sorted switch log.  The columns are not checked for independence;
-    Frame does that at the API edge, require_independent_columns on arrays.
+    charts[b][j], coords (B, n, m) and velocities (B, n, m) are each node's
+    stored chart, coordinates and velocity; frames0 (B, m, m) are the start
+    frames' columns, in the charts charts0[b].  Returns
+    (charts, coords, cols, velocities, switch_logs): per element the chart
+    of every node, the (B, n, m) positions, (B, n, m, m) frame columns and
+    (B, n, m) velocities in those charts, and per element the sorted switch
+    log.  The columns are not checked for independence; Frame does that at
+    the API edge, require_independent_columns on arrays.
+
+    Each element's chart runs follow the margin rule.  Frames then advance
+    node by node for the whole batch, one (B, m, m) product per node
+    forward and one batched solve per node backward, and an element's
+    transition Jacobian is applied at the node where its next run begins.
     """
-    n_nodes = curve.grid.nodes.size
-    h = curve.grid.h
+    b, n, m = coords.shape
+    out_charts = [[None] * n for _ in range(b)]
+    out_coords = np.empty((b, n, m))
+    out_vel = np.empty((b, n, m))
+    cols = np.empty((b, n, m, m))
+    logs: list[list[tuple[int, str, str]]] = [[] for _ in range(b)]
+    for stop in ((n - 1, 0) if start > 0 else (n - 1,)):
+        step = 1 if stop >= start else -1
+        switches: dict[int, list[tuple[int, np.ndarray]]] = {}
+        groups: dict[tuple[str, int, int], list[tuple[int, _Run]]] = {}
+        for i in range(b):
+            chart, prev = charts0[i], None
+            for run in _build_runs(model, charts[i], coords[i], start, stop,
+                                   chart):
+                if run.chart_id != chart:
+                    entry = run.hi if step < 0 else run.lo
+                    switches.setdefault(entry, []).append(
+                        (i, model.transition_jacobian(Point(chart, prev),
+                                                      run.chart_id)))
+                    logs[i].append((entry, chart, run.chart_id))
+                    chart = run.chart_id
+                nodes = slice(run.lo, run.hi + 1)
+                run.vel = velocities[i, nodes].copy()
+                for k, stored in enumerate(charts[i][nodes]):
+                    if stored != chart:
+                        run.vel[k] = model.transition_jacobian(
+                            Point(stored, coords[i, run.lo + k]), chart) \
+                            @ run.vel[k]
+                out_charts[i][nodes] = [chart] * len(run.vel)
+                out_coords[i, nodes] = run.coords
+                out_vel[i, nodes] = run.vel
+                prev = run.coords[0 if step < 0 else -1]
+                if run.hi > run.lo:
+                    groups.setdefault((chart, run.lo, run.hi), []).append(
+                        (i, run))
+        phis = _batch_propagators(model, groups, (b, n - 1, m, m), grid.h,
+                                  substeps)
 
-    cols = [None] * n_nodes
-    charts = [None] * n_nodes
-    coords = [None] * n_nodes
-    switch_log: list[tuple[int, str, str]] = []
-
-    def sweep(stop: int):
-        direction = 1 if stop >= start else -1
-        runs = _build_runs(model, curve, start, stop, f0.base.chart_id)
-        current = f0.columns.copy()
-        chart = f0.base.chart_id
-        if direction < 0:
-            runs = sorted(runs, key=lambda r: -r.lo)
-        for run in runs:
-            entry = run.hi if direction < 0 else run.lo
-            entry_coords = run.coords[entry - run.lo]
-            if run.chart_id != chart:
-                jac = model.transition_jacobian(
-                    Point(chart, coords[entry]), run.chart_id)
-                current = jac @ current
-                switch_log.append((entry, chart, run.chart_id))
-                chart = run.chart_id
-            cols[entry] = current
-            charts[entry] = chart
-            coords[entry] = entry_coords
-            if run.hi == run.lo:
-                continue
-            phis = _run_propagators(model, run, velocities, h, substeps)
-            if direction > 0:
-                for k in range(run.coords.shape[0] - 1):
-                    current = phis[k] @ current
-                    if not np.all(np.isfinite(current)):
-                        raise NonFiniteState(
-                            f"frame became non-finite at node {run.lo + k + 1}")
-                    node = run.lo + k + 1
-                    cols[node] = current
-                    charts[node] = chart
-                    coords[node] = run.coords[k + 1]
-            else:
-                for k in range(run.coords.shape[0] - 1, 0, -1):
-                    current = np.linalg.solve(phis[k - 1], current)
-                    if not np.all(np.isfinite(current)):
-                        raise NonFiniteState(
-                            f"frame became non-finite at node {run.lo + k - 1}")
-                    node = run.lo + k - 1
-                    cols[node] = current
-                    charts[node] = chart
-                    coords[node] = run.coords[k - 1]
-
-    sweep(n_nodes - 1)
-    if start > 0:
-        sweep(0)
-
-    switch_log.sort()
-    return charts, np.stack(coords), np.stack(cols), switch_log
+        current = frames0.copy()
+        for j in range(start, stop + step, step):
+            if j != start:
+                if step > 0:
+                    current = phis[:, j - 1] @ current
+                else:
+                    current = np.linalg.solve(phis[:, j], current)
+                if not np.isfinite(current).all():
+                    raise NonFiniteState(f"frame became non-finite at node {j}")
+            for i, jac in switches.get(j, ()):
+                current[i] = jac @ current[i]
+            cols[:, j] = current
+    for log in logs:
+        log.sort()
+    return out_charts, out_coords, cols, out_vel, logs
 
 
 def _frame_at(model: ManifoldModel, field: FrameField, t: float) -> Frame:
@@ -407,7 +481,6 @@ def covariant_derivative(model: ManifoldModel, curve: SampledCurve,
     same_chart = all(c == charts[0] for c in charts)
     out = []
     if same_chart and all(t.base.chart_id == charts[0] for t in vector_field):
-        from .numerics import differentiate
         comps = np.stack([t.components for t in vector_field])
         dcomps = differentiate(comps, curve.grid)
         for j in range(n_nodes):

@@ -1,11 +1,13 @@
 """Square-map linearization: the two-parameter forward/inverse pair."""
 
 import numpy as np
+import pytest
 
 from pathlin import Frame, Grid, Point, Tangent
-from pathlin.cubemaps import (CubeLinearization, CubeSample, p2_forward,
-                              p2_inverse)
-from pathlin.linearize import p_forward
+from pathlin.cubemaps import (CubeLinearization, CubeSample, _axis_curve,
+                              p2_forward, p2_inverse)
+from pathlin.errors import NonFiniteState
+from pathlin.linearize import _p_forward_detailed, p_forward
 from pathlin.suite import random_interior_point
 from pathlin.transport import SampledCurve, curve_velocities, transport_vector
 
@@ -183,3 +185,100 @@ def test_margin_band_cube_independent_of_stored_charts(sphere):
     lin_s = p2_forward(sphere, CubeSample(g, g, selected), f0)
     assert_close(lin_n.v1, lin_s.v1, 1e-10, "v1")
     assert_close(lin_n.v2, lin_s.v2, 1e-10, "v2")
+
+
+def p2_forward_per_line(model, alpha, frame0):
+    """Reference (v1, v2): one single-curve forward call per s2-line in its
+    own orthonormal frame, mapped to the axis frame at the line's node."""
+    _, j0 = alpha.base_indices
+    _, v1, (charts, _, cols, _), _ = _p_forward_detailed(
+        model, _axis_curve(alpha), frame0)
+    v2 = np.empty((alpha.grid1.nodes.size, alpha.grid2.nodes.size, model.dim))
+    for i, row in enumerate(alpha.points):
+        line = SampledCurve(alpha.grid2, row, order=2, base_index=j0)
+        line_frame, comps, _, _ = _p_forward_detailed(model, line)
+        w = comps @ line_frame.columns.T
+        if line.basepoint.chart_id != charts[i]:
+            w = w @ model.transition_jacobian(line.basepoint, charts[i]).T
+        v2[i] = np.linalg.solve(cols[i], w.T).T
+    return v1, v2
+
+
+# batched against per-line transport: the two differ only in the order of
+# rounding (5e-12 seen on 100 x 100 cubes), so 1e-10 leaves a margin of 20
+BATCH_TOL = 1e-10
+
+
+def test_batched_lines_match_per_line_transport(model):
+    rng = np.random.default_rng(52)
+    g1 = Grid.regular(-1.0, 1.0, 24)
+    g2 = Grid.regular(-1.0, 1.0, 30)
+    p = random_interior_point(model, rng)
+    f0 = model.orthonormal_frame(p)
+    a = rng.uniform(-0.25, 0.25, size=(2, 2))
+    b = rng.uniform(-0.2, 0.2, size=(3, 2))
+    v1 = a[0][None, :] + a[1][None, :] * g1.nodes[:, None]
+    v2 = (b[0][None, None, :]
+          + b[1][None, None, :] * g1.nodes[:, None, None]
+          + b[2][None, None, :] * g2.nodes[None, :, None])
+    alpha = p2_inverse(model, CubeLinearization(p, f0, g1, g2, v1, v2))
+    lin = p2_forward(model, alpha, f0)
+    ref_v1, ref_v2 = p2_forward_per_line(model, alpha, f0)
+    assert np.array_equal(lin.v1, ref_v1)
+    assert_close(lin.v2, ref_v2, BATCH_TOL, "v2")
+
+
+def test_batched_lines_with_different_chart_runs(sphere):
+    # s2-lines in north coordinates that reach the margin |x| = 2 at nodes
+    # depending on s1, so one batch holds lines with different chart runs.
+    # Rows 1, 5, ... store their margin samples in south, so those lines
+    # mix charts; rows 3, 7, ... are stored in their select_chart charts,
+    # all south, so their vectors are re-expressed in the axis chart.
+    g1 = Grid.regular(-1.0, 1.0, 20)
+    g2 = Grid.regular(-1.0, 1.0, 24)
+    rows = []
+    for i, a in enumerate(g1.nodes):
+        row = [Point("north", [1.9 + 0.3 * b + 0.05 * a, 0.1 * a + 0.02 * b])
+               for b in g2.nodes]
+        if i % 4 == 1:
+            row = [sphere.transition(q, "south")
+                   if sphere.domain_status(q) == "margin" else q for q in row]
+        elif i % 4 == 3:
+            row = [sphere.select_chart(q) for q in row]
+        rows.append(tuple(row))
+    alpha = CubeSample(g1, g2, tuple(rows))
+    _, j0 = alpha.base_indices
+    logs = [_p_forward_detailed(sphere, SampledCurve(g2, row, order=2,
+                                                     base_index=j0))[2][3]
+            for row in rows]
+    assert len({log[0][0] for log in logs if log}) > 2
+    assert {q.chart_id for q in rows[1]} == {"north", "south"}
+    assert {q.chart_id for q in rows[3]} == {"south"}
+    f0 = sphere.orthonormal_frame(alpha.basepoint)
+    lin = p2_forward(sphere, alpha, f0)
+    ref_v1, ref_v2 = p2_forward_per_line(sphere, alpha, f0)
+    assert np.array_equal(lin.v1, ref_v1)
+    assert_close(lin.v2, ref_v2, BATCH_TOL, "v2")
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_non_finite_line_in_batch_names_its_node(euclidean, monkeypatch):
+    # a connection that blows up on one s2-line (x = 0.05) past y = 0.2:
+    # the batch must fail where that line alone fails
+    def action(chart_id, coords, r):
+        bad = (np.abs(coords[:, 0] - 0.05) < 0.01) & (coords[:, 1] > 0.2)
+        return np.where(bad[:, None, None], 1e200, 0.0) * np.eye(2)
+
+    monkeypatch.setattr(euclidean, "christoffel_action_batch", action)
+    cube = affine_cube(euclidean, np.array([0.4, 0.0]), np.array([0.0, 0.5]),
+                       n=16)
+    _, j0 = cube.base_indices
+    assert abs(cube.points[5][j0].coords[0] - 0.05) < 1e-12
+    with pytest.raises(NonFiniteState) as alone:
+        _p_forward_detailed(euclidean, SampledCurve(
+            cube.grid2, cube.points[5], order=2, base_index=j0))
+    with pytest.raises(NonFiniteState) as batched:
+        p2_forward(euclidean, cube)
+    assert str(batched.value) == str(alone.value)
+    assert "node 14" in str(alone.value)
