@@ -17,16 +17,17 @@ integrated outward in both directions.
 Each map has one array core, which every caller in the library uses:
 _p_forward_detailed and p_inverse_detailed.  p_forward and p_inverse wrap
 them and build TangentCurve/Point objects only for what they return.  The
-forward core transports the frame with transport._transport_columns, the
-batched transport core, as a batch of one, and solves all nodes at once
-for the components.  A single curve is integrated by one RK4 stepper, _step_interval, whose state
-is a flat list of m + m^2 Python floats (position, then the frame row by
-row) and whose connection comes from the model's
-christoffel_action_floats: at m = 2 numpy's per-call overhead, not the
-arithmetic, is the cost, and the right-hand side is unrolled for m = 2
-(_frame_rhs_2d, exactly equal to the generic one).  Batches of curves on
-one grid go through _solve_inverse_batch, the same scheme on (B, ...) numpy
-arrays; the two agree to rounding, with the same charts and switch logs.
+forward core transports the frame with the batched transport core,
+transport._transport_columns, as a batch of one, and solves all nodes at
+once for the components.  The inverse core integrates a single curve with
+one RK4 stepper, _step_interval, whose state is a flat list of m + m^2
+Python floats (position, then the frame row by row) and whose connection
+comes from the model's christoffel_action_floats: at m = 2 numpy's
+per-call overhead, not the arithmetic, is the cost, and the right-hand side
+is unrolled for m = 2 (_frame_rhs_2d, exactly equal to the generic one).
+Batches of curves on one grid go through _solve_inverse_batch, the same
+scheme on (B, ...) numpy arrays; the two agree to rounding, with the same
+charts and switch logs.
 """
 
 from __future__ import annotations

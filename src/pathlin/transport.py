@@ -83,9 +83,9 @@ _STENCIL_ROWS = (_D1_EDGE0, _D1_EDGE1, _D1_CENTRAL,
 # Elements of a batch whose chart runs coincide get their propagators built
 # together, at most this many RK4 stage points at a time.  Building a whole
 # 100-line batch at once raises peak memory by about a fifth for no speed;
-# blocks of this size (16 lines of 100 intervals) keep it at the one-line
-# level.
-_STAGE_POINTS_PER_BLOCK = 8192
+# with blocks of this size (8 lines of 100 intervals) a 100 x 100 p2_forward
+# peaks below p2_inverse.
+_STAGE_POINTS_PER_BLOCK = 4096
 
 
 def _window_start(j: int, n_nodes: int, width: int = 5) -> int:
@@ -267,15 +267,14 @@ def _interval_propagators(m_stages: np.ndarray, h: float, substeps: int) -> np.n
     return phi
 
 
-def _batch_propagators(model: ManifoldModel, groups, shape, h: float,
-                       substeps: int) -> np.ndarray:
-    """Propagators of a batch, (B, n - 1, m, m), for the intervals its runs
-    cover.  groups maps (chart, lo, hi) to the (element, run) pairs with
-    those nodes and chart; their stage values, Christoffel evaluation and
-    RK4 sweep are shared, in blocks of at most _STAGE_POINTS_PER_BLOCK
-    stage points."""
-    phis = np.empty(shape)
-    m = shape[-1]
+def _batch_propagators(model: ManifoldModel, groups, phis: np.ndarray,
+                       h: float, substeps: int) -> None:
+    """Write into phis (B, n - 1, m, m) the propagators of the intervals a
+    batch's runs cover.  groups maps (chart, lo, hi) to the (element, run)
+    pairs with those nodes and chart; their stage values, Christoffel
+    evaluation and RK4 sweep are shared, in blocks of at most
+    _STAGE_POINTS_PER_BLOCK stage points."""
+    m = phis.shape[-1]
     stages = 2 * substeps + 1
     for (chart, lo, hi), members in groups.items():
         n_int = hi - lo
@@ -298,7 +297,6 @@ def _batch_propagators(model: ManifoldModel, groups, shape, h: float,
             phis[[i for i, _ in block], lo:hi] = _interval_propagators(
                 action.reshape(g * n_int, stages, m, m), h, substeps
             ).reshape(g, n_int, m, m)
-    return phis
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +357,7 @@ def _transport_columns(model: ManifoldModel, grid: Grid, charts,
     out_vel = np.empty((b, n, m))
     cols = np.empty((b, n, m, m))
     logs: list[list[tuple[int, str, str]]] = [[] for _ in range(b)]
+    phis = np.empty((b, n - 1, m, m))    # the two sweeps cover disjoint intervals
     for stop in ((n - 1, 0) if start > 0 else (n - 1,)):
         step = 1 if stop >= start else -1
         switches: dict[int, list[tuple[int, np.ndarray]]] = {}
@@ -388,8 +387,7 @@ def _transport_columns(model: ManifoldModel, grid: Grid, charts,
                 if run.hi > run.lo:
                     groups.setdefault((chart, run.lo, run.hi), []).append(
                         (i, run))
-        phis = _batch_propagators(model, groups, (b, n - 1, m, m), grid.h,
-                                  substeps)
+        _batch_propagators(model, groups, phis, grid.h, substeps)
 
         current = frames0.copy()
         for j in range(start, stop + step, step):
