@@ -16,13 +16,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .errors import (NonFiniteState, NotImmersed, OutOfInjectivityRange,
                      ValidationError)
-from .geometry import INSIDE, ManifoldModel, Point, Tangent
-from .numerics import Grid, lagrange_integral_weights, lagrange_weights
+from .geometry import INSIDE, ManifoldModel, Point, Tangent, chart_groups
+from .numerics import (Grid, lagrange_integral_weights, lagrange_weights,
+                       rk4_step)
 from .transport import SampledCurve, _express, curve_velocities
 
 FLOW_STEPS_PER_UNIT_TIME = 64
@@ -113,22 +115,12 @@ def _flow_many(spec: CarrierFieldSpec, charts: list, coords: np.ndarray,
     model = spec.model
     h = time / steps
     k = coords.shape[0]
-
-    def regroup():
-        out = {}
-        for i, cid in enumerate(charts):
-            out.setdefault(cid, []).append(i)
-        return {cid: np.asarray(idx) for cid, idx in out.items()}
-
-    groups = regroup()
+    # the field is autonomous: every RK4 stage is evaluated in the chart
+    carrier = partial(carrier_field_many, spec)
+    groups = chart_groups(charts)
     for _ in range(steps):
         for cid, idx in groups.items():
-            x = coords[idx]
-            k1 = carrier_field_many(spec, cid, x)
-            k2 = carrier_field_many(spec, cid, x + 0.5 * h * k1)
-            k3 = carrier_field_many(spec, cid, x + 0.5 * h * k2)
-            k4 = carrier_field_many(spec, cid, x + h * k3)
-            coords[idx] = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            coords[idx] = rk4_step(carrier, coords[idx], h, cid, cid, cid)
         if not np.all(np.isfinite(coords)):
             raise NonFiniteState("carrier flow became non-finite")
         switched = False
@@ -140,7 +132,7 @@ def _flow_many(spec: CarrierFieldSpec, charts: list, coords: np.ndarray,
                     coords[i] = moved.coords
                     switched = True
         if switched:
-            groups = regroup()
+            groups = chart_groups(charts)
     return charts, coords
 
 

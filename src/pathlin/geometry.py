@@ -78,6 +78,15 @@ class Frame:
         return Tangent(self.base, self.columns[:, i])
 
 
+def chart_groups(charts) -> dict[str, np.ndarray]:
+    """The positions of each chart id in a sequence of chart ids, as index
+    arrays keyed by chart in order of first appearance."""
+    groups: dict[str, list[int]] = {}
+    for i, chart in enumerate(charts):
+        groups.setdefault(chart, []).append(i)
+    return {chart: np.asarray(idx) for chart, idx in groups.items()}
+
+
 def require_independent_columns(cols: np.ndarray) -> None:
     """The frame column check, for one (m, m) matrix of frame columns or a
     stack of them (..., m, m): raise ValidationError unless every matrix has
@@ -161,10 +170,14 @@ class ManifoldModel:
     A model is a subclass that implements christoffel and metric.
     christoffel returns Gamma[l, k, j] = Gamma^l_{kj}; the frame equation
     contracts the k slot with the velocity and the j slot with the frame
-    component.  Batched variants take (K, m) coordinates and are the hooks the
-    transport kernels rely on; christoffel_action_floats is the float-level
-    hook of the single-curve inverse stepper.  Their defaults are built on
-    christoffel; models override them with closed forms where speed matters.
+    component.  The library reads the connection through two hooks:
+    christoffel_action_batch, M[l, j] = Gamma^l_{kj} r^k at (K, m) points,
+    which transport, covariant derivatives and the batched inverse call, and
+    christoffel_action_floats, its form on Python floats for the
+    single-curve inverse stepper.  Both default to christoffel (through
+    christoffel_batch and christoffel_action), so christoffel and metric are
+    all a model must implement; the built-in models override the two hooks
+    with closed forms.
     """
 
     def __init__(self, name: str, dim: int, charts: Sequence[ChartSpec],

@@ -39,19 +39,6 @@ def _conformal_christoffel(phi_grad: np.ndarray) -> np.ndarray:
             - np.einsum("kj,l->lkj", eye, phi_grad))
 
 
-def _conformal_christoffel_batch(phi_grad: np.ndarray) -> np.ndarray:
-    m = phi_grad.shape[-1]
-    eye = np.eye(m)
-    return (np.einsum("lk,sj->slkj", eye, phi_grad)
-            + np.einsum("lj,sk->slkj", eye, phi_grad)
-            - np.einsum("kj,sl->slkj", eye, phi_grad))
-
-
-def _conformal_action(phi: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """M[l, j] = Gamma^l_{kj} r^k expanded for a conformal metric."""
-    return np.outer(r, phi) + float(phi @ r) * np.eye(phi.size) - np.outer(phi, r)
-
-
 class _ConformalModel(ManifoldModel):
     """Model whose metric is lam(x)^2 * I on every chart; subclasses provide
     the conformal factor and the gradient of its logarithm (both accepting a
@@ -69,14 +56,8 @@ class _ConformalModel(ManifoldModel):
     def christoffel(self, chart_id, coords):
         return _conformal_christoffel(self._phi_grad(np.asarray(coords, float)))
 
-    def christoffel_batch(self, chart_id, coords):
-        coords = np.asarray(coords, dtype=float)
-        return _conformal_christoffel_batch(self._phi_grad(coords))
-
-    def christoffel_action(self, chart_id, coords, r):
-        return _conformal_action(self._phi_grad(np.asarray(coords, float)), r)
-
     def christoffel_action_batch(self, chart_id, coords, r):
+        # M[l, j] = Gamma^l_{kj} r^k expanded for a conformal metric
         phi = self._phi_grad(np.asarray(coords, dtype=float))
         eye = np.eye(self.dim)
         return (np.einsum("bl,bj->blj", r, phi)
@@ -84,7 +65,7 @@ class _ConformalModel(ManifoldModel):
                 - np.einsum("bl,bj->blj", phi, r))
 
     def christoffel_action_floats(self, chart_id, coords, r):
-        # _conformal_action term by term, in the same order of operations
+        # christoffel_action_batch term by term, in the same order
         phi = self._phi_grad_floats(coords)
         phi_r = sum(map(mul, phi, r))
         out = []
@@ -106,13 +87,6 @@ class _ConformalModel(ManifoldModel):
 class _FlatMixin:
     def christoffel(self, chart_id, coords):
         return np.zeros((self.dim,) * 3)
-
-    def christoffel_batch(self, chart_id, coords):
-        coords = np.asarray(coords, dtype=float)
-        return np.zeros((coords.shape[0],) + (self.dim,) * 3)
-
-    def christoffel_action(self, chart_id, coords, r):
-        return np.zeros((self.dim, self.dim))
 
     def christoffel_action_batch(self, chart_id, coords, r):
         coords = np.asarray(coords, dtype=float)

@@ -5,6 +5,12 @@ output), 4th-order finite-difference differentiation of grid data, Lagrange
 window interpolation, Fornberg stencil weights, and Bernstein/monomial
 polynomial fitting by least squares.
 
+rk4_step is the RK4 step of integrate, the transport propagators and the
+carrier flow (the inverse solvers keep their own, for speed), and
+stencil_windows plus stencil_derivative are the library's only
+finite-difference stencil: callers on a chart atlas re-express each node's
+window in the node's chart in between.
+
 Everything here is a pure function over immutable inputs; fixed steps are
 deliberate so results are reproducible across runs and platforms.
 """
@@ -13,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -77,11 +84,16 @@ class Grid:
 # Runge-Kutta integration
 # ---------------------------------------------------------------------------
 
-def _rk4_step(f, t0, y, h):
-    k1 = f(t0, y)
-    k2 = f(t0 + 0.5 * h, y + 0.5 * h * k1)
-    k3 = f(t0 + 0.5 * h, y + 0.5 * h * k2)
-    k4 = f(t0 + h, y + h * k3)
+def rk4_step(f, y, h, a, b, c):
+    """One classical RK4 step of dy/dt = f(s, y) with step h.
+
+    a, b and c are what f takes at the start, midpoint and end of the step:
+    times, stage values of a coefficient, or a chart.
+    """
+    k1 = f(a, y)
+    k2 = f(b, y + 0.5 * h * k1)
+    k3 = f(b, y + 0.5 * h * k2)
+    k4 = f(c, y + h * k3)
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -100,7 +112,7 @@ def integrate(f, y0, grid: Grid, substeps: int = 2) -> np.ndarray:
         h = (nodes[j + 1] - nodes[j]) / substeps
         t = nodes[j]
         for _ in range(substeps):
-            y = _rk4_step(f, t, y, h)
+            y = rk4_step(f, y, h, t, t + 0.5 * h, t + h)
             t += h
         if not np.all(np.isfinite(y)):
             raise NonFiniteState(f"state became non-finite in interval {j}")
@@ -119,37 +131,56 @@ _D1_CENTRAL = np.array([1.0, -8.0, 0.0, 8.0, -1.0])        # offsets -2..2
 _D1_EDGE0 = np.array([-25.0, 48.0, -36.0, 16.0, -3.0])      # offsets 0..4
 _D1_EDGE1 = np.array([-3.0, -10.0, 18.0, -6.0, 1.0])        # offsets -1..3
 _D1_DENOM = 12.0
+# the row of a node sitting at position 0..4 of its window
+_D1_ROWS = np.stack([_D1_EDGE0, _D1_EDGE1, _D1_CENTRAL,
+                     -_D1_EDGE1[::-1], -_D1_EDGE0[::-1]])
 
 
-def differentiate(values: np.ndarray, grid: Grid, order: int = 1) -> np.ndarray:
+@lru_cache(maxsize=None)
+def stencil_windows(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The stencil windows of a uniform grid of n_nodes >= 5 nodes: (n, 5)
+    node indices of each node's window and the (n,) position of each node
+    in its own window.  Read-only and shared."""
+    if n_nodes < 5:
+        raise GridTooCoarse("differentiation needs at least 4 intervals")
+    nodes = np.arange(n_nodes)
+    starts = np.clip(nodes - 2, 0, n_nodes - 5)
+    index = starts[:, None] + np.arange(5)
+    position = nodes - starts
+    index.flags.writeable = False
+    position.flags.writeable = False
+    return index, position
+
+
+def stencil_derivative(windows: np.ndarray, h: float) -> np.ndarray:
+    """Apply each node's 4th-order first-derivative row to its window.
+
+    windows has shape (n, 5, ...): row j holds the values at node j's
+    window nodes (stencil_windows(n)), already expressed in node j's chart.
+    Returns (n, ...).  Each row sums to zero, so subtracting the node's own
+    value changes nothing analytically but keeps constants exactly constant
+    numerically.
+    """
+    n = windows.shape[0]
+    _, position = stencil_windows(n)
+    centred = windows - windows[np.arange(n), position][:, None]
+    out = np.matmul(_D1_ROWS[position][:, None, :], centred.reshape(n, 5, -1))
+    out /= _D1_DENOM * h
+    return out.reshape((n,) + windows.shape[2:])
+
+
+def differentiate(values: np.ndarray, grid: Grid) -> np.ndarray:
     """First derivative of per-node data on a uniform grid, 4th order.
 
     `values` has shape (N+1,) or (N+1, m); the result has the same shape.
     """
-    if order != 1:
-        raise ValidationError("only first derivatives are supported")
     grid.require_uniform()
     vals = np.asarray(values, dtype=float)
-    n = grid.n_intervals
-    if vals.shape[0] != n + 1:
+    n = grid.nodes.size
+    if vals.shape[0] != n:
         raise ValidationError("values length does not match the grid")
-    if n < 4:
-        raise GridTooCoarse("differentiation needs at least 4 intervals")
-    h = grid.h
-    flat = vals.reshape(n + 1, -1)
-    out = np.empty_like(flat)
-    # each row sums to zero, so subtracting the node's own value changes
-    # nothing analytically but keeps constants exactly constant numerically
-    out[0] = _D1_EDGE0 @ (flat[0:5] - flat[0])
-    out[1] = _D1_EDGE1 @ (flat[0:5] - flat[1])
-    if n >= 4:
-        windows = np.lib.stride_tricks.sliding_window_view(flat, 5, axis=0)
-        centered = windows - flat[2:n - 1][:, :, None]
-        out[2:n - 1] = np.einsum("jms,s->jm", centered, _D1_CENTRAL)
-    out[n - 1] = -(_D1_EDGE1[::-1] @ (flat[n - 4:n + 1] - flat[n - 1]))
-    out[n] = -(_D1_EDGE0[::-1] @ (flat[n - 4:n + 1] - flat[n]))
-    out /= _D1_DENOM * h
-    return out.reshape(vals.shape)
+    index, _ = stencil_windows(n)
+    return stencil_derivative(vals[index], grid.h)
 
 
 def lagrange_weights(positions: np.ndarray, x: float) -> np.ndarray:

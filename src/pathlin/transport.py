@@ -5,8 +5,10 @@ the frame, so transport is computed from per-interval RK4 propagators of the
 matrix system dPhi/dt = -M(t) Phi with M[l,j] = Gamma^l_{kj} r^k.  The
 propagators depend only on curve data and are built vectorized across all
 intervals; frames are then chained node to node.  Curve velocities r come
-from 4th-order finite-difference stencils applied to the sampled positions,
-never from an analytic curve.
+from the 4th-order stencil of numerics applied to the sampled positions,
+never from an analytic curve, after each node's window is re-expressed in
+the node's chart; covariant derivatives difference vector fields the same
+way.
 
 Chart continuation: the curve is re-expressed chart-run by chart-run.  A run
 ends when a node's coordinates reach the working chart's margin; the full
@@ -27,11 +29,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (ChartContinuationFailure, GridTooCoarse, NoOverlap,
-                     NonFiniteState, ValidationError)
-from .geometry import MARGIN, OUTSIDE, Frame, ManifoldModel, Point, Tangent
-from .numerics import (Grid, _D1_CENTRAL, _D1_DENOM, _D1_EDGE0, _D1_EDGE1,
-                       differentiate, lagrange_weights)
+from .errors import (ChartContinuationFailure, NoOverlap, NonFiniteState,
+                     ValidationError)
+from .geometry import (MARGIN, OUTSIDE, Frame, ManifoldModel, Point, Tangent,
+                       chart_groups)
+from .numerics import (Grid, lagrange_weights, rk4_step, stencil_derivative,
+                       stencil_windows)
 
 
 @dataclass(frozen=True)
@@ -74,11 +77,8 @@ class FrameField:
 
 
 # ---------------------------------------------------------------------------
-# Stencils and chart runs
+# Velocities and chart runs
 # ---------------------------------------------------------------------------
-
-_STENCIL_ROWS = (_D1_EDGE0, _D1_EDGE1, _D1_CENTRAL,
-                 -_D1_EDGE1[::-1], -_D1_EDGE0[::-1])
 
 # Elements of a batch whose chart runs coincide get their propagators built
 # together, at most this many RK4 stage points at a time.  Building a whole
@@ -86,11 +86,6 @@ _STENCIL_ROWS = (_D1_EDGE0, _D1_EDGE1, _D1_CENTRAL,
 # with blocks of this size (8 lines of 100 intervals) a 100 x 100 p2_forward
 # peaks below p2_inverse.
 _STAGE_POINTS_PER_BLOCK = 4096
-
-
-def _window_start(j: int, n_nodes: int, width: int = 5) -> int:
-    half = width // 2
-    return int(np.clip(j - half, 0, n_nodes - width))
 
 
 def _express(model: ManifoldModel, point: Point, chart_id: str, node: int) -> np.ndarray:
@@ -111,35 +106,33 @@ def _coords_in(model: ManifoldModel, charts, coords: np.ndarray, j: int,
     return _express(model, Point(charts[j], coords[j]), chart_id, j)
 
 
+def _foreign_entries(stored, charts, index: np.ndarray) -> np.ndarray:
+    """(K, 2) pairs (node j, window slot s) whose window entry, given in
+    the chart stored[index[j, s]], is not in node j's chart charts[j]."""
+    return np.argwhere(np.asarray(stored)[index]
+                       != np.asarray(charts)[:, None])
+
+
 def _velocities(model: ManifoldModel, grid: Grid, charts,
                 coords: np.ndarray) -> np.ndarray:
     """4th-order finite-difference velocities of a batch of curves on one
     uniform grid.
 
     charts[b][j] and coords (B, n, m) are each node's stored chart and
-    coordinates; the (B, n, m) result is in the same charts.  Curves stored
-    in one chart share a single differentiate call on the stacked
-    (n, B * m) coordinates; the others take each node's stencil window in
-    that node's chart.
+    coordinates; the (B, n, m) result is in the same charts.  In curves
+    stored in more than one chart, the window entries stored in another
+    chart than their node are re-expressed in the node's chart.
     """
     grid.require_uniform()
-    b, n, m = coords.shape
-    if n < 5:
-        raise GridTooCoarse("velocity stencils need at least 5 nodes")
-    single = np.array([all(c == row[0] for c in row) for row in charts])
-    out = np.empty_like(coords)
-    same = coords[single]
-    if same.shape[0]:
-        flat = differentiate(same.transpose(1, 0, 2).reshape(n, -1), grid)
-        out[single] = flat.reshape(n, -1, m).transpose(1, 0, 2)
-    scale = _D1_DENOM * grid.h
-    for i in np.flatnonzero(~single):
-        for j in range(n):
-            w = _window_start(j, n)
-            window = np.stack([_coords_in(model, charts[i], coords[i], w + s,
-                                          charts[i][j]) for s in range(5)])
-            out[i, j] = (_STENCIL_ROWS[j - w] @ (window - window[j - w])) / scale
-    return out
+    index, _ = stencil_windows(coords.shape[1])
+    windows = np.take(coords.swapaxes(0, 1), index, axis=0)   # (n, 5, B, m)
+    for i, row in enumerate(charts):
+        if len(set(row)) > 1:
+            for j, s in _foreign_entries(row, row, index):
+                k = index[j, s]
+                windows[j, s, i] = _express(
+                    model, Point(row[k], coords[i, k]), row[j], k)
+    return stencil_derivative(windows, grid.h).swapaxes(0, 1)
 
 
 def _curve_arrays(curve: SampledCurve):
@@ -258,12 +251,8 @@ def _interval_propagators(m_stages: np.ndarray, h: float, substeps: int) -> np.n
     phi = np.broadcast_to(np.eye(m), (n_int, m, m)).copy()
     hsub = h / substeps
     for s in range(substeps):
-        a0, a1, a2 = a[:, 2 * s], a[:, 2 * s + 1], a[:, 2 * s + 2]
-        k1 = a0 @ phi
-        k2 = a1 @ (phi + (0.5 * hsub) * k1)
-        k3 = a1 @ (phi + (0.5 * hsub) * k2)
-        k4 = a2 @ (phi + hsub * k3)
-        phi = phi + (hsub / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        phi = rk4_step(np.matmul, phi, hsub,
+                       a[:, 2 * s], a[:, 2 * s + 1], a[:, 2 * s + 2])
     return phi
 
 
@@ -461,40 +450,32 @@ def transport_vector(model: ManifoldModel, curve: SampledCurve, v: Tangent,
 def covariant_derivative(model: ManifoldModel, curve: SampledCurve,
                          vector_field) -> tuple[Tangent, ...]:
     """Discrete covariant derivative of a vector field along the curve:
-    (nabla X)^l = dX^l/dt + Gamma^l_{kj} r^k X^j per node."""
-    curve.grid.require_uniform()
-    n_nodes = curve.grid.nodes.size
+    (nabla X)^l = dX^l/dt + Gamma^l_{kj} r^k X^j per node, in the node's
+    stored chart.  Window entries whose tangent sits in another chart than
+    their node go through the transition Jacobian first.
+    """
+    grid = curve.grid
+    grid.require_uniform()
+    n = grid.nodes.size
     vector_field = tuple(vector_field)
-    if len(vector_field) != n_nodes:
+    if len(vector_field) != n:
         raise ValidationError("vector field needs one tangent per node")
-    velocities = curve_velocities(model, curve)
-    charts = [p.chart_id for p in curve.points]
-    h = curve.grid.h
-
-    def comps_in(t: Tangent, chart_id: str) -> np.ndarray:
-        if t.base.chart_id == chart_id:
-            return t.components
-        return model.transition_jacobian(t.base, chart_id) @ t.components
-
-    same_chart = all(c == charts[0] for c in charts)
-    out = []
-    if same_chart and all(t.base.chart_id == charts[0] for t in vector_field):
-        comps = np.stack([t.components for t in vector_field])
-        dcomps = differentiate(comps, curve.grid)
-        for j in range(n_nodes):
-            mat = model.christoffel_action(charts[j], curve.points[j].coords,
-                                           velocities[j].components)
-            out.append(Tangent(curve.points[j], dcomps[j] + mat @ comps[j]))
-        return tuple(out)
-
-    for j in range(n_nodes):
-        w = _window_start(j, n_nodes)
-        window = np.stack([comps_in(vector_field[w + s], charts[j])
-                           for s in range(5)])
-        dx = (_STENCIL_ROWS[j - w] @ (window - window[j - w])) \
-            / (_D1_DENOM * h)
-        r = comps_in(velocities[j], charts[j])
-        x = comps_in(vector_field[j], charts[j])
-        mat = model.christoffel_action(charts[j], curve.points[j].coords, r)
-        out.append(Tangent(curve.points[j], dx + mat @ x))
-    return tuple(out)
+    charts, coords = _curve_arrays(curve)
+    r = _velocities(model, grid, charts, coords)[0]
+    charts, coords = charts[0], coords[0]
+    index, position = stencil_windows(n)
+    comps = np.stack([t.components for t in vector_field])
+    windows = comps[index]
+    bases = [t.base.chart_id for t in vector_field]
+    for j, s in _foreign_entries(bases, charts, index):
+        k = index[j, s]
+        windows[j, s] = model.transition_jacobian(
+            vector_field[k].base, charts[j]) @ comps[k]
+    x = windows[np.arange(n), position]
+    action = np.empty((n, model.dim, model.dim))
+    for chart, nodes in chart_groups(charts).items():
+        action[nodes] = model.christoffel_action_batch(chart, coords[nodes],
+                                                       r[nodes])
+    out = stencil_derivative(windows, grid.h) \
+        + np.matmul(action, x[:, :, None])[:, :, 0]
+    return tuple(Tangent(p, d) for p, d in zip(curve.points, out))

@@ -97,6 +97,32 @@ def test_metric_compatibility_seeded(model):
     assert worst < 1e-6
 
 
+def test_connection_hooks_match_christoffel(model):
+    # every connection hook, closed form or default, is Gamma^l_{kj} r^k
+    rng = np.random.default_rng(41)
+    for cid in sorted(model.charts):
+        lo, hi = model.chart(cid).sample_box
+        x = rng.uniform(lo, hi, size=(8, model.dim))
+        r = rng.normal(size=(8, model.dim))
+        expected = np.stack([np.einsum("lkj,k->lj", model.christoffel(cid, xi),
+                                       ri) for xi, ri in zip(x, r)])
+        tol = 1e-15 * (1.0 + np.abs(expected).max())
+        hooks = {
+            "christoffel_batch": np.einsum(
+                "slkj,sk->slj", model.christoffel_batch(cid, x), r),
+            "christoffel_action": np.stack([
+                model.christoffel_action(cid, xi, ri)
+                for xi, ri in zip(x, r)]),
+            "christoffel_action_batch":
+                model.christoffel_action_batch(cid, x, r),
+            "christoffel_action_floats": np.array([
+                model.christoffel_action_floats(cid, xi.tolist(), ri.tolist())
+                for xi, ri in zip(x, r)]),
+        }
+        for name, got in hooks.items():
+            assert_close(got, expected, tol, f"{model.name} {cid} {name}")
+
+
 def test_euclidean_oracle_is_translation(euclidean):
     p = Point("xy", [0.3, -0.2])
     v = Tangent(p, [1.5, 0.25])

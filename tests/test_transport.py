@@ -7,6 +7,7 @@ import pytest
 
 from pathlin import Frame, Grid, Point, Tangent
 from pathlin.errors import ValidationError
+from pathlin.linearize import TangentCurve, p_inverse
 from pathlin.models import (sphere_pull_from_embedding,
                             sphere_push_to_embedding, torus_point_from_angles)
 from pathlin.suite import random_curve, random_tangent
@@ -203,3 +204,91 @@ def test_frame_base_mismatch_rejected(euclidean):
     wrong = Frame(Point("xy", [5.0, 5.0]), np.eye(2))
     with pytest.raises(ValidationError):
         transport_frame(euclidean, SampledCurve(grid, pts), wrong)
+
+
+# The per-node mixed-chart loops that curve_velocities and
+# covariant_derivative replaced: each node's 5-node window is re-expressed
+# point by point in the node's chart and its 4th-order row applied to it.
+_ROWS = np.array([[-25.0, 48.0, -36.0, 16.0, -3.0],
+                  [-3.0, -10.0, 18.0, -6.0, 1.0],
+                  [1.0, -8.0, 0.0, 8.0, -1.0],
+                  [-1.0, 6.0, -18.0, 10.0, 3.0],
+                  [3.0, -16.0, 36.0, -48.0, 25.0]])
+
+
+def _window(j, n):
+    w = int(np.clip(j - 2, 0, n - 5))
+    return range(w, w + 5), j - w
+
+
+def reference_velocities(model, curve):
+    n, h = curve.grid.nodes.size, curve.grid.h
+    out = []
+    for j, p in enumerate(curve.points):
+        nodes, k = _window(j, n)
+        window = np.stack([model.transition(curve.points[i], p.chart_id).coords
+                           for i in nodes])
+        out.append(_ROWS[k] @ (window - window[k]) / (12.0 * h))
+    return np.array(out)
+
+
+def reference_covariant_derivative(model, curve, field):
+    n, h = curve.grid.nodes.size, curve.grid.h
+    vel = reference_velocities(model, curve)
+    out = []
+    for j, p in enumerate(curve.points):
+        nodes, k = _window(j, n)
+        window = np.stack([model.push_tangent(field[i], p.chart_id).components
+                           for i in nodes])
+        dx = _ROWS[k] @ (window - window[k]) / (12.0 * h)
+        mat = model.christoffel_action(p.chart_id, p.coords, vel[j])
+        out.append(dx + mat @ window[k])
+    return np.array(out)
+
+
+def margin_crossing_sphere_curve(sphere, n=800):
+    # starts 0.25 rad inside the north chart's margin heading out, so the
+    # forward half switches to the south chart
+    grid = Grid.regular(-1.0, 1.0, n)
+    base = Point("north", [1.5, 0.3])
+    t = grid.nodes[:, None]
+    comps = np.array([0.6, 0.1]) + 0.05 * np.hstack([np.sin(3.0 * t),
+                                                      np.cos(2.0 * t)])
+    v = TangentCurve(base, sphere.orthonormal_frame(base), grid, comps)
+    return p_inverse(sphere, v)
+
+
+def alternating_band_curve(sphere, n=200, block=7):
+    # a loop in the north/south overlap band, stored in alternating blocks
+    # of 7 nodes of the two charts, and a field whose tangents sit in the
+    # chart each node is not stored in
+    grid = Grid.regular(0.0, 1.0, n)
+    points, field = [], []
+    for j, t in enumerate(grid.nodes):
+        north = Point("north", (1.0 + 0.3 * t) * np.array(
+            [math.cos(2.0 * t), math.sin(2.0 * t)]))
+        south = sphere.transition(north, "south")
+        stored, other = (north, south) if (j // block) % 2 == 0 \
+            else (south, north)
+        points.append(stored)
+        comps = np.array([math.cos(3.0 * t), t * t - 0.5])
+        field.append(sphere.push_tangent(Tangent(stored, comps),
+                                         other.chart_id))
+    return SampledCurve(grid, tuple(points)), field
+
+
+def test_velocities_and_covariant_derivative_match_per_node_loops(sphere):
+    curve = margin_crossing_sphere_curve(sphere)
+    assert len({p.chart_id for p in curve.points}) == 2
+    band, band_field = alternating_band_curve(sphere)
+    for c, field in ((curve, curve_velocities(sphere, curve)),
+                     (band, band_field)):
+        vel = np.stack([r.components for r in curve_velocities(sphere, c)])
+        assert_close(vel, reference_velocities(sphere, c), 1e-13,
+                     "velocities")
+        deriv = covariant_derivative(sphere, c, field)
+        assert [d.base.chart_id for d in deriv] == \
+            [p.chart_id for p in c.points]
+        assert_close(np.stack([d.components for d in deriv]),
+                     reference_covariant_derivative(sphere, c, field), 1e-13,
+                     "covariant derivative")
