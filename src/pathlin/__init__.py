@@ -18,7 +18,7 @@ from .errors import (ChartContinuationFailure, GridTooCoarse, IllConditioned,
                      NoOracle, NoOverlap, NonFiniteState, NotImmersed,
                      OutOfInjectivityRange, PathlinError, ValidationError)
 from .geometry import (ChartSpec, Frame, ManifoldModel, Oracle, Point,
-                       Tangent, TransitionMap)
+                       Samples, Tangent, TransitionMap)
 from .linearize import (LinearizationReport, RoundtripReport, TangentCurve,
                         basis_independence_check, chart_independence_check,
                         p_forward, p_inverse, rescale_to_unit,
@@ -41,8 +41,8 @@ __all__ = [
     "ChartContinuationFailure", "GridTooCoarse", "IllConditioned", "NoOracle",
     "NoOverlap", "NonFiniteState", "NotImmersed", "OutOfInjectivityRange",
     "PathlinError", "ValidationError",
-    "ChartSpec", "Frame", "ManifoldModel", "Oracle", "Point", "Tangent",
-    "TransitionMap",
+    "ChartSpec", "Frame", "ManifoldModel", "Oracle", "Point", "Samples",
+    "Tangent", "TransitionMap",
     "LinearizationReport", "RoundtripReport", "TangentCurve",
     "basis_independence_check", "chart_independence_check", "p_forward",
     "p_inverse", "rescale_to_unit", "roundtrip_check",

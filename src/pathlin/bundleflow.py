@@ -15,17 +15,18 @@ unit-speed representative of an immersed curve.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
 
 from .errors import (NonFiniteState, NotImmersed, OutOfInjectivityRange,
                      ValidationError)
-from .geometry import INSIDE, ManifoldModel, Point, Tangent, chart_groups
+from .geometry import (INSIDE, ManifoldModel, Point, Samples, Tangent,
+                       chart_groups)
 from .numerics import (Grid, lagrange_integral_weights, lagrange_weights,
                        rk4_step)
-from .transport import SampledCurve, _express, curve_velocities
+from .transport import SampledCurve, _coords_in, _velocities
 
 FLOW_STEPS_PER_UNIT_TIME = 64
 
@@ -179,12 +180,9 @@ class TrivializationChart:
 
 def _flow_curve(spec: CarrierFieldSpec, gamma: SampledCurve, time: float,
                 steps: int) -> SampledCurve:
-    charts = [pt.chart_id for pt in gamma.points]
-    coords = np.stack([pt.coords for pt in gamma.points])
-    charts, coords = _flow_many(spec, charts, coords, time, steps)
-    points = tuple(Point(c, xy) for c, xy in zip(charts, coords))
-    return SampledCurve(grid=gamma.grid, points=points, order=gamma.order,
-                        base_index=gamma.base_index)
+    charts, coords = _flow_many(spec, list(gamma.points.charts),
+                                gamma.points.coords.copy(), time, steps)
+    return replace(gamma, points=Samples(charts, coords))
 
 
 def trivialize(chart: TrivializationChart, m: Point,
@@ -248,8 +246,9 @@ def arclength_normalize(model: ManifoldModel, gamma: SampledCurve,
     """
     grid = gamma.grid
     n = grid.nodes.size
-    velocities = curve_velocities(model, gamma)
-    speeds = np.array([model.g_norm(v) for v in velocities])
+    pts = gamma.points
+    speeds = model.g_norms(pts.charts, pts.coords, _velocities(
+        model, grid, [pts.charts], pts.coords[None])[0])
     if speeds.min() <= immersion_floor:
         worst = int(np.argmin(speeds))
         raise NotImmersed(
@@ -300,19 +299,19 @@ def arclength_normalize(model: ManifoldModel, gamma: SampledCurve,
             u = u_new
         return grid.nodes[k] + u * h
 
-    def sample(t: float) -> Point:
+    def sample(t: float) -> tuple[str, np.ndarray]:
         j = int(np.clip(np.searchsorted(grid.nodes, t, side="right") - 1,
                         0, n - 2))
         w = int(np.clip(j - 1, 0, n - 4))
-        chart = gamma.points[j].chart_id
-        window = np.stack([_express(model, gamma.points[w + i], chart, w + i)
-                           for i in range(4)])
+        chart = pts.charts[j]
+        window = np.stack([_coords_in(model, pts.charts, pts.coords, w + i,
+                                      chart) for i in range(4)])
         positions = (grid.nodes[w:w + 4] - grid.nodes[j]) / h
         wts = lagrange_weights(positions, (t - grid.nodes[j]) / h)
-        return Point(chart, wts @ window)
+        return chart, wts @ window
 
     new_grid = Grid.regular(float(s[0]), float(s[-1]), n - 1)
-    points = tuple(sample(invert(u)) for u in new_grid.nodes)
+    charts, coords = zip(*(sample(invert(u)) for u in new_grid.nodes))
     base = int(np.argmin(np.abs(new_grid.nodes)))
-    return SampledCurve(grid=new_grid, points=points, order=gamma.order,
-                        base_index=base)
+    return SampledCurve(grid=new_grid, points=Samples(charts, coords),
+                        order=gamma.order, base_index=base)

@@ -4,7 +4,8 @@ Commands load and validate their inputs completely before any computation,
 so validation failures never print partial numeric output.  Exit codes:
 0 success, 2 invalid input, 3 numerical failure or tolerance violation
 (the latter downgraded to a report entry by --tolerance-report-only; there
-is no flag that loosens a tolerance).
+is no flag that loosens a tolerance).  A metric that is not finite is a
+numerical failure: no command exits 0 reporting one.
 """
 
 from __future__ import annotations
@@ -52,6 +53,9 @@ def _parse_point(model, text: str, flag: str) -> Point:
 
 def _finish(args, command: str, tolerances: dict, metrics: dict,
             passes: dict, extra: dict | None = None) -> int:
+    for key, value in metrics.items():
+        if not isinstance(value, str) and not np.isfinite(value).all():
+            raise NonFiniteState(f"{command}: metric {key} = {value}")
     report = fileio.report_to_json(command, tolerances, metrics, passes, extra)
     report["argv"] = list(getattr(args, "_argv", []))
     if getattr(args, "report", None):
@@ -107,7 +111,7 @@ def _cmd_synthesize(args) -> int:
         fileio.curve_to_csv(model, curve, args.csv)
     return _finish(args, "synthesize", tolerances={}, metrics={
         "nodes": curve.grid.nodes.size,
-        "charts": len({p.chart_id for p in curve.points})}, passes={})
+        "charts": len(set(curve.points.charts))}, passes={})
 
 
 def _cmd_roundtrip(args) -> int:
@@ -207,8 +211,8 @@ def _cmd_normalize(args) -> int:
     model, curve = fileio.curve_from_json(fileio.load_json(args.curve))
     out = arclength_normalize(model, curve, immersion_floor=args.floor)
     fileio.dump_json(fileio.curve_to_json(model, out), args.output)
-    speeds = [model.g_norm(v) for v in curve_velocities(model, out)]
-    dev = max(abs(s - 1.0) for s in speeds)
+    speeds = np.array([model.g_norm(v) for v in curve_velocities(model, out)])
+    dev = float(np.max(np.abs(speeds - 1.0)))
     return _finish(args, "normalize", {"unit_speed_deviation": 1e-4},
                    {"unit_speed_deviation": dev,
                     "length": float(out.grid.nodes[-1] - out.grid.nodes[0])},
@@ -345,6 +349,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def _validate_args(args) -> None:
     if getattr(args, "n_substeps", 2) < 1:
         raise ValidationError("--n-substeps must be positive")
+    if args.command == "normalize" and \
+            not (math.isfinite(args.floor) and args.floor >= 0):
+        raise ValidationError("--floor must be a finite number >= 0")
     if args.command == "trivialize":
         if args.inverse and not args.base:
             raise ValidationError("--inverse requires --base CHART:x,y")

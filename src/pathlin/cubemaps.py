@@ -21,6 +21,9 @@ Because parallel transport is linear, v2's coefficients in the basepoint
 basis are also its coefficients in the transported frame at (s1, 0), so the
 per-line solves can reuse v2 directly.
 
+A CubeSample stores its samples as 2-D arrays (geometry.Samples), which
+both maps read and write directly; a row is the s2-line's 1-D Samples.
+
 n is fixed at 2; the per-line structure is what a higher-n recursion would
 iterate, but only the square case is implemented.
 """
@@ -32,7 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import Frame, ManifoldModel, Point, require_independent_columns
+from .geometry import (Frame, ManifoldModel, Point, Samples,
+                       require_independent_columns)
 from .linearize import (TangentCurve, _p_forward_detailed, _solve_inverse_batch,
                         p_inverse_detailed)
 from .numerics import Grid
@@ -43,21 +47,22 @@ from .transport import SampledCurve, _transport_columns, _velocities
 class CubeSample:
     """An (N1+1) x (N2+1) grid of points sampling a map [-1,1]^2 -> M.
 
-    points[i][j] is the sample at (grid1.nodes[i], grid2.nodes[j]); the
-    basepoint sits at the (s1, s2) = (0, 0) node pair.
+    `points`, given as 2-D Samples or as rows of Points, is stored as 2-D
+    Samples; points[i][j] is the sample at (grid1.nodes[i], grid2.nodes[j]).
+    The basepoint sits at the (s1, s2) = (0, 0) node pair.
     """
 
     grid1: Grid
     grid2: Grid
-    points: tuple[tuple[Point, ...], ...]
+    points: Samples
 
     def __post_init__(self):
-        rows = tuple(tuple(row) for row in self.points)
-        if len(rows) != self.grid1.nodes.size:
-            raise ValidationError("cube needs one row per grid1 node")
-        if any(len(row) != self.grid2.nodes.size for row in rows):
-            raise ValidationError("cube rows must match grid2 length")
-        object.__setattr__(self, "points", rows)
+        points = Samples.of(self.points, ndim=2)
+        if points.coords.shape[:2] != (self.grid1.nodes.size,
+                                       self.grid2.nodes.size):
+            raise ValidationError(
+                "cube needs one row per grid1 node, one sample per grid2 node")
+        object.__setattr__(self, "points", points)
 
     @property
     def base_indices(self) -> tuple[int, int]:
@@ -100,8 +105,10 @@ class CubeLinearization:
 
 def _axis_curve(alpha: CubeSample) -> SampledCurve:
     i0, j0 = alpha.base_indices
+    pts = alpha.points
     return SampledCurve(grid=alpha.grid1,
-                        points=tuple(row[j0] for row in alpha.points),
+                        points=Samples([row[j0] for row in pts.charts],
+                                       pts.coords[:, j0]),
                         order=2, base_index=i0)
 
 
@@ -115,18 +122,17 @@ def p2_forward(model: ManifoldModel, alpha: CubeSample,
     # Every s2-line starts from the axis frame at its node, re-expressed in
     # the chart its base sample is stored in; v2 is then the line's
     # velocities in its transported frame.
-    line_charts = [[p.chart_id for p in row] for row in alpha.points]
-    starts = [row[j0] for row in line_charts]
+    lines = alpha.points
+    starts = [row[j0] for row in lines.charts]
     frames = cols.copy()
     moved = [i for i, c in enumerate(starts) if c != charts[i]]
     if moved:
         frames[moved] = np.stack([
             model.transition_jacobian(Point(charts[i], coords[i]), starts[i])
             for i in moved]) @ cols[moved]
-    line_coords = np.array([[p.coords for p in row] for row in alpha.points])
     _, _, line_cols, vel, _ = _transport_columns(
-        model, alpha.grid2, line_charts, line_coords,
-        _velocities(model, alpha.grid2, line_charts, line_coords),
+        model, alpha.grid2, lines.charts, lines.coords,
+        _velocities(model, alpha.grid2, lines.charts, lines.coords),
         starts, frames, j0, substeps)
     require_independent_columns(line_cols)
     v2 = np.linalg.solve(line_cols, vel[..., None])[..., 0]
@@ -148,8 +154,5 @@ def p2_inverse(model: ManifoldModel, lin: CubeLinearization,
     charts, coords, _, _ = _solve_inverse_batch(
         model, charts0, coords0, frames0, lin.grid2,
         np.asarray(lin.v2), substeps=substeps)
-    rows = tuple(
-        tuple(Point(charts[i][j], coords[i, j])
-              for j in range(lin.grid2.nodes.size))
-        for i in range(lin.grid1.nodes.size))
-    return CubeSample(grid1=lin.grid1, grid2=lin.grid2, points=rows)
+    return CubeSample(grid1=lin.grid1, grid2=lin.grid2,
+                      points=Samples(charts, coords))

@@ -10,7 +10,9 @@ All files carry "schema_version" and a "kind" discriminator:
   report              command echo, tolerances, metrics, pass flags
 
 Loaders validate before anything is computed and raise ValidationError
-naming the offending field.  Writers emit canonical JSON (sorted keys,
+naming the offending field.  Curve and cube samples are read into, and
+written from, arrays (geometry.Samples), with a point's checks and a
+samples[j] message per sample.  Writers emit canonical JSON (sorted keys,
 two-space indent, trailing newline), so identical inputs produce
 byte-identical files.
 """
@@ -19,13 +21,14 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 
 from .cubemaps import CubeLinearization, CubeSample
 from .errors import ValidationError
-from .geometry import Frame, ManifoldModel, OUTSIDE, Point
+from .geometry import Frame, ManifoldModel, OUTSIDE, Point, Samples
 from .linearize import TangentCurve
 from .models import get_model
 from .numerics import Grid
@@ -57,12 +60,19 @@ def _require(payload: dict, field: str, kind=None):
     return value
 
 
-def _numeric(value, field: str, integer: bool = False, minimum: int = 0):
+# The most grid intervals a file may ask for; checked before the grid's
+# nodes are allocated.
+_MAX_INTERVALS = 10**7
+
+
+def _numeric(value, field: str, integer: bool = False, minimum: int = 0,
+             maximum: float = math.inf, scalar: bool = False):
     """The one reader of numeric fields: a JSON number or a nested list of
-    numbers becomes a finite float array, or, with integer set, a Python
-    int >= minimum.  Strings, booleans, nulls, ragged lists, non-finite
-    values and fractions where an integer is wanted raise ValidationError
-    naming the field."""
+    numbers becomes a finite float array (0-d with scalar set), or, with
+    integer set, a Python int in [minimum, maximum].  Strings, booleans,
+    nulls, ragged lists, non-finite values, lists where a number is wanted
+    and fractions where an integer is wanted raise ValidationError naming
+    the field."""
     try:
         arr = np.asarray(value)
     except (ValueError, OverflowError):
@@ -72,10 +82,14 @@ def _numeric(value, field: str, integer: bool = False, minimum: int = 0):
     arr = arr.astype(float, copy=False)
     if not np.isfinite(arr).all():
         raise ValidationError(f"field {field!r} must be finite")
+    if (scalar or integer) and arr.ndim:
+        raise ValidationError(f"field {field!r} must be a single number")
     if not integer:
         return arr
-    if arr.ndim or arr != int(arr) or arr < minimum:
-        raise ValidationError(f"field {field!r} must be an integer >= {minimum}")
+    if arr != int(arr) or not minimum <= arr <= maximum:
+        bounds = (f">= {minimum}" if maximum == math.inf
+                  else f"in [{minimum}, {maximum}]")
+        raise ValidationError(f"field {field!r} must be an integer {bounds}")
     return int(arr)
 
 
@@ -109,10 +123,11 @@ def grid_from_json(payload: dict, field: str = "grid") -> Grid:
     for key in ("start", "end", "n"):
         if key not in spec:
             raise ValidationError(f"field {field!r} needs start/end/n or nodes")
-    return Grid.regular(float(_numeric(spec["start"], f"{field}.start")),
-                        float(_numeric(spec["end"], f"{field}.end")),
-                        _numeric(spec["n"], f"{field}.n", integer=True,
-                                 minimum=1))
+    return Grid.regular(
+        float(_numeric(spec["start"], f"{field}.start", scalar=True)),
+        float(_numeric(spec["end"], f"{field}.end", scalar=True)),
+        _numeric(spec["n"], f"{field}.n", integer=True, minimum=1,
+                 maximum=_MAX_INTERVALS))
 
 
 # -- points, frames ----------------------------------------------------------
@@ -121,17 +136,34 @@ def point_to_json(point: Point) -> dict:
     return {"chart": point.chart_id, "coords": [float(c) for c in point.coords]}
 
 
-def point_from_json(model: ManifoldModel, payload: dict, where: str) -> Point:
+def _sample_from_json(model: ManifoldModel, payload: dict,
+                      where: str) -> tuple[str, np.ndarray]:
+    """One chart-tagged sample as (chart id, coordinates), checked."""
     chart = _require(payload, "chart", str)
     if chart not in model.charts:
         raise ValidationError(f"{where}: unknown chart {chart!r}")
     coords = _numeric(_require(payload, "coords", list), f"{where}.coords")
     if coords.shape != (model.dim,):
         raise ValidationError(f"{where}: coords must have length {model.dim}")
-    point = Point(chart, coords)
-    if model.domain_status(point) == OUTSIDE:
+    if model.chart(chart).domain_test(coords) == OUTSIDE:
         raise ValidationError(f"{where}: point lies outside chart {chart!r}")
-    return point
+    return chart, coords
+
+
+def point_from_json(model: ManifoldModel, payload: dict, where: str) -> Point:
+    return Point(*_sample_from_json(model, payload, where))
+
+
+def _samples_from_json(model: ManifoldModel, entries: list,
+                       where: str) -> Samples:
+    """A non-empty list of samples; entry j is checked as {where}[j]."""
+    charts, coords = zip(*(_sample_from_json(model, s, f"{where}[{j}]")
+                           for j, s in enumerate(entries)))
+    return Samples(charts, coords)
+
+
+def _samples_to_json(charts, coords) -> list:
+    return [{"chart": c, "coords": x.tolist()} for c, x in zip(charts, coords)]
 
 
 def frame_to_json(frame: Frame) -> list:
@@ -161,7 +193,7 @@ def curve_to_json(model: ManifoldModel, curve: SampledCurve) -> dict:
         "grid": grid_to_json(curve.grid),
         "base_index": int(curve.base_index),
         "order": int(curve.order),
-        "samples": [point_to_json(p) for p in curve.points],
+        "samples": _samples_to_json(curve.points.charts, curve.points.coords),
     }
 
 
@@ -174,8 +206,7 @@ def curve_from_json(payload: dict) -> tuple[ManifoldModel, SampledCurve]:
         raise ValidationError(
             f"field 'samples' has {len(samples)} entries but the grid has "
             f"{grid.nodes.size} nodes")
-    points = tuple(point_from_json(model, s, f"samples[{j}]")
-                   for j, s in enumerate(samples))
+    points = _samples_from_json(model, samples, "samples")
     base_index = _numeric(payload.get("base_index", 0), "base_index",
                           integer=True)
     order = _numeric(payload.get("order", 1), "order", integer=True, minimum=1)
@@ -241,7 +272,8 @@ def cube_to_json(model: ManifoldModel, cube: CubeSample) -> dict:
         "manifold": model.name,
         "grid1": grid_to_json(cube.grid1),
         "grid2": grid_to_json(cube.grid2),
-        "samples": [[point_to_json(p) for p in row] for row in cube.points],
+        "samples": [_samples_to_json(c, x) for c, x in
+                    zip(cube.points.charts, cube.points.coords)],
     }
 
 
@@ -258,9 +290,8 @@ def cube_from_json(payload: dict) -> tuple[ManifoldModel, CubeSample]:
         if not isinstance(row, list) or len(row) != grid2.nodes.size:
             raise ValidationError(
                 f"samples[{i}] must have one entry per grid2 node")
-        rows.append(tuple(point_from_json(model, s, f"samples[{i}][{j}]")
-                          for j, s in enumerate(row)))
-    return model, CubeSample(grid1=grid1, grid2=grid2, points=tuple(rows))
+        rows.append(_samples_from_json(model, row, f"samples[{i}]"))
+    return model, CubeSample(grid1=grid1, grid2=grid2, points=rows)
 
 
 def cube_linearization_to_json(model: ManifoldModel,
@@ -336,10 +367,10 @@ def curve_to_csv(model: ManifoldModel, curve: SampledCurve, path) -> None:
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["t"] + [f"x{i}" for i in range(model.dim)] + ["chart"])
-        for t, p in zip(curve.grid.nodes, curve.points):
-            writer.writerow([repr(float(t))]
-                            + [repr(float(c)) for c in p.coords]
-                            + [p.chart_id])
+        for t, chart, x in zip(curve.grid.nodes, curve.points.charts,
+                               curve.points.coords):
+            writer.writerow([repr(float(t))] + [repr(float(c)) for c in x]
+                            + [chart])
 
 
 def tangent_curve_to_csv(model: ManifoldModel, v: TangentCurve, path) -> None:

@@ -14,8 +14,9 @@ function, so concurrent use needs no synchronization.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -45,6 +46,53 @@ class Point:
 
     def __post_init__(self):
         object.__setattr__(self, "coords", _freeze(self.coords))
+
+
+class Samples(Sequence):
+    """Chart-tagged points stored as arrays, read-only: `charts` holds the
+    chart ids (a tuple, or for a grid of points a tuple of rows) and
+    `coords` their frozen float[..., m] coordinates.  Indexing builds a
+    Point, or a grid row's 1-D Samples, once and keeps it."""
+
+    __slots__ = ("charts", "coords", "_items")
+
+    def __init__(self, charts, coords):
+        self.coords = coords = _freeze(coords)
+        grid = coords.ndim == 3
+        self.charts = tuple(map(tuple, charts)) if grid else tuple(charts)
+        if coords.ndim not in (2, 3) or len(self.charts) != len(coords) or \
+                grid and {len(r) for r in self.charts} != {coords.shape[1]}:
+            raise ValidationError("samples need one chart id per point")
+        self._items = [None] * len(coords)
+
+    @classmethod
+    def of(cls, points, ndim: int = 1) -> "Samples":
+        """points as Samples with ndim axes: Samples pass through; Points,
+        or rows of them for ndim 2, are stacked and stay the items."""
+        if isinstance(points, Samples) and points.coords.ndim == ndim + 1:
+            return points
+        items = [cls.of(row) for row in points] if ndim == 2 else list(points)
+        try:
+            out = cls([p.charts if ndim == 2 else p.chart_id for p in items],
+                      np.stack([p.coords for p in items]))
+        except (AttributeError, ValueError):
+            raise ValidationError("points must be Points of one dimension")
+        out._items[:] = items
+        return out
+
+    def __len__(self) -> int:
+        return len(self.coords)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Samples(self.charts[i], self.coords[i])
+        if self._items[i] is None:
+            kind = Point if self.coords.ndim == 2 else Samples
+            self._items[i] = kind(self.charts[i], self.coords[i])
+        return self._items[i]
+
+    def __repr__(self) -> str:
+        return f"Samples(charts={self.charts!r}, coords={self.coords!r})"
 
 
 @dataclass(frozen=True)
@@ -304,6 +352,12 @@ class ManifoldModel:
 
     def g_norm(self, t: Tangent) -> float:
         return float(np.sqrt(max(self.inner(t, t), 0.0)))
+
+    def g_norms(self, charts, coords, vectors) -> np.ndarray:
+        """g_norm of vectors[j] at the point (charts[j], coords[j]) for every
+        j, with g_norm's arithmetic node by node, so the bits agree."""
+        return np.array([np.sqrt(max(float(r @ self.metric(c, x) @ r), 0.0))
+                         for c, x, r in zip(charts, coords, vectors)])
 
     def r0(self, point: Point) -> float:
         return float(self._r0(point))

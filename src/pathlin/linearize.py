@@ -15,16 +15,17 @@ On two-sided grids the base node sits in the interior and the system is
 integrated outward in both directions.
 
 Each map has one array core, which every caller in the library uses:
-_p_forward_detailed and p_inverse_detailed.  p_forward and p_inverse wrap
-them and build TangentCurve/Point objects only for what they return.  The
-forward core transports the frame with the batched transport core,
-transport._transport_columns, as a batch of one, and solves all nodes at
-once for the components.  The inverse core integrates a single curve with
-one RK4 stepper, _step_interval, whose state is a flat list of m + m^2
-Python floats (position, then the frame row by row) and whose connection
-comes from the model's christoffel_action_floats: at m = 2 numpy's
-per-call overhead, not the arithmetic, is the cost, and the right-hand side
-is unrolled for m = 2 (_frame_rhs_2d, exactly equal to the generic one).
+_p_forward_detailed and p_inverse_detailed.  Both work on arrays, reading
+and writing a SampledCurve's samples as chart ids and coordinates, and
+neither builds a Point per node.  The forward core transports the frame
+with the batched transport core, transport._transport_columns, as a batch
+of one, and solves all nodes at once for the components.  The inverse
+core integrates a single curve with one RK4 stepper, _step_interval, whose
+state is a flat list of m + m^2 Python floats (position, then the frame
+row by row) and whose connection comes from the model's
+christoffel_action_floats: at m = 2 numpy's per-call overhead, not the
+arithmetic, is the cost, and the right-hand side is unrolled for m = 2
+(_frame_rhs_2d, exactly equal to the generic one).
 Batches of curves on one grid go through _solve_inverse_batch, the same
 scheme on (B, ...) numpy arrays; the two agree to rounding, with the same
 charts and switch logs.
@@ -39,11 +40,11 @@ from operator import mul
 import numpy as np
 
 from .errors import ChartContinuationFailure, NoOverlap, NonFiniteState, ValidationError
-from .geometry import (INSIDE, Frame, ManifoldModel, Point, chart_groups,
-                       require_independent_columns)
+from .geometry import (INSIDE, Frame, ManifoldModel, Point, Samples,
+                       chart_groups, require_independent_columns)
 from .numerics import Grid
-from .transport import (SampledCurve, _check_frame_base, _curve_arrays,
-                        _stage_values, _transport_columns, curve_velocities)
+from .transport import (SampledCurve, _check_frame_base, _stage_values,
+                        _transport_columns, _velocities)
 
 
 @dataclass(frozen=True)
@@ -103,24 +104,24 @@ def _p_forward_detailed(model: ManifoldModel, curve: SampledCurve,
     the initial frame (the g-orthonormal one when frame0 is None), the
     (n, m) components of the transported velocities in it, the curve's
     charts, positions, frame columns and switch log as from
-    transport._transport_columns, and the curve velocities as Tangents.
+    transport._transport_columns, and the (n, m) curve velocities, each in
+    its node's stored chart.
     """
     if curve.order < 1:
         raise ValidationError("curve order must be at least 1")
     if frame0 is None:
         frame0 = model.orthonormal_frame(curve.basepoint)
     _check_frame_base(model, frame0, curve.basepoint)
-    velocities = curve_velocities(model, curve)
-    charts, coords = _curve_arrays(curve)
+    charts, coords = [curve.points.charts], curve.points.coords[None]
+    velocities = _velocities(model, curve.grid, charts, coords)
     charts, coords, cols, vel, logs = _transport_columns(
-        model, curve.grid, charts, coords,
-        np.stack([r.components for r in velocities])[None],
+        model, curve.grid, charts, coords, velocities,
         [frame0.base.chart_id], frame0.columns[None], curve.base_index,
         substeps)
     require_independent_columns(cols[0])
     comps = np.linalg.solve(cols[0], vel[0][:, :, None])[:, :, 0]
     transported = charts[0], coords[0], cols[0], logs[0]
-    return frame0, comps, transported, velocities
+    return frame0, comps, transported, velocities[0]
 
 
 def p_forward(model: ManifoldModel, curve: SampledCurve,
@@ -130,10 +131,11 @@ def p_forward(model: ManifoldModel, curve: SampledCurve,
     frame0, comps, (_, _, _, switch_log), velocities = _p_forward_detailed(
         model, curve, frame0, substeps)
     gram0 = model.frame_gram(frame0)
-    drift = 0.0
-    for c, r in zip(comps, velocities):
-        norm_v = float(np.sqrt(max(c @ gram0 @ c, 0.0)))
-        drift = max(drift, abs(norm_v - model.g_norm(r)))
+    norms_v = [np.sqrt(max(c @ gram0 @ c, 0.0)) for c in comps]
+    pts = curve.points
+    # np.max, not max: a NaN drift must surface, not be skipped
+    drift = float(np.max(np.abs(
+        np.array(norms_v) - model.g_norms(pts.charts, pts.coords, velocities))))
     tc = TangentCurve(base=frame0.base, frame0=frame0, grid=curve.grid,
                       components=comps)
     return LinearizationReport(tangent_curve=tc, switch_log=tuple(switch_log),
@@ -291,9 +293,8 @@ def p_inverse(model: ManifoldModel, v: TangentCurve,
     """Realize a tangent-space curve as a manifold curve through the coupled
     position+frame initial-value problem."""
     charts, coords, _, _ = p_inverse_detailed(model, v, substeps)
-    points = tuple(Point(c, x) for c, x in zip(charts, coords))
-    return SampledCurve(grid=v.grid, points=points, order=order,
-                        base_index=v.grid.base_node())
+    return SampledCurve(grid=v.grid, points=Samples(charts, coords),
+                        order=order, base_index=v.grid.base_node())
 
 
 def _solve_inverse_batch(model: ManifoldModel, charts0, coords0: np.ndarray,

@@ -303,6 +303,8 @@ def fit_poly(values: np.ndarray, grid: Grid, degree: int,
     monomial basis reaches at high degree.
     """
     vals = np.atleast_2d(np.asarray(values, dtype=float).T).T
+    if degree < 0:
+        raise ValidationError(f"degree must be >= 0, got {degree}")
     if degree + 1 > grid.nodes.size:
         raise ValidationError("degree + 1 must not exceed the node count")
     interval = (float(grid.nodes[0]), float(grid.nodes[-1]))

@@ -20,7 +20,7 @@ from math import factorial
 import numpy as np
 
 from .errors import GridTooCoarse, ValidationError
-from .geometry import Frame, ManifoldModel, Point
+from .geometry import Frame, ManifoldModel, Point, Tangent
 from .linearize import TangentCurve, _p_forward_detailed, p_inverse
 from .numerics import (Grid, PolyCoeffs, differentiate, eval_poly, fd_weights,
                        fit_poly, fit_residual)
@@ -99,7 +99,8 @@ def conjugation_residual(model: ManifoldModel, curve: SampledCurve,
         raise ValidationError("conjugation residual needs curve order >= 2")
     frame0, comps, (charts, _, cols, _), velocities = _p_forward_detailed(
         model, curve, frame0, substeps)
-    accel = covariant_derivative(model, curve, velocities)
+    accel = covariant_derivative(model, curve,
+                                 map(Tangent, curve.points, velocities))
     dv = differentiate(comps, curve.grid)
     gram = model.frame_gram(frame0)
     worst = 0.0
@@ -126,8 +127,8 @@ def weierstrass_fit(model: ManifoldModel, curve: SampledCurve, degree: int,
     coeffs = fit_poly(comps, curve.grid, degree, basis)
     poly = make_polynomial_like(model, frame0.base, frame0, coeffs,
                                 curve.grid, substeps=substeps)
-    c0 = max(model.point_distance(a, b)
-             for a, b in zip(curve.points, poly.realized.points))
+    c0 = np.max([model.point_distance(a, b)
+                 for a, b in zip(curve.points, poly.realized.points)])
     comps_fit = _p_forward_detailed(model, poly.realized, frame0, substeps)[1]
     gram = model.frame_gram(frame0)
     gaps = comps - comps_fit

@@ -10,6 +10,10 @@ never from an analytic curve, after each node's window is re-expressed in
 the node's chart; covariant derivatives difference vector fields the same
 way.
 
+A curve's samples are stored as arrays (geometry.Samples), which the cores
+read directly; Points, Tangents and Frames are built only for what the
+public functions return.
+
 Chart continuation: the curve is re-expressed chart-run by chart-run.  A run
 ends when a node's coordinates reach the working chart's margin; the full
 state (position and every frame column) is re-expressed through the
@@ -31,8 +35,8 @@ import numpy as np
 
 from .errors import (ChartContinuationFailure, NoOverlap, NonFiniteState,
                      ValidationError)
-from .geometry import (MARGIN, OUTSIDE, Frame, ManifoldModel, Point, Tangent,
-                       chart_groups)
+from .geometry import (MARGIN, OUTSIDE, Frame, ManifoldModel, Point, Samples,
+                       Tangent, chart_groups)
 from .numerics import (Grid, lagrange_weights, rk4_step, stencil_derivative,
                        stencil_windows)
 
@@ -41,18 +45,20 @@ from .numerics import (Grid, lagrange_weights, rk4_step, stencil_derivative,
 class SampledCurve:
     """A time grid with one chart-tagged point per node.
 
-    `order` is the declared regularity of the underlying curve; `base_index`
-    is the node carrying the basepoint (0 for [0,1] grids, the middle node
-    for [-1,1] grids).
+    `points`, given as Samples or as Points, is stored as Samples: the
+    nodes' chart ids and frozen (n, m) coordinates.  `order` is the
+    declared regularity of the underlying curve; `base_index` is the node
+    carrying the basepoint (0 for [0,1] grids, the middle node for [-1,1]
+    grids).
     """
 
     grid: Grid
-    points: tuple[Point, ...]
+    points: Samples
     order: int = 1
     base_index: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "points", tuple(self.points))
+        object.__setattr__(self, "points", Samples.of(self.points))
         if len(self.points) != self.grid.nodes.size:
             raise ValidationError("curve needs one point per grid node")
         if not 0 <= self.base_index < len(self.points):
@@ -88,22 +94,18 @@ class FrameField:
 _STAGE_POINTS_PER_BLOCK = 4096
 
 
-def _express(model: ManifoldModel, point: Point, chart_id: str, node: int) -> np.ndarray:
-    try:
-        return model.transition(point, chart_id).coords
-    except NoOverlap as exc:
-        raise ChartContinuationFailure(
-            f"node {node} cannot be expressed in chart {chart_id!r}: {exc}",
-            node=node)
-
-
 def _coords_in(model: ManifoldModel, charts, coords: np.ndarray, j: int,
                chart_id: str) -> np.ndarray:
     """Node j of one curve (stored charts and (n, m) coordinates) in
     chart_id."""
     if charts[j] == chart_id:
         return coords[j]
-    return _express(model, Point(charts[j], coords[j]), chart_id, j)
+    try:
+        return model.transition(Point(charts[j], coords[j]), chart_id).coords
+    except NoOverlap as exc:
+        raise ChartContinuationFailure(
+            f"node {j} cannot be expressed in chart {chart_id!r}: {exc}",
+            node=j)
 
 
 def _foreign_entries(stored, charts, index: np.ndarray) -> np.ndarray:
@@ -130,23 +132,17 @@ def _velocities(model: ManifoldModel, grid: Grid, charts,
         if len(set(row)) > 1:
             for j, s in _foreign_entries(row, row, index):
                 k = index[j, s]
-                windows[j, s, i] = _express(
-                    model, Point(row[k], coords[i, k]), row[j], k)
+                windows[j, s, i] = _coords_in(model, row, coords[i], k,
+                                              row[j])
     return stencil_derivative(windows, grid.h).swapaxes(0, 1)
-
-
-def _curve_arrays(curve: SampledCurve):
-    """One curve as a batch of one: ([stored charts], (1, n, m) coords)."""
-    return ([[p.chart_id for p in curve.points]],
-            np.stack([p.coords for p in curve.points])[None])
 
 
 def curve_velocities(model: ManifoldModel, curve: SampledCurve) -> tuple[Tangent, ...]:
     """4th-order finite-difference velocity at every node, each expressed in
     that node's own stored chart."""
-    charts, coords = _curve_arrays(curve)
-    vel = _velocities(model, curve.grid, charts, coords)[0]
-    return tuple(Tangent(p, r) for p, r in zip(curve.points, vel))
+    pts = curve.points
+    vel = _velocities(model, curve.grid, [pts.charts], pts.coords[None])[0]
+    return tuple(map(Tangent, pts, vel))
 
 
 @dataclass
@@ -310,7 +306,7 @@ def transport_frame(model: ManifoldModel, curve: SampledCurve, f0: Frame,
     if start is None:
         start = curve.base_index
     _check_frame_base(model, f0, curve.points[start])
-    charts, coords = _curve_arrays(curve)
+    charts, coords = [curve.points.charts], curve.points.coords[None]
     vel = _velocities(model, curve.grid, charts, coords)
     charts, coords, cols, _, logs = _transport_columns(
         model, curve.grid, charts, coords, vel, [f0.base.chart_id],
@@ -460,9 +456,8 @@ def covariant_derivative(model: ManifoldModel, curve: SampledCurve,
     vector_field = tuple(vector_field)
     if len(vector_field) != n:
         raise ValidationError("vector field needs one tangent per node")
-    charts, coords = _curve_arrays(curve)
-    r = _velocities(model, grid, charts, coords)[0]
-    charts, coords = charts[0], coords[0]
+    charts, coords = curve.points.charts, curve.points.coords
+    r = _velocities(model, grid, [charts], coords[None])[0]
     index, position = stencil_windows(n)
     comps = np.stack([t.components for t in vector_field])
     windows = comps[index]

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from pathlin import get_model
+
+# Property and fuzz tests run a fixed, bounded set of examples, so tier-1
+# stays deterministic and within its time budget.
+settings.register_profile("pathlin", derandomize=True, deadline=None,
+                          max_examples=50, database=None)
+settings.load_profile("pathlin")
 
 MODEL_NAMES = ("euclidean2", "hyperbolic2", "sphere2", "torus2")
 

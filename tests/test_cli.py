@@ -1,9 +1,13 @@
 """CLI commands: exit codes, outputs, validation, determinism."""
 
+import contextlib
+import io
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from pathlin import Frame, Grid, Point, Tangent, get_model
 from pathlin import fileio
@@ -216,6 +220,10 @@ _MALFORMED = {
                       [[1.0, 0.0], [0.0]], "frame0"),
     "sample_not_object": ("roundtrip", "curve", ("samples", 5), 1.0,
                           "chart"),
+    "list_start": ("roundtrip", "curve", ("grid", "start"), [0.0, 0.5],
+                   "grid.start"),
+    "list_end": ("roundtrip", "curve", ("grid", "end"), [1.0], "grid.end"),
+    "huge_n": ("roundtrip", "curve", ("grid", "n"), 1e300, "grid.n"),
 }
 
 
@@ -242,3 +250,95 @@ def test_malformed_field_exits_2(tmp_path, capsys, sphere_fixture, case):
     assert code == 2
     assert f"'{field}'" in err
     assert "Traceback" not in err
+
+
+@pytest.fixture
+def tiny_grid_file(tmp_path, sphere_fixture):
+    # great-circle samples on the grid [0, 1e-300]: the velocities are
+    # about 1e300 and their norms overflow
+    sphere, _, _ = sphere_fixture
+    grid = Grid.regular(0.0, 1.0, 40)
+    pole = Point("north", [0.0, 0.0])
+    f0 = sphere.orthonormal_frame(pole)
+    pts = tuple(sphere.exp_oracle(pole, Tangent(pole, f0.columns[:, 0] * t))
+                for t in grid.nodes)
+    payload = fileio.curve_to_json(sphere, SampledCurve(grid, pts, order=2))
+    payload["grid"] = {"start": 0.0, "end": 1e-300, "n": 40}
+    path = tmp_path / "tiny.json"
+    fileio.dump_json(payload, path)
+    return path
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command,options", [
+    ("linearize", ["-o", "out.json"]), ("polyfit", ["--degree", "2"])])
+def test_non_finite_metric_exits_3(tmp_path, capsys, tiny_grid_file, command,
+                                   options):
+    report = tmp_path / "rep.json"
+    code = main([command, str(tiny_grid_file), "--report", str(report)]
+                + [str(tmp_path / o) if o.endswith(".json") else o
+                   for o in options])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "numerical failure" in captured.err
+    assert "passed" not in captured.out
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("command,options,named", [
+    ("polyfit", ["--degree", "-1"], "degree"),
+    ("normalize", ["--floor", "-1"], "--floor"),
+    ("normalize", ["--floor", "nan"], "--floor"),
+])
+def test_out_of_range_option_exits_2(tmp_path, capsys, sphere_fixture,
+                                     command, options, named):
+    _, _, path = sphere_fixture
+    out = tmp_path / "out.json"
+    code = main([command, str(path), "-o", str(out)] + options)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert named in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+# Any JSON value, with integers capped at 10**6 and a few extreme floats, so
+# that no example asks for a gigabyte-sized grid.
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**6, 10**6) | st.floats()
+    | st.sampled_from([1e300, -1e300, 1e-300, 0.5, 2]) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=8)
+
+_CURVE_FIELDS = [("grid",), ("grid", "start"), ("grid", "end"), ("grid", "n"),
+                 ("base_index",), ("order",), ("samples", 7),
+                 ("samples", 7, "chart"), ("samples", 7, "coords")]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(keys=st.sampled_from(_CURVE_FIELDS), value=_JSON_VALUES)
+def test_fuzzed_curve_field_exits_cleanly(tmp_path, sphere_fixture, keys,
+                                          value):
+    # one field of a valid curve file replaced by any JSON value: linearize
+    # exits 0, 2 or 3 without an exception, and exits 0 only with finite
+    # metrics
+    _, _, path = sphere_fixture
+    payload = json.loads(path.read_text())
+    target = payload
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    bad = tmp_path / "fuzzed.json"
+    bad.write_text(json.dumps(payload))
+    report = tmp_path / "fuzzed_report.json"
+    report.unlink(missing_ok=True)
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(["linearize", str(bad), "-o", str(tmp_path / "out.json"),
+                     "--report", str(report)])
+    assert code in (0, 2, 3)
+    if code == 0:
+        metrics = json.loads(report.read_text())["metrics"]
+        assert all(math.isfinite(v) for v in metrics.values())

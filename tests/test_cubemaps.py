@@ -1,5 +1,7 @@
 """Square-map linearization: the two-parameter forward/inverse pair."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from pathlin import Frame, Grid, Point, Tangent
 from pathlin.cubemaps import (CubeLinearization, CubeSample, _axis_curve,
                               p2_forward, p2_inverse)
 from pathlin.errors import NonFiniteState
+from pathlin.geometry import Samples
 from pathlin.linearize import _p_forward_detailed, p_forward
 from pathlin.suite import random_interior_point
 from pathlin.transport import SampledCurve, curve_velocities, transport_vector
@@ -282,3 +285,47 @@ def test_non_finite_line_in_batch_names_its_node(euclidean, monkeypatch):
         p2_forward(euclidean, cube)
     assert str(batched.value) == str(alone.value)
     assert "node 14" in str(alone.value)
+
+
+def test_cube_storage_same_from_points_and_from_arrays(euclidean):
+    u1, u2 = np.array([0.4, 0.1]), np.array([-0.2, 0.5])
+    from_points = affine_cube(euclidean, u1, u2, n=6)
+    rows = from_points.points
+    from_arrays = CubeSample(from_points.grid1, from_points.grid2,
+                             Samples(rows.charts, np.array(rows.coords)))
+    assert rows.coords.shape == (7, 7, 2)
+    assert from_arrays.points.charts == rows.charts == (("xy",) * 7,) * 7
+    assert np.array_equal(from_arrays.points.coords, rows.coords)
+    assert np.array_equal(from_arrays.points[2][3].coords, rows[2][3].coords)
+    with pytest.raises(ValueError):
+        from_arrays.points.coords[0, 0, 0] = 1.0
+    # a row is the 1-D form, so it is a curve's points as it stands
+    line = SampledCurve(from_arrays.grid2, from_arrays.points[2])
+    assert line.points is from_arrays.points[2]
+    assert np.array_equal(line.points.coords, rows.coords[2])
+    moved = dataclasses.replace(
+        from_arrays, points=[list(row) for row in from_arrays.points])
+    assert np.array_equal(moved.points.coords, rows.coords)
+
+
+def test_square_roundtrip_builds_points_only_at_the_edge(sphere, monkeypatch):
+    # 25 x 25 samples go through p2_inverse and p2_forward as arrays: only a
+    # few Points (the basepoint and the like) are built, not one per sample
+    g = Grid.regular(-1.0, 1.0, 24)
+    base = Point("north", [0.1, -0.2])
+    frame0 = sphere.orthonormal_frame(base)
+    v1 = 0.2 + 0.1 * g.nodes[:, None] * np.ones((1, 2))
+    v2 = 0.15 * np.ones((25, 25, 2)) * g.nodes[None, :, None]
+    lin = CubeLinearization(base, frame0, g, g, v1, v2)
+    built = []
+    init = Point.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Point, "__init__", counting_init)
+    alpha = p2_inverse(sphere, lin)
+    back = p2_forward(sphere, alpha, frame0)
+    assert len(built) <= 10
+    assert_close(back.v2, v2, 1e-6)

@@ -191,3 +191,15 @@ def test_r0_is_conservative(model):
     expected = {"euclidean2": 10.0, "hyperbolic2": 10.0,
                 "sphere2": math.pi / 2.0, "torus2": math.pi / 2.0}
     assert abs(model.r0(p) - expected[model.name]) < 1e-12
+
+
+def test_g_norms_equal_g_norm_per_node(model):
+    # the array form keeps g_norm's arithmetic, so the bits agree
+    rng = np.random.default_rng(11)
+    points = [random_interior_point(model, rng) for _ in range(20)]
+    vectors = rng.normal(size=(20, model.dim)) \
+        * rng.uniform(1e-3, 1e3, 20)[:, None]
+    norms = model.g_norms([p.chart_id for p in points],
+                          np.stack([p.coords for p in points]), vectors)
+    expected = [model.g_norm(Tangent(p, r)) for p, r in zip(points, vectors)]
+    assert norms.tolist() == expected

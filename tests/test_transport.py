@@ -1,11 +1,13 @@
 """Frame and vector transport along sampled curves."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from pathlin import Frame, Grid, Point, Tangent
+from pathlin.geometry import Samples
 from pathlin.errors import ValidationError
 from pathlin.linearize import TangentCurve, p_inverse
 from pathlin.models import (sphere_pull_from_embedding,
@@ -292,3 +294,58 @@ def test_velocities_and_covariant_derivative_match_per_node_loops(sphere):
         assert_close(np.stack([d.components for d in deriv]),
                      reference_covariant_derivative(sphere, c, field), 1e-13,
                      "covariant derivative")
+
+
+def test_curve_storage_same_from_points_and_from_arrays(torus):
+    grid = Grid.regular(0.0, 1.0, 60)
+    pts = tuple(torus_point_from_angles(
+        np.array([5.0 + 1.8 * t, 1.2 + 0.2 * t]), prefer="a")
+        for t in grid.nodes)
+    from_points = SampledCurve(grid, pts)
+    charts = [p.chart_id for p in pts]
+    from_arrays = SampledCurve(grid, Samples(charts, [p.coords for p in pts]))
+    assert len(set(charts)) > 1
+    for curve in (from_points, from_arrays):
+        assert isinstance(curve.points, Samples)
+        assert curve.points.charts == tuple(charts)
+        assert curve.points.coords.shape == (61, 2)
+    assert np.array_equal(from_points.points.coords, from_arrays.points.coords)
+    for j in (0, 30, 60, -1):
+        a, b = from_points.points[j], from_arrays.points[j]
+        assert a.chart_id == b.chart_id
+        assert np.array_equal(a.coords, b.coords)
+    # each Point is built once and kept
+    assert from_arrays.points[5] is from_arrays.points[5]
+    assert from_points.points[5] is pts[5]
+
+
+def test_curve_coordinates_are_read_only(euclidean):
+    grid = Grid.regular(0.0, 1.0, 10)
+    coords = np.stack([grid.nodes, grid.nodes ** 2], axis=1)
+    curve = SampledCurve(grid, Samples(["xy"] * 11, coords))
+    with pytest.raises(ValueError):
+        curve.points.coords[0, 0] = 1.0
+    coords[0, 0] = 5.0          # the curve holds its own copy
+    assert curve.points.coords[0, 0] == 0.0
+    assert curve.points[3].coords[1] == grid.nodes[3] ** 2
+
+
+def test_replace_points_rebuilds_the_arrays(euclidean):
+    grid = Grid.regular(0.0, 1.0, 10)
+    curve = SampledCurve(grid, tuple(Point("xy", [t, 0.0]) for t in grid.nodes))
+    points = list(curve.points)
+    points[4] = dataclasses.replace(points[4], coords=np.array([0.4, 1.0]))
+    moved = dataclasses.replace(curve, points=tuple(points))
+    assert isinstance(moved.points, Samples)
+    assert moved.points.coords[4, 1] == 1.0
+    assert curve.points.coords[4, 1] == 0.0
+    assert dataclasses.replace(curve, order=3).points is curve.points
+
+
+def test_curve_storage_rejects_mismatched_samples(euclidean):
+    grid = Grid.regular(0.0, 1.0, 10)
+    with pytest.raises(ValidationError):
+        SampledCurve(grid, Samples(["xy"] * 10, np.zeros((11, 2))))
+    with pytest.raises(ValidationError):
+        SampledCurve(grid, [Point("xy", [0.0, 0.0])] * 10
+                     + [Point("xy", [0.0, 0.0, 0.0])])
