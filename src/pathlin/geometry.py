@@ -94,6 +94,10 @@ class Samples(Sequence):
     def __repr__(self) -> str:
         return f"Samples(charts={self.charts!r}, coords={self.coords!r})"
 
+    def __reduce__(self):
+        # rebuild through __init__, so a copy or an unpickled one is frozen
+        return Samples, (self.charts, self.coords)
+
 
 @dataclass(frozen=True)
 class Tangent:

@@ -1,7 +1,9 @@
 """Frame and vector transport along sampled curves."""
 
+import copy
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -323,8 +325,11 @@ def test_curve_coordinates_are_read_only(euclidean):
     grid = Grid.regular(0.0, 1.0, 10)
     coords = np.stack([grid.nodes, grid.nodes ** 2], axis=1)
     curve = SampledCurve(grid, Samples(["xy"] * 11, coords))
-    with pytest.raises(ValueError):
-        curve.points.coords[0, 0] = 1.0
+    for copied in (curve, copy.deepcopy(curve),
+                   pickle.loads(pickle.dumps(curve))):
+        assert np.array_equal(copied.points.coords, curve.points.coords)
+        with pytest.raises(ValueError):
+            copied.points.coords[0, 0] = 1.0
     coords[0, 0] = 5.0          # the curve holds its own copy
     assert curve.points.coords[0, 0] == 0.0
     assert curve.points[3].coords[1] == grid.nodes[3] ** 2
