@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -26,7 +26,8 @@ from .geometry import (INSIDE, ManifoldModel, Point, Samples, Tangent,
                        chart_groups)
 from .numerics import (Grid, lagrange_integral_weights, lagrange_weights,
                        rk4_step)
-from .transport import SampledCurve, _coords_in, _velocities
+from .transport import (SampledCurve, _coords_in, _foreign_entries,
+                        curve_speeds)
 
 FLOW_STEPS_PER_UNIT_TIME = 64
 
@@ -236,6 +237,59 @@ def mapping_chart_out(model: ManifoldModel, gamma_ref: SampledCurve,
 # Arc-length normalization (unit-speed representative)
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _interval_integral_rows() -> np.ndarray:
+    """(3, 4) read-only weights that integrate, over one grid interval in
+    units of h, the cubic through a 4-node window; row r is for a window
+    starting r nodes left of the interval's left node."""
+    rows = np.stack([lagrange_integral_weights(np.arange(4) - r, 0.0, 1.0)
+                     for r in range(3)])
+    rows.flags.writeable = False
+    return rows
+
+
+def _window_starts(k: np.ndarray, n: int) -> np.ndarray:
+    """First node of the 4-node window of each interval k of an n-node grid."""
+    return np.clip(k - 1, 0, n - 4)
+
+
+def _hermite(s, ds, h, k, u):
+    """Cubic Hermite values at local u in [0, 1] of intervals k of width h,
+    from the node values s and the node slopes ds."""
+    a = 1 - u
+    return ((1 + 2 * u) * (a * a) * s[k] + u * (a * a) * h * ds[k]
+            + u * u * (3 - 2 * u) * s[k + 1] + u * u * (u - 1) * h * ds[k + 1])
+
+
+def _invert_arclength(s, ds, h, targets):
+    """Interval and local u in [0, 1] where the piecewise Hermite arc length
+    reaches each target: bracketed Newton with a central-difference slope,
+    each target frozen once its update falls below 1e-15 (at most 60
+    iterations)."""
+    k = np.clip(np.searchsorted(s, targets, side="right") - 1, 0, s.size - 2)
+    u = np.full(targets.size, 0.5)
+    lo = np.zeros(targets.size)
+    hi = np.ones(targets.size)
+    live = np.arange(targets.size)
+    for _ in range(60):
+        kl, ul, tl = k[live], u[live], targets[live]
+        val = _hermite(s, ds, h, kl, ul)
+        below = val < tl
+        lo[live] = np.where(below, ul, lo[live])
+        hi[live] = np.where(below, hi[live], ul)
+        du = (_hermite(s, ds, h, kl, np.minimum(ul + 1e-7, 1.0))
+              - _hermite(s, ds, h, kl, np.maximum(ul - 1e-7, 0.0)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = ul + (tl - val) / (du / 2e-7)
+        u_new = np.where((du > 0) & (lo[live] < newton) & (newton < hi[live]),
+                         newton, 0.5 * (lo[live] + hi[live]))
+        u[live] = u_new
+        live = live[~(np.abs(u_new - ul) < 1e-15)]
+        if live.size == 0:
+            break
+    return k, u
+
+
 def arclength_normalize(model: ManifoldModel, gamma: SampledCurve,
                         immersion_floor: float = 1e-6) -> SampledCurve:
     """Reparametrize an immersed curve to unit speed.
@@ -243,12 +297,22 @@ def arclength_normalize(model: ManifoldModel, gamma: SampledCurve,
     Arc length is measured from the base node; the output is resampled on a
     uniform grid over the curve's total signed length with the same node
     count, so output(0) = gamma(0) and the speed is 1 up to grid error.
+
+    All nodes are handled at once: the cumulative arc length integrates the
+    windowed cubic speed model with three cached weight rows, one bracketed
+    Newton over all targets inverts its cubic Hermite interpolant, and the
+    curve is resampled by windowed cubic Lagrange interpolation in the chart
+    of each target's interval, re-expressing only the window entries stored
+    in another chart.
     """
     grid = gamma.grid
     n = grid.nodes.size
     pts = gamma.points
-    speeds = model.g_norms(pts.charts, pts.coords, _velocities(
-        model, grid, [pts.charts], pts.coords[None])[0])
+    speeds = curve_speeds(model, gamma)
+    if not np.all(np.isfinite(speeds)):
+        raise NonFiniteState(
+            f"speed at node {int(np.argmin(np.isfinite(speeds)))} is not "
+            "finite")
     if speeds.min() <= immersion_floor:
         worst = int(np.argmin(speeds))
         raise NotImmersed(
@@ -257,61 +321,29 @@ def arclength_normalize(model: ManifoldModel, gamma: SampledCurve,
 
     # cumulative arc length by integrating the windowed cubic speed model
     h = grid.h
-    s = np.zeros(n)
-    for k in range(n - 1):
-        w = int(np.clip(k - 1, 0, n - 4))
-        positions = np.arange(4) + (w - k)
-        weights = lagrange_integral_weights(positions, 0.0, 1.0)
-        s[k + 1] = s[k] + h * float(weights @ speeds[w:w + 4])
+    k = np.arange(n - 1)
+    w = _window_starts(k, n)
+    window = np.arange(4)
+    rows = _interval_integral_rows()[k - w]
+    per_interval = (rows[:, None, :] @ speeds[w[:, None] + window][:, :, None])
+    s = np.concatenate(([0.0], np.cumsum(h * per_interval[:, 0, 0])))
     s -= s[gamma.base_index]
 
-    def s_of(k: int, u: float) -> float:
-        # cubic Hermite of the arc length on interval k, local u in [0, 1]
-        h00 = (1 + 2 * u) * (1 - u) ** 2
-        h10 = u * (1 - u) ** 2
-        h01 = u * u * (3 - 2 * u)
-        h11 = u * u * (u - 1)
-        return (h00 * s[k] + h10 * h * speeds[k]
-                + h01 * s[k + 1] + h11 * h * speeds[k + 1])
-
-    def invert(target: float) -> float:
-        k = int(np.clip(np.searchsorted(s, target, side="right") - 1, 0, n - 2))
-        lo, hi = 0.0, 1.0
-        u = 0.5
-        for _ in range(60):
-            val = s_of(k, u)
-            if val < target:
-                lo = u
-            else:
-                hi = u
-            du = s_of(k, min(u + 1e-7, 1.0)) - s_of(k, max(u - 1e-7, 0.0))
-            slope = du / 2e-7 if du > 0 else 0.0
-            if slope > 0:
-                step = (target - val) / slope
-                u_new = u + step
-                if not lo < u_new < hi:
-                    u_new = 0.5 * (lo + hi)
-            else:
-                u_new = 0.5 * (lo + hi)
-            if abs(u_new - u) < 1e-15:
-                u = u_new
-                break
-            u = u_new
-        return grid.nodes[k] + u * h
-
-    def sample(t: float) -> tuple[str, np.ndarray]:
-        j = int(np.clip(np.searchsorted(grid.nodes, t, side="right") - 1,
-                        0, n - 2))
-        w = int(np.clip(j - 1, 0, n - 4))
-        chart = pts.charts[j]
-        window = np.stack([_coords_in(model, pts.charts, pts.coords, w + i,
-                                      chart) for i in range(4)])
-        positions = (grid.nodes[w:w + 4] - grid.nodes[j]) / h
-        wts = lagrange_weights(positions, (t - grid.nodes[j]) / h)
-        return chart, wts @ window
-
     new_grid = Grid.regular(float(s[0]), float(s[-1]), n - 1)
-    charts, coords = zip(*(sample(invert(u)) for u in new_grid.nodes))
+    k, u = _invert_arclength(s, speeds, h, new_grid.nodes)
+    t = grid.nodes[k] + u * h
+
+    # resample in the chart of each target's grid interval
+    j = np.clip(np.searchsorted(grid.nodes, t, side="right") - 1, 0, n - 2)
+    index = _window_starts(j, n)[:, None] + window
+    charts = np.asarray(pts.charts)[j].tolist()
+    windows = pts.coords[index]
+    for r, i in _foreign_entries(pts.charts, charts, index):
+        windows[r, i] = _coords_in(model, pts.charts, pts.coords, index[r, i],
+                                   charts[r])
+    wts = lagrange_weights((grid.nodes[index] - grid.nodes[j][:, None]) / h,
+                           (t - grid.nodes[j]) / h)
+    coords = (wts[:, None, :] @ windows)[:, 0]
     base = int(np.argmin(np.abs(new_grid.nodes)))
     return SampledCurve(grid=new_grid, points=Samples(charts, coords),
                         order=gamma.order, base_index=base)

@@ -5,7 +5,10 @@ so validation failures never print partial numeric output.  Exit codes:
 0 success, 2 invalid input, 3 numerical failure or tolerance violation
 (the latter downgraded to a report entry by --tolerance-report-only; there
 is no flag that loosens a tolerance).  A metric that is not finite is a
-numerical failure: no command exits 0 reporting one.
+numerical failure: no command exits 0 reporting one.  So is a grid too
+coarse for its data: synthesize checks the curve it computed like a curve
+file and, when consecutive samples are too far apart, exits 3 and writes
+nothing.
 """
 
 from __future__ import annotations
@@ -29,11 +32,11 @@ from .linearize import p_forward, p_inverse, roundtrip_check
 from .models import MODEL_NAMES, get_model, manifest
 from .polycurves import weierstrass_fit
 from .suite import run_model_suite
-from .transport import curve_velocities
+from .transport import curve_speeds
 
-_VALIDATION_ERRORS = (ValidationError, NoOverlap, NoOracle, GridTooCoarse)
+_VALIDATION_ERRORS = (ValidationError, NoOverlap, NoOracle)
 _NUMERICAL_ERRORS = (NonFiniteState, ChartContinuationFailure, IllConditioned,
-                     OutOfInjectivityRange, NotImmersed)
+                     OutOfInjectivityRange, NotImmersed, GridTooCoarse)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -106,6 +109,11 @@ def _cmd_linearize(args) -> int:
 def _cmd_synthesize(args) -> int:
     model, v = fileio.tangent_curve_from_json(fileio.load_json(args.tangent))
     curve = p_inverse(model, v, substeps=args.n_substeps)
+    try:
+        fileio.validate_curve(model, curve)
+    except ValidationError as exc:
+        raise GridTooCoarse("the grid is too coarse for this tangent curve: "
+                            f"{exc}") from exc
     fileio.dump_json(fileio.curve_to_json(model, curve), args.output)
     if args.csv:
         fileio.curve_to_csv(model, curve, args.csv)
@@ -211,8 +219,7 @@ def _cmd_normalize(args) -> int:
     model, curve = fileio.curve_from_json(fileio.load_json(args.curve))
     out = arclength_normalize(model, curve, immersion_floor=args.floor)
     fileio.dump_json(fileio.curve_to_json(model, out), args.output)
-    speeds = np.array([model.g_norm(v) for v in curve_velocities(model, out)])
-    dev = float(np.max(np.abs(speeds - 1.0)))
+    dev = float(np.max(np.abs(curve_speeds(model, out) - 1.0)))
     return _finish(args, "normalize", {"unit_speed_deviation": 1e-4},
                    {"unit_speed_deviation": dev,
                     "length": float(out.grid.nodes[-1] - out.grid.nodes[0])},

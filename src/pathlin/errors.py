@@ -35,7 +35,8 @@ class NonFiniteState(PathlinError):
 
 
 class GridTooCoarse(PathlinError):
-    """The grid has too few nodes for the requested stencil or operation."""
+    """The grid has too few nodes for the requested stencil or operation, or
+    is too coarse to resolve a computed curve."""
 
 
 class IllConditioned(PathlinError):

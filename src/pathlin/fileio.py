@@ -119,14 +119,18 @@ def grid_to_json(grid: Grid) -> dict:
 def grid_from_json(payload: dict, field: str = "grid") -> Grid:
     spec = _require(payload, field, dict)
     if "nodes" in spec:
-        return Grid(_numeric(spec["nodes"], f"{field}.nodes"))
+        nodes = _numeric(spec["nodes"], f"{field}.nodes")
+        if nodes.ndim == 1 and nodes.size < 5:
+            raise ValidationError(f"field '{field}.nodes' needs at least 5 "
+                                  "nodes")
+        return Grid(nodes)
     for key in ("start", "end", "n"):
         if key not in spec:
             raise ValidationError(f"field {field!r} needs start/end/n or nodes")
     return Grid.regular(
         float(_numeric(spec["start"], f"{field}.start", scalar=True)),
         float(_numeric(spec["end"], f"{field}.end", scalar=True)),
-        _numeric(spec["n"], f"{field}.n", integer=True, minimum=1,
+        _numeric(spec["n"], f"{field}.n", integer=True, minimum=4,
                  maximum=_MAX_INTERVALS))
 
 

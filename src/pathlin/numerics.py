@@ -11,6 +11,10 @@ stencil_windows plus stencil_derivative are the library's only
 finite-difference stencil: callers on a chart atlas re-express each node's
 window in the node's chart in between.
 
+lagrange_weights takes a batch of windows and evaluation points at once;
+lagrange_integral_weights is slow (polynomial products), so its callers
+build the few rows their fixed windows need once and cache them.
+
 Everything here is a pure function over immutable inputs; fixed steps are
 deliberate so results are reproducible across runs and platforms.
 """
@@ -183,16 +187,18 @@ def differentiate(values: np.ndarray, grid: Grid) -> np.ndarray:
     return stencil_derivative(vals[index], grid.h)
 
 
-def lagrange_weights(positions: np.ndarray, x: float) -> np.ndarray:
-    """Weights of Lagrange interpolation through `positions` evaluated at x."""
-    positions = np.asarray(positions, dtype=float)
-    k = positions.size
-    w = np.ones(k)
-    for i in range(k):
-        for j in range(k):
+def lagrange_weights(positions: np.ndarray, x: float | np.ndarray) -> np.ndarray:
+    """Weights of Lagrange interpolation through `positions` evaluated at x.
+
+    Batched: positions (K, k) and x (K,) give the (K, k) weights of K
+    windows, each row with the arithmetic of the single case."""
+    p = np.asarray(positions, dtype=float).T
+    w = np.ones(p.shape)
+    for i in range(len(p)):
+        for j in range(len(p)):
             if j != i:
-                w[i] *= (x - positions[j]) / (positions[i] - positions[j])
-    return w
+                w[i] *= (x - p[j]) / (p[i] - p[j])
+    return np.ascontiguousarray(w.T)
 
 
 def lagrange_integral_weights(positions: np.ndarray, a: float, b: float) -> np.ndarray:

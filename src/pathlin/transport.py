@@ -145,6 +145,14 @@ def curve_velocities(model: ManifoldModel, curve: SampledCurve) -> tuple[Tangent
     return tuple(map(Tangent, pts, vel))
 
 
+def curve_speeds(model: ManifoldModel, curve: SampledCurve) -> np.ndarray:
+    """g-norm of the finite-difference velocity at every node, node by node
+    with g_norm's arithmetic."""
+    pts = curve.points
+    return model.g_norms(pts.charts, pts.coords, _velocities(
+        model, curve.grid, [pts.charts], pts.coords[None])[0])
+
+
 @dataclass
 class _Run:
     lo: int                  # first node, inclusive

@@ -1,21 +1,27 @@
 """Carrier fields, flows, trivializations, mapping charts, normalization."""
 
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from pathlin import Grid, Point, Tangent
+from pathlin import Grid, Point, Tangent, bundleflow, get_model
 from pathlin.bundleflow import (TrivializationChart, arclength_normalize,
                                 carrier_field, flow, make_carrier,
                                 mapping_chart_in, mapping_chart_out, phi,
                                 smooth_step, trivialize, untrivialize)
-from pathlin.errors import NotImmersed, OutOfInjectivityRange
-from pathlin.linearize import p_forward
+from pathlin.errors import (ChartContinuationFailure, NoOverlap, NotImmersed,
+                            OutOfInjectivityRange, PathlinError)
+from pathlin.geometry import Samples
+from pathlin.linearize import TangentCurve, p_forward, p_inverse
+from pathlin.models import sphere_point_from_embedding
+from pathlin.numerics import lagrange_integral_weights, lagrange_weights
 from pathlin.suite import random_curve, random_interior_point, random_tangent
-from pathlin.transport import SampledCurve, curve_velocities
+from pathlin.transport import SampledCurve, _coords_in, curve_velocities
 
-from conftest import assert_close
+from conftest import MODEL_NAMES, assert_close
 
 
 def test_smooth_step_profile():
@@ -249,3 +255,191 @@ def test_arclength_rejects_non_immersed(euclidean):
         arclength_normalize(euclidean,
                             SampledCurve(grid, pts, order=2, base_index=50))
     assert err.value.node is not None
+
+
+# ---------------------------------------------------------------------------
+# The array normalization against the per-node reference
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _integral_row(positions: tuple) -> np.ndarray:
+    # memoized only to keep the reference fast; the cached rows equal fresh
+    # calls bit for bit (test_integral_rows_are_fresh_calls)
+    return lagrange_integral_weights(np.array(positions), 0.0, 1.0)
+
+
+def _reference_normalize(model, gamma):
+    """Arc-length normalization node by node: a scalar bracketed Newton and
+    a per-target resample, the arithmetic the array version keeps."""
+    grid = gamma.grid
+    n = grid.nodes.size
+    pts = gamma.points
+    speeds = bundleflow.curve_speeds(model, gamma)
+    h = grid.h
+    s = np.zeros(n)
+    for k in range(n - 1):
+        w = int(np.clip(k - 1, 0, n - 4))
+        weights = _integral_row(tuple(np.arange(4) + (w - k)))
+        s[k + 1] = s[k] + h * float(weights @ speeds[w:w + 4])
+    s -= s[gamma.base_index]
+
+    def s_of(k, u):
+        h00 = (1 + 2 * u) * (1 - u) ** 2
+        h10 = u * (1 - u) ** 2
+        h01 = u * u * (3 - 2 * u)
+        h11 = u * u * (u - 1)
+        return (h00 * s[k] + h10 * h * speeds[k]
+                + h01 * s[k + 1] + h11 * h * speeds[k + 1])
+
+    def invert(target):
+        k = int(np.clip(np.searchsorted(s, target, side="right") - 1, 0,
+                        n - 2))
+        lo, hi = 0.0, 1.0
+        u = 0.5
+        for _ in range(60):
+            val = s_of(k, u)
+            if val < target:
+                lo = u
+            else:
+                hi = u
+            du = s_of(k, min(u + 1e-7, 1.0)) - s_of(k, max(u - 1e-7, 0.0))
+            slope = du / 2e-7 if du > 0 else 0.0
+            if slope > 0:
+                u_new = u + (target - val) / slope
+                if not lo < u_new < hi:
+                    u_new = 0.5 * (lo + hi)
+            else:
+                u_new = 0.5 * (lo + hi)
+            if abs(u_new - u) < 1e-15:
+                u = u_new
+                break
+            u = u_new
+        return grid.nodes[k] + u * h
+
+    def sample(t):
+        j = int(np.clip(np.searchsorted(grid.nodes, t, side="right") - 1, 0,
+                        n - 2))
+        w = int(np.clip(j - 1, 0, n - 4))
+        chart = pts.charts[j]
+        window = np.stack([_coords_in(model, pts.charts, pts.coords, w + i,
+                                      chart) for i in range(4)])
+        positions = (grid.nodes[w:w + 4] - grid.nodes[j]) / h
+        wts = lagrange_weights(positions, (t - grid.nodes[j]) / h)
+        return chart, wts @ window
+
+    new_grid = Grid.regular(float(s[0]), float(s[-1]), n - 1)
+    charts, coords = zip(*(sample(invert(u)) for u in new_grid.nodes))
+    return SampledCurve(grid=new_grid, points=Samples(charts, coords),
+                        order=gamma.order,
+                        base_index=int(np.argmin(np.abs(new_grid.nodes))))
+
+
+def _assert_matches_reference(model, gamma):
+    ref = _reference_normalize(model, gamma)
+    out = arclength_normalize(model, gamma)
+    assert out.points.charts == ref.points.charts
+    assert np.array_equal(out.grid.nodes, ref.grid.nodes)
+    assert out.base_index == ref.base_index and out.order == ref.order
+    # Python's (1 - u) ** 2 is C pow, the array form squares: they may
+    # differ in the last bit
+    assert np.max(np.abs(out.points.coords - ref.points.coords)) <= 1e-15
+    return out
+
+
+def test_integral_rows_are_fresh_calls():
+    rows = bundleflow._interval_integral_rows()
+    assert rows.shape == (3, 4) and not rows.flags.writeable
+    for r in range(3):
+        fresh = lagrange_integral_weights(np.arange(4) - r, 0.0, 1.0)
+        assert np.array_equal(rows[r], fresh), r
+
+
+def test_batched_lagrange_weights_are_single_calls():
+    rng = np.random.default_rng(29)
+    positions = np.sort(rng.uniform(-2.0, 2.0, size=(7, 4)), axis=1)
+    x = rng.uniform(-1.0, 1.0, size=7)
+    batched = lagrange_weights(positions, x)
+    for i in range(7):
+        assert np.array_equal(batched[i], lagrange_weights(positions[i], x[i]))
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+@given(n=st.integers(4, 32), two_sided=st.booleans(),
+       seed=st.integers(0, 2**16), c0=st.floats(0.3, 2.5),
+       c1=st.floats(-0.25, 0.25), d0=st.floats(-1.0, 1.0),
+       d1=st.floats(-0.5, 0.5), freq=st.floats(0.0, 4.0))
+def test_normalize_matches_reference(name, n, two_sided, seed, c0, c1, d0,
+                                     d1, freq):
+    # transported components of speed >= c0 - |c1| >= 0.05: immersed; the
+    # longer ones reach a chart margin and are stored in several charts
+    model = get_model(name)
+    grid = (Grid.regular(-1.0, 1.0, 2 * n) if two_sided
+            else Grid.regular(0.0, 1.0, n))
+    t = grid.nodes
+    comps = np.stack([c0 + c1 * np.sin(freq * t),
+                      d0 + d1 * np.cos(freq * t)], axis=1)
+    p = random_interior_point(model, np.random.default_rng(seed))
+    gamma = p_inverse(model, TangentCurve(p, model.orthonormal_frame(p),
+                                          grid, comps))
+    try:
+        _reference_normalize(model, gamma)
+    except PathlinError as exc:
+        # a window too coarse to re-express: the same failure, same node
+        with pytest.raises(type(exc)) as out:
+            arclength_normalize(model, gamma)
+        assert str(out.value) == str(exc)
+        return
+    _assert_matches_reference(model, gamma)
+
+
+def _meridian(sphere, grid):
+    # a meridian from polar angle 1.2 to 2.0 across the equator, stored in
+    # the north chart above it and in the south chart below it
+    theta = 1.2 + 0.8 * (grid.nodes - grid.nodes[0])
+    pts = tuple(sphere_point_from_embedding(
+        np.array([math.sin(a), 0.0, math.cos(a)]),
+        prefer="north" if a < 0.5 * math.pi else "south") for a in theta)
+    return SampledCurve(grid, pts, order=2)
+
+
+def test_normalize_two_chart_curve_matches_reference(sphere):
+    gamma = _meridian(sphere, Grid.regular(0.0, 1.0, 60))
+    assert set(gamma.points.charts) == {"north", "south"}
+    out = _assert_matches_reference(sphere, gamma)
+    assert set(out.points.charts) == {"north", "south"}
+
+
+def test_normalize_five_nodes_matches_reference(model):
+    # 4 intervals: the integral windows start 0, 1 and 2 nodes to the left
+    gamma = random_curve(model, np.random.default_rng(31),
+                         Grid.regular(0.0, 1.0, 4))
+    _assert_matches_reference(model, gamma)
+
+
+def test_normalize_two_sided_matches_reference(model):
+    gamma = random_curve(model, np.random.default_rng(37),
+                         Grid.regular(-1.0, 1.0, 80))
+    assert gamma.base_index == 40
+    out = _assert_matches_reference(model, gamma)
+    assert out.grid.nodes[0] < 0.0 < out.grid.nodes[-1]
+
+
+def test_normalize_continuation_failure_names_reference_node(sphere,
+                                                             monkeypatch):
+    # re-expressing a window entry fails only after the speeds are taken,
+    # so the failure comes from the resample
+    gamma = _meridian(sphere, Grid.regular(0.0, 1.0, 60))
+    speeds = bundleflow.curve_speeds(sphere, gamma)
+    monkeypatch.setattr(bundleflow, "curve_speeds", lambda model, c: speeds)
+
+    def no_transition(point, target):
+        raise NoOverlap("no transition in this test")
+
+    monkeypatch.setattr(sphere, "transition", no_transition)
+    with pytest.raises(ChartContinuationFailure) as ref:
+        _reference_normalize(sphere, gamma)
+    with pytest.raises(ChartContinuationFailure) as out:
+        arclength_normalize(sphere, gamma)
+    assert ref.value.node is not None
+    assert out.value.node == ref.value.node
+    assert str(out.value) == str(ref.value)

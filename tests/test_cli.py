@@ -13,7 +13,7 @@ from pathlin import Frame, Grid, Point, Tangent, get_model
 from pathlin import fileio
 from pathlin.cli import main
 from pathlin.linearize import TangentCurve, p_forward
-from pathlin.transport import SampledCurve
+from pathlin.transport import SampledCurve, curve_velocities
 
 
 @pytest.fixture
@@ -144,12 +144,17 @@ def test_flow_and_trivialize_commands(tmp_path, capsys, sphere_fixture):
 
 
 def test_normalize_command(tmp_path, capsys, sphere_fixture):
-    _, _, path = sphere_fixture
+    sphere, _, path = sphere_fixture
     out = tmp_path / "unit.json"
     assert main(["normalize", str(path), "-o", str(out),
                  "--report", str(tmp_path / "n.json")]) == 0
     report = json.loads((tmp_path / "n.json").read_text())
     assert report["metrics"]["unit_speed_deviation"] < 1e-4
+    # the reported deviation is that of g_norm on each written node's
+    # velocity, to the bit
+    _, unit = fileio.curve_from_json(fileio.load_json(out))
+    assert report["metrics"]["unit_speed_deviation"] == max(
+        abs(sphere.g_norm(v) - 1.0) for v in curve_velocities(sphere, unit))
 
 
 def test_unknown_model_exits_2(capsys):
@@ -206,6 +211,24 @@ def test_synthesize_numerical_failure_exits_3(tmp_path, capsys, monkeypatch,
     assert "Traceback" not in err
 
 
+def test_synthesize_too_coarse_grid_exits_3(tmp_path, capsys):
+    # |v| = 40 on 8 intervals: consecutive samples are 5 rad apart, so the
+    # curve cannot be written as a valid curve file
+    sphere = get_model("sphere2")
+    p = Point("north", [0.0, 0.0])
+    v = TangentCurve(p, sphere.orthonormal_frame(p),
+                     Grid.regular(0.0, 1.0, 8), np.tile([40.0, 0.0], (9, 1)))
+    path = tmp_path / "tangent.json"
+    fileio.dump_json(fileio.tangent_curve_to_json(sphere, v), path)
+    out = tmp_path / "out.json"
+    code = main(["synthesize", str(path), "-o", str(out)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "too coarse" in err and "samples[0] and samples[1]" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 # each case: (command, input kind, key path into the input payload, the
 # malformed value stored there, the field the error must name)
 _MALFORMED = {
@@ -224,6 +247,9 @@ _MALFORMED = {
                    "grid.start"),
     "list_end": ("roundtrip", "curve", ("grid", "end"), [1.0], "grid.end"),
     "huge_n": ("roundtrip", "curve", ("grid", "n"), 1e300, "grid.n"),
+    "three_intervals": ("roundtrip", "curve", ("grid", "n"), 3, "grid.n"),
+    "four_nodes": ("roundtrip", "curve", ("grid",),
+                   {"nodes": [0.0, 0.25, 0.5, 1.0]}, "grid.nodes"),
 }
 
 
@@ -271,7 +297,8 @@ def tiny_grid_file(tmp_path, sphere_fixture):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("command,options", [
-    ("linearize", ["-o", "out.json"]), ("polyfit", ["--degree", "2"])])
+    ("linearize", ["-o", "out.json"]), ("polyfit", ["--degree", "2"]),
+    ("normalize", ["-o", "out.json"])])
 def test_non_finite_metric_exits_3(tmp_path, capsys, tiny_grid_file, command,
                                    options):
     report = tmp_path / "rep.json"
@@ -316,14 +343,21 @@ _CURVE_FIELDS = [("grid",), ("grid", "start"), ("grid", "end"), ("grid", "n"),
                  ("samples", 7, "chart"), ("samples", 7, "coords")]
 
 
+# each fuzzed command with the options it needs besides the curve file
+_FUZZ_COMMANDS = {"linearize": ["-o", "out.json"],
+                  "normalize": ["-o", "out.json"],
+                  "polyfit": ["--degree", "4"]}
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command", sorted(_FUZZ_COMMANDS))
 @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(keys=st.sampled_from(_CURVE_FIELDS), value=_JSON_VALUES)
-def test_fuzzed_curve_field_exits_cleanly(tmp_path, sphere_fixture, keys,
-                                          value):
-    # one field of a valid curve file replaced by any JSON value: linearize
-    # exits 0, 2 or 3 without an exception, and exits 0 only with finite
-    # metrics
+def test_fuzzed_curve_field_exits_cleanly(tmp_path, sphere_fixture, command,
+                                          keys, value):
+    # one field of a valid curve file replaced by any JSON value: the
+    # command exits 0, 2 or 3 without an exception, and exits 0 only with
+    # finite metrics
     _, _, path = sphere_fixture
     payload = json.loads(path.read_text())
     target = payload
@@ -334,10 +368,11 @@ def test_fuzzed_curve_field_exits_cleanly(tmp_path, sphere_fixture, keys,
     bad.write_text(json.dumps(payload))
     report = tmp_path / "fuzzed_report.json"
     report.unlink(missing_ok=True)
+    options = [str(tmp_path / o) if o.endswith(".json") else o
+               for o in _FUZZ_COMMANDS[command]]
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
-        code = main(["linearize", str(bad), "-o", str(tmp_path / "out.json"),
-                     "--report", str(report)])
+        code = main([command, str(bad), "--report", str(report)] + options)
     assert code in (0, 2, 3)
     if code == 0:
         metrics = json.loads(report.read_text())["metrics"]
