@@ -107,13 +107,13 @@ def carrier_field(spec: CarrierFieldSpec, m: Point) -> Tangent:
 
 
 def _flow_many(spec: CarrierFieldSpec, charts: list, coords: np.ndarray,
-               time: float, steps: int | None):
-    """RK4 flow of a batch of points (independent trajectories), grouped by
-    chart per stage; charts switch per element at step boundaries."""
+               time: float):
+    """RK4 flow of a batch of points (independent trajectories) in
+    max(16, ceil(64 |time|)) steps, grouped by chart per stage; charts
+    switch per element at step boundaries."""
     if time == 0.0:
         return charts, coords
-    if steps is None:
-        steps = max(16, int(math.ceil(FLOW_STEPS_PER_UNIT_TIME * abs(time))))
+    steps = max(16, int(math.ceil(FLOW_STEPS_PER_UNIT_TIME * abs(time))))
     model = spec.model
     h = time / steps
     k = coords.shape[0]
@@ -138,18 +138,17 @@ def _flow_many(spec: CarrierFieldSpec, charts: list, coords: np.ndarray,
     return charts, coords
 
 
-def flow(spec: CarrierFieldSpec, m: Point, time: float,
-         steps: int | None = None) -> Point:
+def flow(spec: CarrierFieldSpec, m: Point, time: float) -> Point:
     """RK4 flow of the carrier field for a signed time, switching charts when
     the trajectory reaches a margin."""
     charts, coords = _flow_many(spec, [m.chart_id], m.coords[None, :].copy(),
-                                time, steps)
+                                time)
     return Point(charts[0], coords[0])
 
 
-def phi(spec: CarrierFieldSpec, m: Point, steps: int | None = None) -> Point:
-    """Time-1 flow; phi(spec, p) lands on q at the default resolution."""
-    return flow(spec, m, 1.0, steps)
+def phi(spec: CarrierFieldSpec, m: Point) -> Point:
+    """Time-1 flow; phi(spec, p) lands on q."""
+    return flow(spec, m, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -160,18 +159,17 @@ def phi(spec: CarrierFieldSpec, m: Point, steps: int | None = None) -> Point:
 class TrivializationChart:
     """Trivialization machinery over a base point p.
 
-    The carrier cache is keyed by the fiber point and flow resolution; reads
-    may be concurrent and population is idempotent, so results are
-    deterministic regardless of interleaving.
+    The carrier cache is keyed by the fiber point; reads may be concurrent
+    and population is idempotent, so results are deterministic regardless
+    of interleaving.
     """
 
     model: ManifoldModel
     p: Point
-    steps: int = FLOW_STEPS_PER_UNIT_TIME
     _carriers: dict = field(default_factory=dict, repr=False)
 
     def carrier(self, m: Point) -> CarrierFieldSpec:
-        key = (m.chart_id, tuple(m.coords), self.steps)
+        key = (m.chart_id, tuple(m.coords))
         spec = self._carriers.get(key)
         if spec is None:
             spec = make_carrier(self.model, self.p, m)
@@ -179,17 +177,17 @@ class TrivializationChart:
         return spec
 
 
-def _flow_curve(spec: CarrierFieldSpec, gamma: SampledCurve, time: float,
-                steps: int) -> SampledCurve:
+def _flow_curve(spec: CarrierFieldSpec, gamma: SampledCurve,
+                time: float) -> SampledCurve:
     charts, coords = _flow_many(spec, list(gamma.points.charts),
-                                gamma.points.coords.copy(), time, steps)
+                                gamma.points.coords.copy(), time)
     return replace(gamma, points=Samples(charts, coords))
 
 
 def trivialize(chart: TrivializationChart, m: Point,
                gamma: SampledCurve) -> SampledCurve:
     """Carry a curve over p to a curve over m by composing with phi_{p,m}."""
-    return _flow_curve(chart.carrier(m), gamma, 1.0, chart.steps)
+    return _flow_curve(chart.carrier(m), gamma, 1.0)
 
 
 def untrivialize(chart: TrivializationChart,
@@ -197,7 +195,7 @@ def untrivialize(chart: TrivializationChart,
     """Inverse trivialization: read off the fiber point sigma(base) and pull
     the curve back over p with the reversed flow."""
     m = sigma.basepoint
-    back = _flow_curve(chart.carrier(m), sigma, -1.0, chart.steps)
+    back = _flow_curve(chart.carrier(m), sigma, -1.0)
     return m, back
 
 
@@ -210,15 +208,14 @@ def mapping_chart_in(model: ManifoldModel, gamma_ref: SampledCurve,
     """Section of the tangent bundle along gamma_ref representing f."""
     if f.grid.nodes.size != gamma_ref.grid.nodes.size:
         raise ValidationError("curves must share their grid")
-    out = []
-    for j, (ref, target) in enumerate(zip(gamma_ref.points, f.points)):
-        d = model.dist_oracle(ref, target)
-        if d >= model.r0(ref):
+    model._require_oracle()
+    dists = model.point_distances(gamma_ref.points, f.points)
+    for j, ref in enumerate(gamma_ref.points):
+        if dists[j] >= model.r0(ref):
             raise OutOfInjectivityRange(
-                f"node {j}: d = {d:.6f} exceeds r0 = {model.r0(ref):.6f}",
-                node=j)
-        out.append(model.log_oracle(ref, target))
-    return tuple(out)
+                f"node {j}: d = {dists[j]:.6f} exceeds r0 = "
+                f"{model.r0(ref):.6f}", node=j)
+    return tuple(map(model.log_oracle, gamma_ref.points, f.points))
 
 
 def mapping_chart_out(model: ManifoldModel, gamma_ref: SampledCurve,

@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from . import fileio
+from . import bundleflow, fileio
 from .bundleflow import (TrivializationChart, arclength_normalize, flow,
                          make_carrier, trivialize, untrivialize)
 from .cubemaps import p2_forward, p2_inverse
@@ -359,6 +359,11 @@ def _validate_args(args) -> None:
     if args.command == "normalize" and \
             not (math.isfinite(args.floor) and args.floor >= 0):
         raise ValidationError("--floor must be a finite number >= 0")
+    max_time = fileio._MAX_INTERVALS / bundleflow.FLOW_STEPS_PER_UNIT_TIME
+    if args.command == "flow" and not abs(args.time) <= max_time:  # nan too
+        raise ValidationError(f"--time must be finite, |time| <= {max_time:g}")
+    if args.command == "check" and args.cube_n < 4:
+        raise ValidationError("--cube-n must be at least 4")
     if args.command == "trivialize":
         if args.inverse and not args.base:
             raise ValidationError("--inverse requires --base CHART:x,y")

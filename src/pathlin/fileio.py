@@ -222,20 +222,23 @@ def curve_from_json(payload: dict) -> tuple[ManifoldModel, SampledCurve]:
 
 def validate_curve(model: ManifoldModel, curve: SampledCurve) -> None:
     """Sampled-curve invariants: consecutive points share a chart after at
-    most one transition and stay within the injectivity floor."""
-    for j in range(len(curve.points) - 1):
-        a, b = curve.points[j], curve.points[j + 1]
+    most one transition and stay within the injectivity floor.  The first
+    failing pair is reported, its chart test before its distance test."""
+    pts = curve.points
+    if model.oracle is not None:
+        dists = model.point_distances(pts[:-1], pts[1:])
+    for j in range(len(pts) - 1):
+        a, b = pts[j], pts[j + 1]
         try:
             model.transition(b, a.chart_id)
         except Exception:
             raise ValidationError(
                 f"samples[{j}] and samples[{j + 1}] share no chart")
-        if model.oracle is not None:
-            d = model.dist_oracle(a, b)
-            if d >= min(model.r0(a), model.r0(b)):
-                raise ValidationError(
-                    f"samples[{j}] and samples[{j + 1}] are {d:.4f} apart, "
-                    "beyond the injectivity floor")
+        if model.oracle is not None and \
+                dists[j] >= min(model.r0(a), model.r0(b)):
+            raise ValidationError(
+                f"samples[{j}] and samples[{j + 1}] are {dists[j]:.4f} apart, "
+                "beyond the injectivity floor")
 
 
 # -- tangent curves -----------------------------------------------------------

@@ -2,8 +2,9 @@
 
 A model is a subclass of ManifoldModel.  It is constructed from explicit
 coordinate charts with transition maps (and their Jacobians), an optional
-closed-form exp/log/dist oracle and a conservative injectivity floor r0,
-and it implements the Christoffel symbols and the metric as methods.  The
+closed-form Oracle of exp/log/dist, whose array kernels also serve
+point_distances, and a conservative injectivity floor r0, and it
+implements the Christoffel symbols and the metric as methods.  The
 connection is given as Gamma^l_{kj} directly; it must be compatible with
 the metric but need not be Levi-Civita, and the constructor probes the
 compatibility residual.
@@ -20,7 +21,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import NoOracle, NoOverlap, ValidationError
+from .errors import NoOracle, NoOverlap, OutOfInjectivityRange, ValidationError
 
 INSIDE = "inside"
 MARGIN = "margin"
@@ -188,19 +189,14 @@ class TransitionMap:
 class Oracle:
     """Closed-form exp/log/dist for a model geometry.
 
-    The scalar methods take chart-tagged values.  The *_from kernels are
-    fixed-chart batch variants used by the flow machinery: all coordinates
-    live in one named chart and nothing is validated.  Every method is
-    abstract; each model's oracle implements all six in closed form.
+    A model's oracle writes each closed form once: exp, which chooses the
+    chart of its result, and three kernels on (K, m) arrays in one named
+    chart, which validate nothing.  dist_from pairs p's coordinates, one
+    point (m,) or K points (K, m), with the K points; log_from and exp_from
+    take a single p.  dist and log are the kernels' K = 1 case.
     """
 
     def exp(self, model: "ManifoldModel", p: Point, v: Tangent) -> Point:
-        raise NotImplementedError
-
-    def log(self, model: "ManifoldModel", p: Point, q: Point) -> Tangent:
-        raise NotImplementedError
-
-    def dist(self, model: "ManifoldModel", p: Point, q: Point) -> float:
         raise NotImplementedError
 
     def dist_from(self, model: "ManifoldModel", p: Point, chart_id: str,
@@ -214,6 +210,18 @@ class Oracle:
     def exp_from(self, model: "ManifoldModel", p: Point, vecs: np.ndarray,
                  chart_id: str) -> np.ndarray:
         raise NotImplementedError
+
+    def dist(self, model: "ManifoldModel", p: Point, q: Point) -> float:
+        return float(self.dist_from(model, p, q.chart_id, q.coords[None])[0])
+
+    def log(self, model: "ManifoldModel", p: Point, q: Point) -> Tangent:
+        """log_p(q); OutOfInjectivityRange unless d(p, q) < r0(p)."""
+        d = self.dist(model, p, q)
+        if d >= model.r0(p):
+            raise OutOfInjectivityRange(
+                f"d(p, q) = {d:.6f} exceeds r0 = {model.r0(p):.6f}")
+        return Tangent(p, self.log_from(model, p, q.chart_id,
+                                        q.coords[None])[0])
 
 
 class ManifoldModel:
@@ -413,6 +421,24 @@ class ManifoldModel:
             return self.dist_oracle(p, q)
         q_in_p = self.transition(q, p.chart_id)
         return float(np.linalg.norm(p.coords - q_in_p.coords))
+
+    def point_distances(self, a: Samples, b: Samples) -> np.ndarray:
+        """point_distance at each position of a and b, two Samples of one
+        shape: one oracle kernel call per pair of charts, else per pair."""
+        if a.coords.shape != b.coords.shape:
+            raise ValidationError("paired samples must have one shape")
+        pairs = list(zip(np.ravel(a.charts).tolist(),
+                         np.ravel(b.charts).tolist()))
+        xa, xb = a.coords.reshape(-1, self.dim), b.coords.reshape(-1, self.dim)
+        if self.oracle is None:
+            out = [self.point_distance(Point(ca, x), Point(cb, y))
+                   for (ca, cb), x, y in zip(pairs, xa, xb)]
+        else:
+            out = np.empty(len(xa))
+            for (ca, cb), idx in chart_groups(pairs).items():
+                out[idx] = self.oracle.dist_from(self, Point(ca, xa[idx]), cb,
+                                                 xb[idx])
+        return np.reshape(out, a.coords.shape[:-1])
 
     # -- construction-time validation ------------------------------------------
 

@@ -147,10 +147,7 @@ def p_forward(model: ManifoldModel, curve: SampledCurve,
 # ---------------------------------------------------------------------------
 
 def _switch_state(model, chart, x, cols, node, switch_log):
-    """Re-express position and frame columns when the state hits a margin."""
-    status = model.chart(chart).domain_test(x)
-    if status == INSIDE:
-        return chart, x, cols
+    """Re-express a state the caller found outside its chart's interior."""
     here = Point(chart, x)
     try:
         moved = model.select_chart(here)
@@ -405,8 +402,7 @@ def roundtrip_check(model: ManifoldModel, curve: SampledCurve,
     report = p_forward(model, curve, frame0, substeps)
     rebuilt = p_inverse(model, report.tangent_curve, substeps=substeps,
                         order=curve.order)
-    dists = np.array([model.point_distance(a, b)
-                      for a, b in zip(curve.points, rebuilt.points)])
+    dists = model.point_distances(curve.points, rebuilt.points)
     return RoundtripReport(max_distance=float(dists.max()), distances=dists,
                            reconstructed=rebuilt, forward=report)
 
@@ -429,8 +425,7 @@ def basis_independence_check(model: ManifoldModel, curve: SampledCurve,
                       components=comps_b)
     ga = p_inverse(model, rep.tangent_curve, substeps=substeps)
     gb = p_inverse(model, vb, substeps=substeps)
-    return float(max(model.point_distance(a, b)
-                     for a, b in zip(ga.points, gb.points)))
+    return float(np.max(model.point_distances(ga.points, gb.points)))
 
 
 def chart_independence_check(model: ManifoldModel, curve: SampledCurve,
@@ -450,8 +445,7 @@ def chart_independence_check(model: ManifoldModel, curve: SampledCurve,
 
     ga = p_inverse(model, rep.tangent_curve, substeps=substeps)
     gb = p_inverse(model, vb, substeps=substeps)
-    return float(max(model.point_distance(a, b)
-                     for a, b in zip(ga.points, gb.points)))
+    return float(np.max(model.point_distances(ga.points, gb.points)))
 
 
 def rescale_to_unit(v: TangentCurve, a: float) -> TangentCurve:

@@ -16,7 +16,7 @@ from operator import mul
 
 import numpy as np
 
-from .errors import NoOverlap, OutOfInjectivityRange, ValidationError
+from .errors import NoOverlap, ValidationError
 from .geometry import (INSIDE, MARGIN, OUTSIDE, ChartSpec, ManifoldModel,
                        Oracle, Point, Tangent, TransitionMap)
 
@@ -107,12 +107,6 @@ class _EuclideanOracle(Oracle):
     def exp(self, model, p, v):
         return Point(p.chart_id, p.coords + v.components)
 
-    def log(self, model, p, q):
-        return Tangent(p, q.coords - p.coords)
-
-    def dist(self, model, p, q):
-        return float(np.linalg.norm(q.coords - p.coords))
-
     def dist_from(self, model, p, chart_id, coords):
         return np.linalg.norm(coords - p.coords, axis=1)
 
@@ -166,13 +160,14 @@ def _inversion_jacobian(coords: np.ndarray) -> np.ndarray:
 
 
 def sphere_embed(point: Point) -> np.ndarray:
-    """Chart coordinates -> unit-sphere point in R^3."""
-    x, y = point.coords
+    """Chart coordinates, (2,) or (K, 2), -> unit-sphere points in R^3,
+    (3,) or (K, 3)."""
+    x, y = point.coords.T
     d = 1.0 + x * x + y * y
     z = (2.0 - d) / d
     if point.chart_id == "south":
         z = -z
-    return np.array([2.0 * x / d, 2.0 * y / d, z])
+    return np.array([2.0 * x / d, 2.0 * y / d, z]).T
 
 
 def _sphere_embed_jacobian(point: Point) -> np.ndarray:
@@ -253,22 +248,6 @@ class _SphereOracle(Oracle):
             return p
         Q = math.cos(theta) * P + math.sin(theta) * W / theta
         return sphere_point_from_embedding(Q, prefer=p.chart_id)
-
-    def log(self, model, p, q):
-        P = sphere_embed(p)
-        Q = sphere_embed(q)
-        theta = float(_sphere_angle(P, Q))
-        if theta >= model.r0(p):
-            raise OutOfInjectivityRange(
-                f"d(p, q) = {theta:.6f} exceeds r0 = {model.r0(p):.6f}")
-        u = Q - (P @ Q) * P
-        n = float(np.linalg.norm(u))
-        if n < 1e-300:
-            return Tangent(p, np.zeros(2))
-        return sphere_pull_from_embedding(p, theta * u / n)
-
-    def dist(self, model, p, q):
-        return float(_sphere_angle(sphere_embed(p), sphere_embed(q)))
 
     @staticmethod
     def _embed_many(chart_id: str, coords: np.ndarray) -> np.ndarray:
@@ -366,28 +345,15 @@ class _DiskOracle(Oracle):
         scale = math.tanh(0.5 * lam * ve)
         return Point(p.chart_id, mobius_add(p.coords, scale * v.components / ve))
 
-    def log(self, model, p, q):
-        w = mobius_add(-p.coords, q.coords)
-        n = float(np.linalg.norm(w))
-        if n < 1e-300:
-            return Tangent(p, np.zeros(2))
-        d = 2.0 * math.atanh(min(n, 1.0 - 1e-16))
-        if d >= model.r0(p):
-            raise OutOfInjectivityRange(
-                f"d(p, q) = {d:.6f} exceeds r0 = {model.r0(p):.6f}")
-        lam = 2.0 / (1.0 - float(p.coords @ p.coords))
-        return Tangent(p, (d / lam) * w / n)
-
-    def dist(self, model, p, q):
-        n = float(np.linalg.norm(mobius_add(-p.coords, q.coords)))
-        return 2.0 * math.atanh(min(n, 1.0 - 1e-16))
-
     @staticmethod
     def _mobius_many(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        ab = b @ a
-        a2 = float(a @ a)
+        """Mobius sums a (+) b[k]: one point a (m,), or a (K, m) by rows."""
+        if a.ndim == 1:
+            ab, a2 = b @ a, a @ a
+        else:
+            ab, a2 = np.sum(a * b, axis=1), np.sum(a * a, axis=1)
         b2 = np.sum(b * b, axis=1)
-        num = (1.0 + 2.0 * ab + b2)[:, None] * a + (1.0 - a2) * b
+        num = (1.0 + 2.0 * ab + b2)[:, None] * a + (1.0 - a2)[..., None] * b
         return num / (1.0 + 2.0 * ab + a2 * b2)[:, None]
 
     def dist_from(self, model, p, chart_id, coords):
@@ -439,10 +405,8 @@ def _torus_window_starts(chart_id: str) -> tuple[float, float]:
 
 
 def _torus_wrap(values: np.ndarray, starts: tuple[float, float]) -> np.ndarray:
-    out = np.empty(2)
-    for i in range(2):
-        out[i] = (values[i] - starts[i]) % TWO_PI + starts[i]
-    return out
+    """Angles (..., 2) wrapped into the window [starts, starts + 2 pi)."""
+    return (values - np.asarray(starts)) % TWO_PI + np.asarray(starts)
 
 
 def _torus_domain_for(starts):
@@ -483,18 +447,6 @@ class _TorusOracle(Oracle):
     def exp(self, model, p, v):
         return torus_point_from_angles(p.coords + v.components, prefer=p.chart_id)
 
-    def log(self, model, p, q):
-        diff = _torus_wrap(q.coords - p.coords, (-math.pi, -math.pi))
-        d = float(np.linalg.norm(diff))
-        if d >= model.r0(p):
-            raise OutOfInjectivityRange(
-                f"d(p, q) = {d:.6f} exceeds r0 = {model.r0(p):.6f}")
-        return Tangent(p, diff)
-
-    def dist(self, model, p, q):
-        diff = _torus_wrap(q.coords - p.coords, (-math.pi, -math.pi))
-        return float(np.linalg.norm(diff))
-
     @staticmethod
     def _shortest_many(diff: np.ndarray) -> np.ndarray:
         return (diff + math.pi) % TWO_PI - math.pi
@@ -506,11 +458,7 @@ class _TorusOracle(Oracle):
         return self._shortest_many(coords - p.coords)
 
     def exp_from(self, model, p, vecs, chart_id):
-        starts = _torus_window_starts(chart_id)
-        out = p.coords + vecs
-        for i in range(2):
-            out[:, i] = (out[:, i] - starts[i]) % TWO_PI + starts[i]
-        return out
+        return _torus_wrap(p.coords + vecs, _torus_window_starts(chart_id))
 
 
 def _torus2() -> ManifoldModel:

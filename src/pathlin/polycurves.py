@@ -127,8 +127,7 @@ def weierstrass_fit(model: ManifoldModel, curve: SampledCurve, degree: int,
     coeffs = fit_poly(comps, curve.grid, degree, basis)
     poly = make_polynomial_like(model, frame0.base, frame0, coeffs,
                                 curve.grid, substeps=substeps)
-    c0 = np.max([model.point_distance(a, b)
-                 for a, b in zip(curve.points, poly.realized.points)])
+    c0 = np.max(model.point_distances(curve.points, poly.realized.points))
     comps_fit = _p_forward_detailed(model, poly.realized, frame0, substeps)[1]
     gram = model.frame_gram(frame0)
     gaps = comps - comps_fit

@@ -362,9 +362,7 @@ def cubemaps_checks(model: ManifoldModel, seed: int, substeps: int = 2,
     err_lin = max(float(np.max(np.abs(lin_back.v1 - v1))),
                   float(np.max(np.abs(lin_back.v2 - v2))))
     alpha_back = p2_inverse(model, lin_back, substeps=substeps)
-    err_cube = max(model.point_distance(x, y)
-                   for ra, rb in zip(alpha.points, alpha_back.points)
-                   for x, y in zip(ra, rb))
+    err_cube = np.max(model.point_distances(alpha.points, alpha_back.points))
     out = [_check("cubemaps.roundtrip_linearization", err_lin, 1e-4),
            _check("cubemaps.roundtrip_cube", err_cube, 1e-4)]
 
@@ -503,8 +501,7 @@ def bundleflow_checks(model: ManifoldModel, seed: int,
     sigma = trivialize(triv, fiber, curve)
     start_err = model.dist_oracle(sigma.points[curve.base_index], fiber)
     _, back = untrivialize(triv, sigma)
-    worst_triv = max(model.point_distance(x, y)
-                     for x, y in zip(curve.points, back.points))
+    worst_triv = np.max(model.point_distances(curve.points, back.points))
     out.append(_check("bundleflow.trivialize_start", start_err, 1e-6))
     out.append(_check("bundleflow.trivialize_roundtrip", worst_triv, 1e-5))
 
@@ -522,8 +519,8 @@ def bundleflow_checks(model: ManifoldModel, seed: int,
                               for pt in curve.points])
     crossed = mapping_chart_in(model, ref2, nearby)
     nearby_back = mapping_chart_out(model, ref2, crossed)
-    worst_cross = max(model.point_distance(x, y)
-                      for x, y in zip(nearby.points, nearby_back.points))
+    worst_cross = np.max(model.point_distances(nearby.points,
+                                               nearby_back.points))
     out.append(_check("bundleflow.mapping_cross_reference", worst_cross, 1e-7))
 
     # a clearly immersed fixture: the unit-speed bound presupposes the
@@ -541,8 +538,8 @@ def bundleflow_checks(model: ManifoldModel, seed: int,
                       1e-4))
     again = arclength_normalize(model, normalized)
     out.append(_check("bundleflow.arclength_idempotent",
-                      max(model.point_distance(x, y)
-                          for x, y in zip(normalized.points, again.points)),
+                      np.max(model.point_distances(normalized.points,
+                                                   again.points)),
                       1e-5))
     return out
 

@@ -312,16 +312,38 @@ def test_non_finite_metric_exits_3(tmp_path, capsys, tiny_grid_file, command,
     assert not report.exists()
 
 
+# the arguments before the options; CURVE, POINTS and OUT name files
+_OPTION_ARGS = {
+    "polyfit": ["CURVE", "-o", "OUT"],
+    "normalize": ["CURVE", "-o", "OUT"],
+    "flow": ["sphere2", "--p", "north:0,0", "--q", "north:0.15,0.1",
+             "POINTS", "-o", "OUT"],
+    "check": ["euclidean2"],
+}
+
+
 @pytest.mark.parametrize("command,options,named", [
     ("polyfit", ["--degree", "-1"], "degree"),
     ("normalize", ["--floor", "-1"], "--floor"),
     ("normalize", ["--floor", "nan"], "--floor"),
+    ("flow", ["--time", "nan"], "--time"),
+    ("flow", ["--time", "inf"], "--time"),
+    ("flow", ["--time=-inf"], "--time"),
+    ("flow", ["--time", "1e300"], "--time"),
+    ("flow", ["--time", "156250.1"], "--time"),
+    ("check", ["--cube-n", "0"], "--cube-n"),
+    ("check", ["--cube-n=-1"], "--cube-n"),
+    ("check", ["--cube-n", "3"], "--cube-n"),
 ])
 def test_out_of_range_option_exits_2(tmp_path, capsys, sphere_fixture,
                                      command, options, named):
-    _, _, path = sphere_fixture
+    sphere, curve, path = sphere_fixture
+    points = tmp_path / "pts.json"
+    fileio.dump_json(fileio.points_to_json(sphere, [curve.points[0]]), points)
     out = tmp_path / "out.json"
-    code = main([command, str(path), "-o", str(out)] + options)
+    files = {"CURVE": str(path), "POINTS": str(points), "OUT": str(out)}
+    code = main([command] + [files.get(a, a) for a in _OPTION_ARGS[command]]
+                + options)
     err = capsys.readouterr().err
     assert code == 2
     assert named in err

@@ -95,6 +95,23 @@ def test_consecutive_sample_invariant(euclidean):
         fileio.curve_from_json(payload)
 
 
+def test_validate_curve_reports_the_first_fault(sphere):
+    # a far pair (1, 2) before a chartless pair (4, 5): the far pair is
+    # reported; on one pair with both faults the chart test comes first
+    pts = (Point("north", [0.0, 0.0]), Point("north", [0.05, 0.0]),
+           Point("north", [1.9, 0.0]), Point("north", [1.95, 0.1]),
+           Point("north", [0.0, 0.0]), Point("south", [0.0, 0.0]))
+    grid = Grid.regular(0.0, 1.0, 5)
+    with pytest.raises(ValidationError) as far:
+        fileio.validate_curve(sphere, SampledCurve(grid, pts))
+    assert str(far.value) == ("samples[1] and samples[2] are 2.0727 apart, "
+                              "beyond the injectivity floor")
+    both = pts[:2] + (Point("south", [0.0, 0.0]),) + pts[2:5]
+    with pytest.raises(ValidationError) as chartless:
+        fileio.validate_curve(sphere, SampledCurve(grid, both))
+    assert str(chartless.value) == "samples[1] and samples[2] share no chart"
+
+
 def test_points_file(tmp_path, torus):
     pts = [Point("a", [1.0, 2.0]), Point("b", [-0.5, 3.0])]
     path = tmp_path / "pts.json"

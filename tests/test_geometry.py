@@ -4,13 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from pathlin import Frame, NoOverlap, Point, Tangent, ValidationError
-from pathlin.geometry import metric_compatibility_residual
-from pathlin.models import manifest
+from pathlin import (Frame, NoOverlap, OutOfInjectivityRange, Point, Tangent,
+                     ValidationError, get_model)
+from pathlin.geometry import Samples, metric_compatibility_residual
+from pathlin.models import (manifest, mobius_add, sphere_embed,
+                            sphere_pull_from_embedding)
 from pathlin.suite import random_interior_point, random_tangent
 
-from conftest import assert_close
+from conftest import MODEL_NAMES, assert_close
+from test_linearize import _Conformal3
 
 
 # independent embedding of the stereographic charts, used as the test oracle
@@ -203,3 +207,147 @@ def test_g_norms_equal_g_norm_per_node(model):
                           np.stack([p.coords for p in points]), vectors)
     expected = [model.g_norm(Tangent(p, r)) for p, r in zip(points, vectors)]
     assert norms.tolist() == expected
+
+
+# The scalar dist and log each oracle wrote out before both became the K = 1
+# case of the array kernels, kept as references for the derived forms.
+
+def _sphere_angle(P, Q):
+    chord = np.linalg.norm(Q - P, axis=-1)
+    return float(2.0 * np.arcsin(np.clip(0.5 * chord, 0.0, 1.0)))
+
+
+def _torus_shortest(diff):
+    return (diff + math.pi) % (2.0 * math.pi) - math.pi
+
+
+def _reference_dist(model, p, q):
+    if model.name == "euclidean2":
+        return float(np.linalg.norm(q.coords - p.coords))
+    if model.name == "sphere2":
+        return _sphere_angle(sphere_embed(p), sphere_embed(q))
+    if model.name == "hyperbolic2":
+        n = float(np.linalg.norm(mobius_add(-p.coords, q.coords)))
+        return 2.0 * math.atanh(min(n, 1.0 - 1e-16))
+    return float(np.linalg.norm(_torus_shortest(q.coords - p.coords)))
+
+
+def _reference_log(model, p, q):
+    if model.name == "euclidean2":
+        return q.coords - p.coords
+    if model.name == "sphere2":
+        P, Q = sphere_embed(p), sphere_embed(q)
+        u = Q - (P @ Q) * P
+        n = float(np.linalg.norm(u))
+        if n < 1e-300:
+            return np.zeros(2)
+        w = _sphere_angle(P, Q) * u / n
+        return sphere_pull_from_embedding(p, w).components
+    if model.name == "hyperbolic2":
+        w = mobius_add(-p.coords, q.coords)
+        n = float(np.linalg.norm(w))
+        if n < 1e-300:
+            return np.zeros(2)
+        d = 2.0 * math.atanh(min(n, 1.0 - 1e-16))
+        return (d / (2.0 / (1.0 - float(p.coords @ p.coords)))) * w / n
+    return _torus_shortest(q.coords - p.coords)
+
+
+@st.composite
+def _oracle_pair(draw, model):
+    """A point of a chart's sample box and the oracle exp there of a vector
+    of g-norm below 0.95 min(r0, 2), re-expressed in a drawn chart when it
+    has an image there."""
+    chart = draw(st.sampled_from(sorted(model.charts)))
+    lo, hi = model.charts[chart].sample_box
+    p = Point(chart, [draw(st.floats(float(a), float(b)))
+                      for a, b in zip(lo, hi)])
+    angle = draw(st.floats(0.0, 2.0 * math.pi))
+    direction = Tangent(p, [math.cos(angle), math.sin(angle)])
+    norm = draw(st.floats(0.0, 0.95)) * min(model.r0(p), 2.0)
+    q = model.exp_oracle(p, Tangent(p, direction.components * norm
+                                    / model.g_norm(direction)))
+    try:
+        q = model.transition(q, draw(st.sampled_from(sorted(model.charts))))
+    except NoOverlap:
+        pass
+    return p, q
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+@given(data=st.data())
+def test_derived_dist_and_log_match_reference_forms(name, data):
+    # largest gaps over 20,000 drawn pairs per model: dist 2.2e-16
+    # (euclidean2, torus2), 8.9e-16 (sphere2) and 1.02e-14 (hyperbolic2);
+    # log components 0, 0, 2.2e-15 and 1.9e-15.  The disk's gaps above 5e-15
+    # (1 pair in 10,000) all have both points near the boundary, |q| ~ 0.95,
+    # where the Mobius form magnifies one rounding by its conformal factor
+    model = get_model(name)
+    p, q = data.draw(_oracle_pair(model))
+    assert abs(model.dist_oracle(p, q) - _reference_dist(model, p, q)) <= 2e-14
+    assert_close(model.log_oracle(p, q).components,
+                 _reference_log(model, p, q), 1e-14, name)
+
+
+@pytest.mark.parametrize("name,p,q", [
+    ("euclidean2", Point("xy", [0.5, 0.0]), Point("xy", [10.5, 0.0])),
+    ("sphere2", Point("north", [0.0, 0.0]), Point("north", [1.1, 0.0])),
+    ("hyperbolic2", Point("disk", [0.0, 0.0]), Point("disk", [0.99995, 0.0])),
+    ("torus2", Point("a", [3.0, 3.0]), Point("b", [3.0 + math.pi / 2.0, 3.0])),
+])
+def test_log_raises_beyond_r0(name, p, q):
+    model = get_model(name)
+    assert model.dist_oracle(p, q) >= model.r0(p)
+    with pytest.raises(OutOfInjectivityRange, match="exceeds r0"):
+        model.log_oracle(p, q)
+
+
+def _meridian(charts, offset=0.0):
+    """Samples along the x-meridian of the sphere, each stored in the given
+    chart: north coordinates tan(t/2) for t from 0.2 to 2.6 rad."""
+    t = np.linspace(0.2, 2.6, len(charts)) + offset
+    north = np.stack([np.tan(t / 2.0), 0.1 * np.sin(t)], axis=1)
+    coords = [x if c == "north" else x / (x @ x)
+              for c, x in zip(charts, north)]
+    return Samples(charts, coords)
+
+
+def test_point_distances_match_point_distance_across_charts(sphere, torus):
+    rng = np.random.default_rng(3)
+    charts = rng.choice(["north", "south"], size=(2, 41)).tolist()
+    a, b = _meridian(charts[0]), _meridian(charts[1], offset=0.05)
+    assert set(a.charts) == set(b.charts) == {"north", "south"}
+    assert sphere.point_distances(a, b).tolist() == \
+        [sphere.point_distance(x, y) for x, y in zip(a, b)]
+
+    ids = sorted(torus.charts)
+    pa = [torus.transition(Point("a", rng.uniform(2.0, 4.2, 2)), c)
+          for c in rng.choice(ids, size=41)]
+    pb = [torus.exp_oracle(p, Tangent(p, rng.normal(scale=0.5, size=2)))
+          for p in pa]
+    a, b = Samples.of(pa), Samples.of(pb)
+    assert len(set(zip(a.charts, b.charts))) > 4
+    assert torus.point_distances(a, b).tolist() == \
+        [torus.point_distance(x, y) for x, y in zip(a, b)]
+
+
+def test_point_distances_without_oracle_are_per_pair():
+    model = _Conformal3()
+    rng = np.random.default_rng(4)
+    a = Samples(["xyz"] * 12, rng.uniform(-0.5, 0.5, (12, 3)))
+    b = Samples(["xyz"] * 12, rng.uniform(-0.5, 0.5, (12, 3)))
+    assert model.oracle is None
+    assert model.point_distances(a, b).tolist() == \
+        [model.point_distance(x, y) for x, y in zip(a, b)]
+
+
+def test_point_distances_keep_the_grid_shape(disk):
+    rng = np.random.default_rng(5)
+    a = Samples([["disk"] * 4] * 3, rng.uniform(-0.5, 0.5, (3, 4, 2)))
+    b = Samples([["disk"] * 4] * 3, rng.uniform(-0.5, 0.5, (3, 4, 2)))
+    dists = disk.point_distances(a, b)
+    assert dists.shape == (3, 4)
+    assert_close(dists, [[disk.point_distance(x, y) for x, y in zip(ra, rb)]
+                         for ra, rb in zip(a, b)], 1e-15)
+    with pytest.raises(ValidationError, match="one shape"):
+        disk.point_distances(a, b[:2])
