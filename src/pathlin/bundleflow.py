@@ -22,8 +22,7 @@ import numpy as np
 
 from .errors import (NonFiniteState, NotImmersed, OutOfInjectivityRange,
                      ValidationError)
-from .geometry import (INSIDE, ManifoldModel, Point, Samples, Tangent,
-                       chart_groups)
+from .geometry import ManifoldModel, Point, Samples, Tangent, chart_groups
 from .numerics import (Grid, lagrange_integral_weights, lagrange_weights,
                        rk4_step)
 from .transport import (SampledCurve, _coords_in, _foreign_entries,
@@ -109,14 +108,14 @@ def carrier_field(spec: CarrierFieldSpec, m: Point) -> Tangent:
 def _flow_many(spec: CarrierFieldSpec, charts: list, coords: np.ndarray,
                time: float):
     """RK4 flow of a batch of points (independent trajectories) in
-    max(16, ceil(64 |time|)) steps, grouped by chart per stage; charts
-    switch per element at step boundaries."""
+    max(16, ceil(64 |time|)) steps, grouped by chart per stage.  At each
+    step boundary every chart classifies its points in one call, and the
+    points it flags go through select_chart one by one, in order."""
     if time == 0.0:
         return charts, coords
     steps = max(16, int(math.ceil(FLOW_STEPS_PER_UNIT_TIME * abs(time))))
     model = spec.model
     h = time / steps
-    k = coords.shape[0]
     # the field is autonomous: every RK4 stage is evaluated in the chart
     carrier = partial(carrier_field_many, spec)
     groups = chart_groups(charts)
@@ -126,13 +125,12 @@ def _flow_many(spec: CarrierFieldSpec, charts: list, coords: np.ndarray,
         if not np.all(np.isfinite(coords)):
             raise NonFiniteState("carrier flow became non-finite")
         switched = False
-        for i in range(k):
-            if model.chart(charts[i]).domain_test(coords[i]) != INSIDE:
-                moved = model.select_chart(Point(charts[i], coords[i]))
-                if moved.chart_id != charts[i]:
-                    charts[i] = moved.chart_id
-                    coords[i] = moved.coords
-                    switched = True
+        for i in model.off_interior(groups, coords):
+            moved = model.select_chart(Point(charts[i], coords[i]))
+            if moved.chart_id != charts[i]:
+                charts[i] = moved.chart_id
+                coords[i] = moved.coords
+                switched = True
         if switched:
             groups = chart_groups(charts)
     return charts, coords

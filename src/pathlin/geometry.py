@@ -154,10 +154,14 @@ def require_independent_columns(cols: np.ndarray) -> None:
 class ChartSpec:
     """One coordinate chart: identity, domain classifier, and sampling data.
 
-    domain_test maps coordinates to INSIDE / MARGIN / OUTSIDE.  MARGIN means
-    the coordinates are still valid but continuation should switch charts.
-    `center` is the chart's own origin in its coordinates; `sample_box` is a
-    box strictly inside the interior used for seeded probing.
+    domain_test maps coordinates (m,) to INSIDE / MARGIN / OUTSIDE.  MARGIN
+    means the coordinates are still valid but continuation should switch
+    charts.  domain_test_many, its array form for the batched cores, maps
+    (K, m) coordinates to an array of K statuses.  It must agree with
+    domain_test on every row bit for bit, since one flipped status moves a
+    chart switch; by default it applies domain_test row by row.  `center`
+    is the chart's own origin in its coordinates; `sample_box` is a box
+    strictly inside the interior used for seeded probing.
     """
 
     chart_id: str
@@ -165,11 +169,17 @@ class ChartSpec:
     center: np.ndarray
     sample_box: tuple[np.ndarray, np.ndarray]
     description: str = ""
+    domain_test_many: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "center", _freeze(self.center))
         lo, hi = self.sample_box
         object.__setattr__(self, "sample_box", (_freeze(lo), _freeze(hi)))
+        if self.domain_test_many is None:
+            test = self.domain_test
+            object.__setattr__(
+                self, "domain_test_many",
+                lambda coords: np.array([test(x) for x in coords], dtype=str))
 
 
 class TransitionMap:
@@ -261,6 +271,15 @@ class ManifoldModel:
 
     def domain_status(self, point: Point) -> str:
         return self.chart(point.chart_id).domain_test(point.coords)
+
+    def off_interior(self, groups: Mapping[str, np.ndarray],
+                     coords: np.ndarray) -> np.ndarray:
+        """The positions i, ascending, whose coordinates coords[i] are not
+        INSIDE their chart: groups maps each chart id to its positions, as
+        chart_groups does, and each chart classifies its own in one call."""
+        return np.sort(np.concatenate([
+            idx[self.chart(cid).domain_test_many(coords[idx]) != INSIDE]
+            for cid, idx in groups.items()]))
 
     def transition(self, point: Point, target: str) -> Point:
         """Re-express a point in the target chart; NoOverlap if impossible."""

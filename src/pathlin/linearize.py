@@ -305,7 +305,8 @@ def _solve_inverse_batch(model: ManifoldModel, charts0, coords0: np.ndarray,
     Returns (charts, coords, frames, switch_logs) with per-node data.
 
     Elements in the same chart advance together through vectorized RK4
-    stages; chart switches are handled per element at node boundaries.
+    stages.  At each node boundary every chart classifies its elements in
+    one call, and the elements it flags switch one by one, in order.
     """
     b, n, m = components.shape
     base_node = grid.base_node()
@@ -374,13 +375,12 @@ def _solve_inverse_batch(model: ManifoldModel, charts0, coords0: np.ndarray,
                     f"inverse system became non-finite at node {j}")
             if j != stop:
                 switched = False
-                for i in range(b):
-                    if model.chart(charts[i]).domain_test(x[i]) != INSIDE:
-                        chart, xi, ei = _switch_state(model, charts[i], x[i],
-                                                      e[i], j, logs[i])
-                        if chart != charts[i]:
-                            charts[i], x[i], e[i] = chart, xi, ei
-                            switched = True
+                for i in model.off_interior(groups, x):
+                    chart, xi, ei = _switch_state(model, charts[i], x[i],
+                                                  e[i], j, logs[i])
+                    if chart != charts[i]:
+                        charts[i], x[i], e[i] = chart, xi, ei
+                        switched = True
                 if switched:
                     groups = chart_groups(charts)
             record(j, charts, x, e)

@@ -117,13 +117,22 @@ class _EuclideanOracle(Oracle):
         return p.coords + vecs
 
 
+def _plane_domain(coords: np.ndarray) -> str:
+    return INSIDE if all(map(math.isfinite, coords)) else OUTSIDE
+
+
+def _plane_domain_many(coords: np.ndarray) -> np.ndarray:
+    return np.where(np.isfinite(coords).all(axis=1), INSIDE, OUTSIDE)
+
+
 def _euclidean2() -> ManifoldModel:
     chart = ChartSpec(
         chart_id="xy",
-        domain_test=lambda c: INSIDE,
+        domain_test=_plane_domain,
         center=np.zeros(2),
         sample_box=(np.array([-3.0, -3.0]), np.array([3.0, 3.0])),
         description="global Cartesian coordinates on the flat plane",
+        domain_test_many=_plane_domain_many,
     )
     return _EuclideanModel(
         name="euclidean2", dim=2, charts=[chart], transitions={},
@@ -145,6 +154,14 @@ def _sphere_domain(coords: np.ndarray) -> str:
     if r <= _SPHERE_OUTSIDE_R:
         return MARGIN
     return OUTSIDE
+
+
+def _sphere_domain_many(coords: np.ndarray) -> np.ndarray:
+    # np.vecdot rounds as the ddot of np.linalg.norm does, bit for bit;
+    # row sums and einsum differ in the last bit on some points
+    r = np.sqrt(np.vecdot(coords, coords))
+    return np.where(r <= _SPHERE_INSIDE_R, INSIDE,
+                    np.where(r <= _SPHERE_OUTSIDE_R, MARGIN, OUTSIDE))
 
 
 def _inversion(coords: np.ndarray) -> np.ndarray | None:
@@ -293,10 +310,10 @@ def _sphere2() -> ManifoldModel:
     charts = [
         ChartSpec("north", _sphere_domain, np.zeros(2), box,
                   "stereographic projection from the south pole; "
-                  "(0, 0) is the north pole"),
+                  "(0, 0) is the north pole", _sphere_domain_many),
         ChartSpec("south", _sphere_domain, np.zeros(2), box,
                   "stereographic projection from the north pole; "
-                  "(0, 0) is the south pole"),
+                  "(0, 0) is the south pole", _sphere_domain_many),
     ]
     inv = TransitionMap(_inversion, _inversion_jacobian)
     transitions = {("north", "south"): inv, ("south", "north"): inv}
@@ -313,6 +330,10 @@ def _disk_domain(coords: np.ndarray) -> str:
     # Single chart: the coordinate boundary is metrically at infinity, so it
     # is never treated as a reachable margin; there is no chart to switch to.
     return INSIDE if float(coords @ coords) < 1.0 - 1e-12 else OUTSIDE
+
+
+def _disk_domain_many(coords: np.ndarray) -> np.ndarray:
+    return np.where(np.vecdot(coords, coords) < 1.0 - 1e-12, INSIDE, OUTSIDE)
 
 
 def mobius_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -383,6 +404,7 @@ def _hyperbolic2() -> ManifoldModel:
         center=np.zeros(2),
         sample_box=(np.array([-0.55, -0.55]), np.array([0.55, 0.55])),
         description="Poincare disk coordinates |x| < 1, curvature -1",
+        domain_test_many=_disk_domain_many,
     )
     return _DiskModel(
         name="hyperbolic2", dim=2, charts=[chart], transitions={},
@@ -414,11 +436,21 @@ def _torus_domain_for(starts):
         status = INSIDE
         for i in range(2):
             u = coords[i] - starts[i]
-            if u < 0.0 or u >= TWO_PI:
+            if not 0.0 <= u < TWO_PI:
                 return OUTSIDE
             if u < _TORUS_EDGE or u > TWO_PI - _TORUS_EDGE:
                 status = MARGIN
         return status
+    return test
+
+
+def _torus_domain_many_for(starts):
+    def test(coords: np.ndarray) -> np.ndarray:
+        u = coords - np.asarray(starts)
+        outside = ~((0.0 <= u) & (u < TWO_PI))
+        margin = (u < _TORUS_EDGE) | (u > TWO_PI - _TORUS_EDGE)
+        return np.where(outside.any(axis=1), OUTSIDE,
+                        np.where(margin.any(axis=1), MARGIN, INSIDE))
     return test
 
 
@@ -474,6 +506,7 @@ def _torus2() -> ManifoldModel:
             sample_box=box,
             description=(f"angles with x in [{starts[0]:.6g}, {starts[0] + TWO_PI:.6g}), "
                          f"y in [{starts[1]:.6g}, {starts[1] + TWO_PI:.6g})"),
+            domain_test_many=_torus_domain_many_for(starts),
         ))
     transitions = {}
     for a in _TORUS_WINDOWS:

@@ -35,8 +35,8 @@ import numpy as np
 
 from .errors import (ChartContinuationFailure, NoOverlap, NonFiniteState,
                      ValidationError)
-from .geometry import (MARGIN, OUTSIDE, Frame, ManifoldModel, Point, Samples,
-                       Tangent, chart_groups)
+from .geometry import (INSIDE, MARGIN, OUTSIDE, Frame, ManifoldModel, Point,
+                       Samples, Tangent, chart_groups)
 from .numerics import (Grid, lagrange_weights, rk4_step, stencil_derivative,
                        stencil_windows)
 
@@ -162,45 +162,62 @@ class _Run:
     vel: np.ndarray | None = None   # velocities in chart_id, same shape
 
 
-def _build_runs(model: ManifoldModel, charts, coords: np.ndarray, origin: int,
-                stop: int, start_chart: str) -> list[_Run]:
+def _build_runs(model: ManifoldModel, charts: np.ndarray, coords: np.ndarray,
+                origin: int, stop: int, start_chart: str) -> list[_Run]:
     """Split one curve's node range between origin and stop (inclusive,
     either direction) into chart runs following the margin-switch rule,
-    listed in the order of travel.  charts and coords (n, m) are the stored
-    charts and coordinates."""
+    listed in the order of travel.  charts, an object array, and coords
+    (n, m) are the stored charts and coordinates.
+
+    One domain_test_many call classifies the remaining nodes stored in the
+    working chart; the run takes them as one slice up to the next node that
+    is stored in another chart or is not INSIDE, and only that node goes
+    through the single-point rule.
+    """
     step = 1 if stop >= origin else -1
-    nodes = range(origin, stop + step, step)
+    nodes = np.arange(origin, stop + step, step)
     runs: list[_Run] = []
     chart = start_chart
-    run_nodes: list[int] = []
-    run_coords: list[np.ndarray] = []
+    first, pos = 0, 0        # positions in nodes: the run's first, the next
+    pieces: list[np.ndarray] = []    # the run's coordinates in travel order
+    breaks = None            # positions where the scan stops in this chart,
+                             # then the end
 
-    def close_run():
-        if run_nodes:
-            order = slice(None) if step > 0 else slice(None, None, -1)
-            runs.append(_Run(lo=min(run_nodes), hi=max(run_nodes),
-                             chart_id=chart,
-                             coords=np.stack(run_coords[order])))
+    def close_run(last: int):
+        block = np.concatenate(pieces)
+        lo, hi = sorted((int(nodes[first]), int(nodes[last])))
+        runs.append(_Run(lo=lo, hi=hi, chart_id=chart,
+                         coords=block if step > 0 else block[::-1]))
 
-    test = model.chart(chart).domain_test
-    for j in nodes:
+    while True:
+        if breaks is None:
+            rest = nodes[pos:]
+            inside = charts[rest] == chart
+            inside[inside] = model.chart(chart).domain_test_many(
+                coords[rest[inside]]) == INSIDE
+            breaks = np.append(pos + np.flatnonzero(~inside), nodes.size)
+        k = int(breaks[breaks >= pos][0])
+        if k > pos:
+            pieces.append(coords[nodes[pos:k]])
+        if k == nodes.size:
+            break
+        pos = k + 1
+        j = int(nodes[k])
         x = _coords_in(model, charts, coords, j, chart)
-        status = test(x)
+        status = model.chart(chart).domain_test(x)
         if status == OUTSIDE:
             raise ChartContinuationFailure(
                 f"node {j} left chart {chart!r} without touching its margin",
                 node=j)
-        run_nodes.append(j)
-        run_coords.append(x)
+        pieces.append(x[None])
         if status == MARGIN and j != stop:
             switched = model.select_chart(Point(chart, x))
             if switched.chart_id != chart:
-                close_run()
-                chart = switched.chart_id
-                test = model.chart(chart).domain_test
-                run_nodes = [j]
-                run_coords = [switched.coords]
-    close_run()
+                close_run(k)
+                chart, first = switched.chart_id, k
+                pieces = [switched.coords[None]]
+                breaks = None
+    close_run(nodes.size - 1)
     return runs
 
 
@@ -351,13 +368,14 @@ def _transport_columns(model: ManifoldModel, grid: Grid, charts,
     cols = np.empty((b, n, m, m))
     logs: list[list[tuple[int, str, str]]] = [[] for _ in range(b)]
     phis = np.empty((b, n - 1, m, m))    # the two sweeps cover disjoint intervals
+    stored = [np.array(row, dtype=object) for row in charts]
     for stop in ((n - 1, 0) if start > 0 else (n - 1,)):
         step = 1 if stop >= start else -1
         switches: dict[int, list[tuple[int, np.ndarray]]] = {}
         groups: dict[tuple[str, int, int], list[tuple[int, _Run]]] = {}
         for i in range(b):
             chart, prev = charts0[i], None
-            for run in _build_runs(model, charts[i], coords[i], start, stop,
+            for run in _build_runs(model, stored[i], coords[i], start, stop,
                                    chart):
                 if run.chart_id != chart:
                     entry = run.hi if step < 0 else run.lo
@@ -368,11 +386,10 @@ def _transport_columns(model: ManifoldModel, grid: Grid, charts,
                     chart = run.chart_id
                 nodes = slice(run.lo, run.hi + 1)
                 run.vel = velocities[i, nodes].copy()
-                for k, stored in enumerate(charts[i][nodes]):
-                    if stored != chart:
-                        run.vel[k] = model.transition_jacobian(
-                            Point(stored, coords[i, run.lo + k]), chart) \
-                            @ run.vel[k]
+                for k in np.flatnonzero(stored[i][nodes] != chart):
+                    run.vel[k] = model.transition_jacobian(
+                        Point(charts[i][run.lo + k], coords[i, run.lo + k]),
+                        chart) @ run.vel[k]
                 out_charts[i][nodes] = [chart] * len(run.vel)
                 out_coords[i, nodes] = run.coords
                 out_vel[i, nodes] = run.vel

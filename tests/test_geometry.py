@@ -8,7 +8,8 @@ from hypothesis import given, strategies as st
 
 from pathlin import (Frame, NoOverlap, OutOfInjectivityRange, Point, Tangent,
                      ValidationError, get_model)
-from pathlin.geometry import Samples, metric_compatibility_residual
+from pathlin.geometry import (INSIDE, MARGIN, OUTSIDE, Samples, chart_groups,
+                              metric_compatibility_residual)
 from pathlin.models import (manifest, mobius_add, sphere_embed,
                             sphere_pull_from_embedding)
 from pathlin.suite import random_interior_point, random_tangent
@@ -351,3 +352,112 @@ def test_point_distances_keep_the_grid_shape(disk):
                          for ra, rb in zip(a, b)], 1e-15)
     with pytest.raises(ValidationError, match="one shape"):
         disk.point_distances(a, b[:2])
+
+
+# Chart classifiers: the margin rule is a threshold, so the array form must
+# give the scalar form's status on every row, bit for bit, above all at the
+# band edges.
+
+def _ulp_neighbours(points, k=4):
+    """Each point with every coordinate moved by -k..k ulps on its own."""
+    out = []
+    for x in np.atleast_2d(points):
+        for axis in range(x.size):
+            for steps in range(-k, k + 1):
+                y = x.copy()
+                for _ in range(abs(steps)):
+                    y[axis] = np.nextafter(y[axis], math.copysign(math.inf,
+                                                                  steps))
+                out.append(y)
+    return np.array(out)
+
+
+def _band_edges(name):
+    """Points on the edges of the model's margin bands: sphere radii 2 and
+    4, the disk's x.x = 1 - 1e-12, and u = 0, pi/4, 2 pi - pi/4 and 2 pi on
+    each axis of both torus windows."""
+    angles = np.linspace(0.0, 2.0 * math.pi, 13)
+    ring = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    if name == "sphere2":
+        return np.concatenate([2.0 * ring, 4.0 * ring])
+    if name == "hyperbolic2":
+        return math.sqrt(1.0 - 1e-12) * ring
+    if name == "torus2":
+        edges = [s + u for s in (0.0, -math.pi)
+                 for u in (0.0, math.pi / 4.0, 2.0 * math.pi - math.pi / 4.0,
+                           2.0 * math.pi)]
+        inner = edges + [0.5, math.pi + 0.5]
+        return np.array([[a, b] for a in edges for b in inner]
+                        + [[b, a] for a in edges for b in inner])
+    return 3.0 * ring
+
+
+_NON_FINITE = np.array([[math.nan, 0.5], [0.5, math.nan], [math.inf, 0.5],
+                        [0.5, -math.inf], [-math.inf, math.nan],
+                        [math.inf, math.inf]])
+
+
+def _assert_classifiers_agree(spec, coords):
+    many = spec.domain_test_many(coords)
+    assert many.shape == (len(coords),)
+    assert many.tolist() == [spec.domain_test(x) for x in coords]
+    return many
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_array_classifier_matches_scalar_at_band_edges(name):
+    model = get_model(name)
+    coords = _ulp_neighbours(_band_edges(name))
+    reached = {"euclidean2": {INSIDE}, "hyperbolic2": {INSIDE, OUTSIDE},
+               "sphere2": {INSIDE, MARGIN, OUTSIDE},
+               "torus2": {INSIDE, MARGIN, OUTSIDE}}[name]
+    for spec in model.charts.values():
+        assert set(_assert_classifiers_agree(spec, coords)) == reached
+        assert set(_assert_classifiers_agree(spec, _NON_FINITE)) == {OUTSIDE}
+        assert _assert_classifiers_agree(spec, np.empty((0, 2))).size == 0
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+@given(data=st.data())
+def test_array_classifier_matches_scalar_over_scaled_boxes(name, data):
+    # each chart's sample box scaled by 3 about its middle reaches every band
+    model = get_model(name)
+    spec = model.charts[data.draw(st.sampled_from(sorted(model.charts)))]
+    lo, hi = spec.sample_box
+    unit = data.draw(st.lists(st.tuples(st.floats(-1.0, 1.0),
+                                        st.floats(-1.0, 1.0)),
+                              min_size=1, max_size=30))
+    _assert_classifiers_agree(
+        spec, 0.5 * (lo + hi) + 1.5 * (hi - lo) * np.array(unit))
+
+
+def test_default_array_classifier_applies_the_scalar_one_by_rows():
+    spec = _Conformal3().charts["xyz"]
+    coords = np.random.default_rng(6).uniform(-2.0, 2.0, (9, 3))
+    assert set(_assert_classifiers_agree(spec, coords)) == {INSIDE}
+    assert _assert_classifiers_agree(spec, np.empty((0, 3))).size == 0
+
+
+def test_off_interior_lists_the_flagged_positions_in_order(sphere, torus):
+    rng = np.random.default_rng(7)
+    for model, scale in ((sphere, 3.0), (torus, 8.0)):
+        charts = rng.choice(sorted(model.charts), size=40).tolist()
+        coords = rng.uniform(-scale, scale, (40, 2))
+        flagged = model.off_interior(chart_groups(charts), coords)
+        assert flagged.tolist() == [
+            i for i, (c, x) in enumerate(zip(charts, coords))
+            if model.chart(c).domain_test(x) != INSIDE]
+        assert 0 < flagged.size < 40
+
+
+@pytest.mark.parametrize("name,point", [
+    ("euclidean2", Point("xy", [math.nan, 1.0])),
+    ("euclidean2", Point("xy", [1.0, math.inf])),
+    ("torus2", Point("a", [math.nan, 1.0])),
+    ("torus2", Point("d", [0.5, math.nan])),
+])
+def test_non_finite_coordinates_are_outside(name, point):
+    model = get_model(name)
+    assert model.domain_status(point) == OUTSIDE
+    with pytest.raises(NoOverlap):
+        model.select_chart(point)

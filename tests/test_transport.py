@@ -8,16 +8,16 @@ import pickle
 import numpy as np
 import pytest
 
-from pathlin import Frame, Grid, Point, Tangent
-from pathlin.geometry import Samples
-from pathlin.errors import ValidationError
+from pathlin import Frame, Grid, Point, Tangent, get_model
+from pathlin.geometry import MARGIN, OUTSIDE, Samples
+from pathlin.errors import ChartContinuationFailure, ValidationError
 from pathlin.linearize import TangentCurve, p_inverse
 from pathlin.models import (sphere_pull_from_embedding,
                             sphere_push_to_embedding, torus_point_from_angles)
 from pathlin.suite import random_curve, random_tangent
-from pathlin.transport import (SampledCurve, covariant_derivative,
-                               curve_velocities, transport_frame,
-                               transport_vector)
+from pathlin.transport import (SampledCurve, _build_runs, _coords_in,
+                               covariant_derivative, curve_velocities,
+                               transport_frame, transport_vector)
 
 from conftest import assert_close
 
@@ -354,3 +354,89 @@ def test_curve_storage_rejects_mismatched_samples(euclidean):
     with pytest.raises(ValidationError):
         SampledCurve(grid, [Point("xy", [0.0, 0.0])] * 10
                      + [Point("xy", [0.0, 0.0, 0.0])])
+
+
+# The per-node margin-switch loop that _build_runs replaced with one
+# classification per chart taken: every node is re-expressed in the working
+# chart and tested on its own.
+def reference_runs(model, charts, coords, origin, stop, start_chart):
+    step = 1 if stop >= origin else -1
+    runs, chart = [], start_chart
+    run_nodes, run_coords = [], []
+
+    def close_run():
+        order = slice(None) if step > 0 else slice(None, None, -1)
+        runs.append((min(run_nodes), max(run_nodes), chart,
+                     np.stack(run_coords[order]).tobytes()))
+
+    for j in range(origin, stop + step, step):
+        x = _coords_in(model, charts, coords, j, chart)
+        status = model.chart(chart).domain_test(x)
+        if status == OUTSIDE:
+            raise ChartContinuationFailure(
+                f"node {j} left chart {chart!r} without touching its margin",
+                node=j)
+        run_nodes.append(j)
+        run_coords.append(x)
+        if status == MARGIN and j != stop:
+            switched = model.select_chart(Point(chart, x))
+            if switched.chart_id != chart:
+                close_run()
+                chart = switched.chart_id
+                run_nodes, run_coords = [j], [switched.coords]
+    close_run()
+    return runs
+
+
+def _runs_both_ways(model, samples, origin, stop):
+    charts, coords = samples.charts, samples.coords
+    start = charts[origin]
+    fast = [(r.lo, r.hi, r.chart_id, np.ascontiguousarray(r.coords).tobytes())
+            for r in _build_runs(model, np.array(charts, dtype=object), coords,
+                                 origin, stop, start)]
+    return fast, reference_runs(model, charts, coords, origin, stop, start)
+
+
+def _ranges(n):
+    # one-sided (from either end) and both halves of a two-sided sweep
+    mid = n // 2
+    return ((0, n - 1), (n - 1, 0), (mid, n - 1), (mid, 0))
+
+
+def test_build_runs_matches_the_per_node_rule(sphere, torus):
+    grid = Grid.regular(0.0, 1.0, 120)
+    angles = np.stack([1.0 + 4.9 * grid.nodes, 2.0 + 0.3 * grid.nodes], 1)
+    seam = SampledCurve(grid, tuple(
+        torus_point_from_angles(a, prefer="a") for a in angles))
+    stored_in_a = SampledCurve(grid, Samples(["a"] * len(angles), angles))
+    band, _ = alternating_band_curve(sphere)
+    switched = 0
+    for model, samples in ((sphere, margin_crossing_sphere_curve(sphere).points),
+                           (torus, seam.points), (torus, stored_in_a.points),
+                           (sphere, band.points)):
+        for origin, stop in _ranges(len(samples)):
+            fast, ref = _runs_both_ways(model, samples, origin, stop)
+            assert fast == ref
+            switched += len(fast) > 1
+    assert len(set(seam.points.charts)) > 1 and switched >= 6
+
+
+@pytest.mark.parametrize("name,chart,jump", [
+    ("sphere2", "north", np.array([5.0, 0.5])),
+    ("torus2", "a", np.array([7.0, 3.0])),
+])
+def test_build_runs_fails_where_the_per_node_rule_fails(name, chart, jump):
+    # the curve jumps from the chart's interior to beyond it at node 12,
+    # without a node in the margin band
+    model = get_model(name)
+    start = model.chart(chart).center
+    coords = np.array([start + 0.01 * j for j in range(12)]
+                      + [jump + 0.01 * j for j in range(8)])
+    samples = Samples([chart] * 20, coords)
+    for origin, stop, node in ((0, 19, 12), (5, 19, 12), (19, 0, 19)):
+        with pytest.raises(ChartContinuationFailure) as fast:
+            _runs_both_ways(model, samples, origin, stop)
+        with pytest.raises(ChartContinuationFailure) as ref:
+            reference_runs(model, samples.charts, coords, origin, stop, chart)
+        assert str(fast.value) == str(ref.value)
+        assert fast.value.node == ref.value.node == node
