@@ -180,8 +180,6 @@ def _build_runs(model: ManifoldModel, charts: np.ndarray, coords: np.ndarray,
     chart = start_chart
     first, pos = 0, 0        # positions in nodes: the run's first, the next
     pieces: list[np.ndarray] = []    # the run's coordinates in travel order
-    breaks = None            # positions where the scan stops in this chart,
-                             # then the end
 
     def close_run(last: int):
         block = np.concatenate(pieces)
@@ -190,33 +188,31 @@ def _build_runs(model: ManifoldModel, charts: np.ndarray, coords: np.ndarray,
                          coords=block if step > 0 else block[::-1]))
 
     while True:
-        if breaks is None:
-            rest = nodes[pos:]
-            inside = charts[rest] == chart
-            inside[inside] = model.chart(chart).domain_test_many(
-                coords[rest[inside]]) == INSIDE
-            breaks = np.append(pos + np.flatnonzero(~inside), nodes.size)
-        k = int(breaks[breaks >= pos][0])
-        if k > pos:
+        rest = nodes[pos:]
+        inside = charts[rest] == chart
+        inside[inside] = model.chart(chart).domain_test_many(
+            coords[rest[inside]]) == INSIDE
+        for k in (pos + np.flatnonzero(~inside)).tolist():
             pieces.append(coords[nodes[pos:k]])
-        if k == nodes.size:
+            pos = k + 1
+            j = int(nodes[k])
+            x = _coords_in(model, charts, coords, j, chart)
+            status = model.chart(chart).domain_test(x)
+            if status == OUTSIDE:
+                raise ChartContinuationFailure(
+                    f"node {j} left chart {chart!r} without touching its "
+                    "margin", node=j)
+            pieces.append(x[None])
+            if status == MARGIN and j != stop:
+                switched = model.select_chart(Point(chart, x))
+                if switched.chart_id != chart:
+                    close_run(k)
+                    chart, first = switched.chart_id, k
+                    pieces = [switched.coords[None]]
+                    break
+        else:
+            pieces.append(coords[nodes[pos:]])
             break
-        pos = k + 1
-        j = int(nodes[k])
-        x = _coords_in(model, charts, coords, j, chart)
-        status = model.chart(chart).domain_test(x)
-        if status == OUTSIDE:
-            raise ChartContinuationFailure(
-                f"node {j} left chart {chart!r} without touching its margin",
-                node=j)
-        pieces.append(x[None])
-        if status == MARGIN and j != stop:
-            switched = model.select_chart(Point(chart, x))
-            if switched.chart_id != chart:
-                close_run(k)
-                chart, first = switched.chart_id, k
-                pieces = [switched.coords[None]]
-                breaks = None
     close_run(nodes.size - 1)
     return runs
 
