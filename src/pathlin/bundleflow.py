@@ -83,20 +83,17 @@ def _bump_many(spec: CarrierFieldSpec, d: np.ndarray) -> np.ndarray:
 def carrier_field_many(spec: CarrierFieldSpec, chart_id: str,
                        coords: np.ndarray) -> np.ndarray:
     """Field components at a batch of points in one chart; exactly zero
-    outside the outer cutoff radius."""
+    outside the outer cutoff radius: one log_from pass, then one exp_from
+    call on a (2, K, m) stack, which rounds as two (K, m) calls do."""
     model = spec.model
     oracle = model._require_oracle()
-    d = oracle.dist_from(model, spec.p, chart_id, coords)
-    out = np.zeros_like(coords)
-    near = d < spec.r_out
-    if np.any(near):
-        m_prime = oracle.log_from(model, spec.p, chart_id, coords[near])
-        step = _FD_STEP * spec.q_prime.components
-        plus = oracle.exp_from(model, spec.p, m_prime + step, chart_id)
-        minus = oracle.exp_from(model, spec.p, m_prime - step, chart_id)
-        rho = _bump_many(spec, d[near])
-        out[near] = rho[:, None] * (plus - minus) / (2.0 * _FD_STEP)
-    return out
+    d, m_prime = oracle.log_from(model, spec.p, chart_id, coords)
+    step = _FD_STEP * spec.q_prime.components
+    plus, minus = oracle.exp_from(
+        model, spec.p, np.stack((m_prime + step, m_prime - step)), chart_id)
+    rho = _bump_many(spec, d)
+    return np.where((d < spec.r_out)[:, None],
+                    rho[:, None] * (plus - minus) / (2.0 * _FD_STEP), 0.0)
 
 
 def carrier_field(spec: CarrierFieldSpec, m: Point) -> Tangent:
@@ -136,12 +133,19 @@ def _flow_many(spec: CarrierFieldSpec, charts: list, coords: np.ndarray,
     return charts, coords
 
 
+def flow_points(spec: CarrierFieldSpec, points, time: float) -> list[Point]:
+    """RK4 flow of the carrier field for a signed time, of points in one
+    batch, switching charts when a trajectory reaches a margin."""
+    if not points:
+        return []
+    charts, coords = _flow_many(spec, [m.chart_id for m in points],
+                                np.stack([m.coords for m in points]), time)
+    return list(map(Point, charts, coords))
+
+
 def flow(spec: CarrierFieldSpec, m: Point, time: float) -> Point:
-    """RK4 flow of the carrier field for a signed time, switching charts when
-    the trajectory reaches a margin."""
-    charts, coords = _flow_many(spec, [m.chart_id], m.coords[None, :].copy(),
-                                time)
-    return Point(charts[0], coords[0])
+    """flow_points for a single point."""
+    return flow_points(spec, [m], time)[0]
 
 
 def phi(spec: CarrierFieldSpec, m: Point) -> Point:

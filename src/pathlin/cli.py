@@ -6,9 +6,9 @@ so validation failures never print partial numeric output.  Exit codes:
 (the latter downgraded to a report entry by --tolerance-report-only; there
 is no flag that loosens a tolerance).  A metric that is not finite is a
 numerical failure: no command exits 0 reporting one.  So is a grid too
-coarse for its data: synthesize checks the curve it computed like a curve
-file and, when consecutive samples are too far apart, exits 3 and writes
-nothing.
+coarse for its data: every command that writes a curve file checks the
+curve like a curve file it reads and, when consecutive samples share no
+chart or are too far apart, exits 3 and writes nothing.
 """
 
 from __future__ import annotations
@@ -17,12 +17,13 @@ import argparse
 import json
 import math
 import sys
+from functools import lru_cache
 
 import numpy as np
 
 from . import bundleflow, fileio
 from .bundleflow import (TrivializationChart, arclength_normalize, flow,
-                         make_carrier, trivialize, untrivialize)
+                         flow_points, make_carrier, trivialize, untrivialize)
 from .cubemaps import p2_forward, p2_inverse
 from .errors import (ChartContinuationFailure, GridTooCoarse, IllConditioned,
                      NoOracle, NoOverlap, NonFiniteState, NotImmersed,
@@ -52,6 +53,17 @@ def _parse_point(model, text: str, flag: str) -> Point:
             f"{flag} must look like CHART:x,y (got {text!r})")
     return fileio.point_from_json(model, {"chart": chart,
                                           "coords": coords.tolist()}, flag)
+
+
+def _dump_curve(model, curve, path) -> None:
+    """Write a curve file once the curve passes the check a curve file
+    gets when it is read; GridTooCoarse, and nothing written, if not."""
+    try:
+        fileio.validate_curve(model, curve)
+    except ValidationError as exc:
+        raise GridTooCoarse("the grid is too coarse for this curve: "
+                            f"{exc}") from exc
+    fileio.dump_json(fileio.curve_to_json(model, curve), path)
 
 
 def _finish(args, command: str, tolerances: dict, metrics: dict,
@@ -109,12 +121,7 @@ def _cmd_linearize(args) -> int:
 def _cmd_synthesize(args) -> int:
     model, v = fileio.tangent_curve_from_json(fileio.load_json(args.tangent))
     curve = p_inverse(model, v, substeps=args.n_substeps)
-    try:
-        fileio.validate_curve(model, curve)
-    except ValidationError as exc:
-        raise GridTooCoarse("the grid is too coarse for this tangent curve: "
-                            f"{exc}") from exc
-    fileio.dump_json(fileio.curve_to_json(model, curve), args.output)
+    _dump_curve(model, curve, args.output)
     if args.csv:
         fileio.curve_to_csv(model, curve, args.csv)
     return _finish(args, "synthesize", tolerances={}, metrics={
@@ -162,8 +169,7 @@ def _cmd_polyfit(args) -> int:
     fit = weierstrass_fit(model, curve, args.degree, basis=args.basis,
                           substeps=args.n_substeps)
     if args.output:
-        fileio.dump_json(fileio.curve_to_json(model, fit.curve.realized),
-                         args.output)
+        _dump_curve(model, fit.curve.realized, args.output)
     metrics = {"c0_error": fit.c0_error, "c1_error": fit.c1_error,
                "fit_residual": fit.v_residual}
     if math.isfinite(fit.curve.residual):
@@ -177,7 +183,7 @@ def _cmd_flow(args) -> int:
     q = _parse_point(model, args.q, "--q")
     _, points = fileio.points_from_json(fileio.load_json(args.points))
     spec = make_carrier(model, p, q)
-    moved = [flow(spec, pt, args.time) for pt in points]
+    moved = flow_points(spec, points, args.time)
     fileio.dump_json(fileio.points_to_json(model, moved), args.output)
     endpoint = model.dist_oracle(flow(spec, p, args.time), q) \
         if args.time == 1.0 else None
@@ -197,7 +203,7 @@ def _cmd_trivialize(args) -> int:
         base = _parse_point(model, args.base, "--base")
         chart = TrivializationChart(model, base)
         fiber, back = untrivialize(chart, curve)
-        fileio.dump_json(fileio.curve_to_json(model, back), args.output)
+        _dump_curve(model, back, args.output)
         start_err = model.dist_oracle(back.points[back.base_index], base)
         metrics = {"fiber_chart": fiber.chart_id,
                    "fiber_coords": [float(c) for c in fiber.coords],
@@ -208,7 +214,7 @@ def _cmd_trivialize(args) -> int:
     fiber = _parse_point(model, args.fiber, "--fiber")
     chart = TrivializationChart(model, curve.basepoint)
     sigma = trivialize(chart, fiber, curve)
-    fileio.dump_json(fileio.curve_to_json(model, sigma), args.output)
+    _dump_curve(model, sigma, args.output)
     start_err = model.dist_oracle(sigma.points[sigma.base_index], fiber)
     return _finish(args, "trivialize", {"start_error": 1e-6},
                    {"start_error": start_err},
@@ -218,7 +224,7 @@ def _cmd_trivialize(args) -> int:
 def _cmd_normalize(args) -> int:
     model, curve = fileio.curve_from_json(fileio.load_json(args.curve))
     out = arclength_normalize(model, curve, immersion_floor=args.floor)
-    fileio.dump_json(fileio.curve_to_json(model, out), args.output)
+    _dump_curve(model, out, args.output)
     dev = float(np.max(np.abs(curve_speeds(model, out) - 1.0)))
     return _finish(args, "normalize", {"unit_speed_deviation": 1e-4},
                    {"unit_speed_deviation": dev,
@@ -260,6 +266,7 @@ def _cmd_check(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--n-substeps", type=int, default=2,

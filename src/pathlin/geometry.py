@@ -200,10 +200,12 @@ class Oracle:
     """Closed-form exp/log/dist for a model geometry.
 
     A model's oracle writes each closed form once: exp, which chooses the
-    chart of its result, and three kernels on (K, m) arrays in one named
-    chart, which validate nothing.  dist_from pairs p's coordinates, one
-    point (m,) or K points (K, m), with the K points; log_from and exp_from
-    take a single p.  dist and log are the kernels' K = 1 case.
+    chart of its result, and three array kernels in one named chart, which
+    validate nothing.  dist_from pairs p's coordinates, one point (m,) or K
+    points (K, m), with K points (K, m).  log_from returns (dists, logs) of
+    K points from one pass, dists bit-equal to dist_from's; exp_from takes
+    vectors of shape (..., m).  Both take a single p.  dist and log are the
+    kernels' K = 1 case.
     """
 
     def exp(self, model: "ManifoldModel", p: Point, v: Tangent) -> Point:
@@ -214,7 +216,7 @@ class Oracle:
         raise NotImplementedError
 
     def log_from(self, model: "ManifoldModel", p: Point, chart_id: str,
-                 coords: np.ndarray) -> np.ndarray:
+                 coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
 
     def exp_from(self, model: "ManifoldModel", p: Point, vecs: np.ndarray,
@@ -226,12 +228,11 @@ class Oracle:
 
     def log(self, model: "ManifoldModel", p: Point, q: Point) -> Tangent:
         """log_p(q); OutOfInjectivityRange unless d(p, q) < r0(p)."""
-        d = self.dist(model, p, q)
+        (d,), (log,) = self.log_from(model, p, q.chart_id, q.coords[None])
         if d >= model.r0(p):
             raise OutOfInjectivityRange(
                 f"d(p, q) = {d:.6f} exceeds r0 = {model.r0(p):.6f}")
-        return Tangent(p, self.log_from(model, p, q.chart_id,
-                                        q.coords[None])[0])
+        return Tangent(p, log)
 
 
 class ManifoldModel:

@@ -111,7 +111,8 @@ class _EuclideanOracle(Oracle):
         return np.linalg.norm(coords - p.coords, axis=1)
 
     def log_from(self, model, p, chart_id, coords):
-        return coords - p.coords
+        logs = coords - p.coords
+        return np.linalg.norm(logs, axis=1), logs
 
     def exp_from(self, model, p, vecs, chart_id):
         return p.coords + vecs
@@ -278,8 +279,8 @@ class _SphereOracle(Oracle):
 
     @staticmethod
     def _unembed_many(xyz: np.ndarray, chart_id: str) -> np.ndarray:
-        denom = 1.0 + xyz[:, 2] if chart_id == "north" else 1.0 - xyz[:, 2]
-        return xyz[:, :2] / denom[:, None]
+        denom = 1.0 + xyz[..., 2] if chart_id == "north" else 1.0 - xyz[..., 2]
+        return xyz[..., :2] / denom[..., None]
 
     def dist_from(self, model, p, chart_id, coords):
         return _sphere_angle(sphere_embed(p), self._embed_many(chart_id, coords))
@@ -294,14 +295,14 @@ class _SphereOracle(Oracle):
         w = (theta / safe)[:, None] * u
         jac = _sphere_embed_jacobian(p)
         lam2 = 4.0 / (1.0 + float(p.coords @ p.coords)) ** 2
-        return (w @ jac) / lam2
+        return theta, (w @ jac) / lam2
 
     def exp_from(self, model, p, vecs, chart_id):
         P = sphere_embed(p)
         w = vecs @ _sphere_embed_jacobian(p).T
-        theta = np.linalg.norm(w, axis=1)
+        theta = np.linalg.norm(w, axis=-1)
         safe = np.where(theta > 1e-300, theta, 1.0)
-        q = np.cos(theta)[:, None] * P + (np.sin(theta) / safe)[:, None] * w
+        q = np.cos(theta)[..., None] * P + (np.sin(theta) / safe)[..., None] * w
         return self._unembed_many(q, chart_id)
 
 
@@ -368,14 +369,15 @@ class _DiskOracle(Oracle):
 
     @staticmethod
     def _mobius_many(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Mobius sums a (+) b[k]: one point a (m,), or a (K, m) by rows."""
+        """Mobius sums a (+) b[k]: one point a (m,) with points b (..., m),
+        or a (K, m) with b (K, m) by rows."""
         if a.ndim == 1:
             ab, a2 = b @ a, a @ a
         else:
-            ab, a2 = np.sum(a * b, axis=1), np.sum(a * a, axis=1)
-        b2 = np.sum(b * b, axis=1)
-        num = (1.0 + 2.0 * ab + b2)[:, None] * a + (1.0 - a2)[..., None] * b
-        return num / (1.0 + 2.0 * ab + a2 * b2)[:, None]
+            ab, a2 = np.sum(a * b, axis=-1), np.sum(a * a, axis=-1)
+        b2 = np.sum(b * b, axis=-1)
+        num = (1.0 + 2.0 * ab + b2)[..., None] * a + (1.0 - a2)[..., None] * b
+        return num / (1.0 + 2.0 * ab + a2 * b2)[..., None]
 
     def dist_from(self, model, p, chart_id, coords):
         n = np.linalg.norm(self._mobius_many(-p.coords, coords), axis=1)
@@ -387,13 +389,13 @@ class _DiskOracle(Oracle):
         d = 2.0 * np.arctanh(np.minimum(n, 1.0 - 1e-16))
         lam = 2.0 / (1.0 - float(p.coords @ p.coords))
         safe = np.where(n > 1e-300, n, 1.0)
-        return (d / (lam * safe))[:, None] * w
+        return d, (d / (lam * safe))[:, None] * w
 
     def exp_from(self, model, p, vecs, chart_id):
-        ve = np.linalg.norm(vecs, axis=1)
+        ve = np.linalg.norm(vecs, axis=-1)
         lam = 2.0 / (1.0 - float(p.coords @ p.coords))
         safe = np.where(ve > 1e-300, ve, 1.0)
-        scaled = (np.tanh(0.5 * lam * ve) / safe)[:, None] * vecs
+        scaled = (np.tanh(0.5 * lam * ve) / safe)[..., None] * vecs
         return self._mobius_many(p.coords, scaled)
 
 
@@ -487,7 +489,8 @@ class _TorusOracle(Oracle):
         return np.linalg.norm(self._shortest_many(coords - p.coords), axis=1)
 
     def log_from(self, model, p, chart_id, coords):
-        return self._shortest_many(coords - p.coords)
+        logs = self._shortest_many(coords - p.coords)
+        return np.linalg.norm(logs, axis=1), logs
 
     def exp_from(self, model, p, vecs, chart_id):
         return _torus_wrap(p.coords + vecs, _torus_window_starts(chart_id))

@@ -56,6 +56,64 @@ def test_carrier_zero_outside_cutoff(model):
         assert model.point_distance(flow(spec, far, 1.0), far) < 1e-14
 
 
+def _pre_change_carrier_field_many(spec, chart_id, coords):
+    """carrier_field_many as written before log_from returned distances: a
+    dist_from pass, log_from on the rows inside r_out only, then one
+    exp_from call per difference point."""
+    model, h = spec.model, bundleflow._FD_STEP
+    oracle = model.oracle
+    d = oracle.dist_from(model, spec.p, chart_id, coords)
+    out = np.zeros_like(coords)
+    near = d < spec.r_out
+    if np.any(near):
+        _, m_prime = oracle.log_from(model, spec.p, chart_id, coords[near])
+        step = h * spec.q_prime.components
+        plus = oracle.exp_from(model, spec.p, m_prime + step, chart_id)
+        minus = oracle.exp_from(model, spec.p, m_prime - step, chart_id)
+        rho = smooth_step((spec.r_out - d[near]) / (spec.r_out - spec.r_in))
+        out[near] = rho[:, None] * (plus - minus) / (2.0 * h)
+    return out
+
+
+# rows of K inside r_out per case
+_INSIDE_ROWS = {"all": lambda k: k, "none": lambda k: 0,
+                "some": lambda k: k // 2, "one": lambda k: 1}
+
+
+@pytest.mark.parametrize("k,case", [
+    (1, "all"), (1, "none"), (2, "all"), (2, "none"), (2, "one"),
+    (201, "all"), (201, "none"), (201, "some"), (201, "one")])
+def test_carrier_field_many_matches_pre_change_formula(model, k, case):
+    for trial in range(10):
+        rng = np.random.default_rng([k, len(case), trial])
+        chart = sorted(model.charts)[rng.integers(len(model.charts))]
+        p = Point(chart, model.charts[chart].center
+                  + rng.uniform(-0.3, 0.3, model.dim))
+        q = model.exp_oracle(p, random_tangent(model, rng, p, norm=0.2))
+        spec = make_carrier(model, p, q)
+        inside = _INSIDE_ROWS[case](k)
+        frac = rng.permutation(np.concatenate([
+            rng.uniform(0.0, 0.98, inside),
+            rng.uniform(1.02, 1.3, k - inside)]))
+        vecs = rng.normal(size=(k, model.dim))
+        vecs *= (frac * spec.r_out / model.g_norms(
+            [chart] * k, np.tile(p.coords, (k, 1)), vecs))[:, None]
+        coords = model.oracle.exp_from(model, p, vecs, chart)
+        far = model.oracle.dist_from(model, p, chart, coords) >= spec.r_out
+        assert np.count_nonzero(~far) == inside
+
+        got = bundleflow.carrier_field_many(spec, chart, coords)
+        want = _pre_change_carrier_field_many(spec, chart, coords)
+        assert got[far].tobytes() == np.zeros_like(got[far]).tobytes(), \
+            "+0.0 beyond r_out"
+        if case == "one" and k > 1:
+            # the reference's log_from and exp_from see a single row there,
+            # which goes down another BLAS path than the K-row call
+            assert_close(got, want, 1e-10, model.name)
+        else:
+            assert got.tobytes() == want.tobytes(), trial
+
+
 def test_carrier_rejects_distant_pair(sphere):
     p = Point("north", [0.0, 0.0])
     q = sphere.exp_oracle(p, Tangent(p, [0.5, 0.0]))   # distance 1 > r0/2

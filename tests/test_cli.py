@@ -4,13 +4,15 @@ import contextlib
 import io
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from pathlin import Frame, Grid, Point, Tangent, get_model
+from pathlin import Frame, Grid, Point, Tangent, cli, get_model
 from pathlin import fileio
+from pathlin.bundleflow import flow, make_carrier
 from pathlin.cli import main
 from pathlin.linearize import TangentCurve, p_forward
 from pathlin.transport import SampledCurve, curve_velocities
@@ -113,6 +115,126 @@ def test_cube2_forward_inverse(tmp_path, capsys):
                           - (g.nodes[i] * u1 + g.nodes[j] * u2)[k]))
                 for i in range(13) for j in range(13) for k in range(2))
     assert worst < 1e-10
+
+
+def test_parser_is_built_once_and_each_run_parses_afresh(tmp_path, capsys,
+                                                       monkeypatch,
+                                                       sphere_fixture):
+    _, _, path = sphere_fixture
+    seen = []
+    validate = cli._validate_args
+
+    def record(args):
+        seen.append(dict(vars(args)))
+        validate(args)
+
+    monkeypatch.setattr(cli, "_validate_args", record)
+    report = tmp_path / "rep.json"
+    first = ["roundtrip", str(path), "--report", str(report), "--seed", "5",
+             "--n-substeps", "3", "--tolerance-report-only"]
+    second = ["linearize", str(path), "-o", str(tmp_path / "tangent.json")]
+    assert main(first) == 0
+    assert main(second) == 0
+    capsys.readouterr()
+    assert cli._build_parser() is cli._build_parser()
+    assert seen[0]["report"] == str(report) and seen[0]["seed"] == 5
+    assert seen[1] == {
+        "command": "linearize", "curve": str(path),
+        "output": str(tmp_path / "tangent.json"), "frame": "orthonormal",
+        "csv": None, "n_substeps": 2, "seed": 0,
+        "tolerance_report_only": False, "report": None,
+        "handler": cli._cmd_linearize, "_argv": second}
+    assert json.loads(report.read_text())["command"] == "roundtrip"
+
+
+def _point_arg(point):
+    x, y = map(float, point.coords)
+    return f"{point.chart_id}:{x!r},{y!r}"
+
+
+# a (p, q) pair per model, p near a chart margin where a chart has one
+_FLOW_PAIRS = {
+    "euclidean2": (Point("xy", [0.1, 0.2]), Point("xy", [0.5, -0.3])),
+    "hyperbolic2": (Point("disk", [0.1, 0.2]), Point("disk", [0.3, 0.1])),
+    "sphere2": (Point("north", [1.6, 0.2]), Point("north", [1.75, 0.1])),
+    "torus2": (Point("a", [0.9, 3.0]), Point("a", [1.1, 2.8])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FLOW_PAIRS))
+def test_flow_command_matches_per_point_flows(tmp_path, capsys, name):
+    # flow moves the whole points file in one batch.  The batch's kernels
+    # see K rows where a single flow sees one, which rounds differently on
+    # sphere2 and hyperbolic2 only; the field's central difference scales
+    # that 1-ulp gap by 1 / (2e-5), and over 8 seeds and times 0.8 and +-1
+    # the flowed points differed by at most 6.0e-12
+    model = get_model(name)
+    p, q = _FLOW_PAIRS[name]
+    spec = make_carrier(model, p, q)
+    rng = np.random.default_rng(3)
+    points = []
+    for d in rng.uniform(0.0, 1.3 * spec.r_out, 12):
+        v = rng.normal(size=2)
+        points.append(model.exp_oracle(
+            p, Tangent(p, v * d / model.g_norm(Tangent(p, v)))))
+    pts_path, out = tmp_path / "pts.json", tmp_path / "flowed.json"
+    fileio.dump_json(fileio.points_to_json(model, points), pts_path)
+    assert main(["flow", name, "--p", _point_arg(p), "--q", _point_arg(q),
+                 str(pts_path), "-o", str(out), "--time", "0.8"]) == 0
+    capsys.readouterr()
+    _, moved = fileio.points_from_json(fileio.load_json(out))
+    expected = [flow(spec, pt, 0.8) for pt in points]
+    assert [m.chart_id for m in moved] == [e.chart_id for e in expected]
+    tol = 1e-10 if name in ("sphere2", "hyperbolic2") else 0.0
+    gap = max(float(np.max(np.abs(m.coords - e.coords)))
+              for m, e in zip(moved, expected))
+    assert gap <= tol
+    if name in ("sphere2", "torus2"):
+        assert len({pt.chart_id for pt in points}) > 1, "points span charts"
+
+
+def _chartless_curve():
+    """A sphere2 curve whose samples alternate between the two poles'
+    chart centers: north (0, 0) has no image in the south chart."""
+    charts = ["north", "south"] * 5 + ["north"]
+    return SampledCurve(Grid.regular(0.0, 1.0, 10),
+                        [Point(c, [0.0, 0.0]) for c in charts], order=2)
+
+
+# each curve-writing command: the library call it makes, that call stubbed
+# to return a curve that is not a valid curve file, and its arguments after
+# the curve file
+_CURVE_WRITERS = {
+    "trivialize": ("trivialize", lambda *a: _chartless_curve(),
+                   ["--fiber", "north:0.1,0.05"]),
+    "untrivialize": ("untrivialize",
+                     lambda chart, sigma: (sigma.basepoint,
+                                           _chartless_curve()),
+                     ["--inverse", "--base", "north:0,0"]),
+    "normalize": ("arclength_normalize", lambda *a, **k: _chartless_curve(),
+                  []),
+    "polyfit": ("weierstrass_fit",
+                lambda *a, **k: SimpleNamespace(curve=SimpleNamespace(
+                    realized=_chartless_curve())),
+                ["--degree", "4"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_CURVE_WRITERS))
+def test_written_curve_that_fails_validation_exits_3(tmp_path, capsys,
+                                                     monkeypatch,
+                                                     sphere_fixture, command):
+    _, _, path = sphere_fixture
+    call, stub, options = _CURVE_WRITERS[command]
+    monkeypatch.setattr(cli, call, stub)
+    out, report = tmp_path / "out.json", tmp_path / "rep.json"
+    argv = ["trivialize" if command == "untrivialize" else command, str(path)]
+    code = main(argv + options + ["-o", str(out), "--report", str(report)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "too coarse" in err and "share no chart" in err
+    assert "Traceback" not in err
+    assert not out.exists() and not report.exists()
 
 
 def test_flow_and_trivialize_commands(tmp_path, capsys, sphere_fixture):

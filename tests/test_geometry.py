@@ -298,9 +298,67 @@ def test_derived_dist_and_log_match_reference_forms(name, data):
 ])
 def test_log_raises_beyond_r0(name, p, q):
     model = get_model(name)
-    assert model.dist_oracle(p, q) >= model.r0(p)
-    with pytest.raises(OutOfInjectivityRange, match="exceeds r0"):
+    d = model.dist_oracle(p, q)
+    assert d >= model.r0(p)
+    with pytest.raises(OutOfInjectivityRange) as exc:
         model.log_oracle(p, q)
+    assert str(exc.value) == \
+        f"d(p, q) = {d:.6f} exceeds r0 = {model.r0(p):.6f}"
+
+
+def _kernel_points(model, rng, k):
+    """A point p near a chart center and k points of p's chart at g-distance
+    up to 1.2 from p, from exp_from."""
+    chart = sorted(model.charts)[rng.integers(len(model.charts))]
+    p = Point(chart, model.charts[chart].center
+              + rng.uniform(-0.3, 0.3, model.dim))
+    vecs = rng.normal(size=(k, model.dim))
+    vecs *= (rng.uniform(0.0, 1.2, k)
+             / model.g_norms([chart] * k, np.tile(p.coords, (k, 1)), vecs)
+             )[:, None]
+    return p, model.oracle.exp_from(model, p, vecs, chart)
+
+
+@pytest.mark.parametrize("k", [1, 2, 201])
+def test_log_from_distances_are_dist_from(model, k):
+    p, coords = _kernel_points(model, np.random.default_rng(k), k)
+    oracle = model.oracle
+    dists, logs = oracle.log_from(model, p, p.chart_id, coords)
+    assert dists.tobytes() == \
+        oracle.dist_from(model, p, p.chart_id, coords).tobytes()
+    assert logs.shape == coords.shape
+
+
+def _pre_change_log(model, p, q):
+    """Oracle.log as it was written before log_from returned distances: a
+    dist kernel call for the r0 test, then a log kernel call."""
+    d = model.dist_oracle(p, q)
+    if d >= model.r0(p):
+        raise OutOfInjectivityRange(
+            f"d(p, q) = {d:.6f} exceeds r0 = {model.r0(p):.6f}")
+    return model.oracle.log_from(model, p, q.chart_id, q.coords[None])[1][0]
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+@given(data=st.data())
+def test_log_is_the_pre_change_log(name, data):
+    model = get_model(name)
+    p, q = data.draw(_oracle_pair(model))
+    assert model.log_oracle(p, q).components.tobytes() == \
+        _pre_change_log(model, p, q).tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 201])
+def test_exp_from_on_a_stack_is_two_calls(model, k):
+    rng = np.random.default_rng(10 + k)
+    p, _ = _kernel_points(model, rng, 1)
+    vecs = rng.normal(scale=0.5, size=(2, k, model.dim))
+    oracle = model.oracle
+    stacked = oracle.exp_from(model, p, vecs, p.chart_id)
+    assert stacked.shape == vecs.shape
+    for half, v in zip(stacked, vecs):
+        assert half.tobytes() == \
+            oracle.exp_from(model, p, v, p.chart_id).tobytes()
 
 
 def _meridian(charts, offset=0.0):
