@@ -28,7 +28,8 @@ import numpy as np
 
 from .cubemaps import CubeLinearization, CubeSample
 from .errors import ValidationError
-from .geometry import Frame, ManifoldModel, OUTSIDE, Point, Samples
+from .geometry import (Frame, ManifoldModel, OUTSIDE, Point, Samples,
+                       chart_groups)
 from .linearize import TangentCurve
 from .models import get_model
 from .numerics import Grid
@@ -140,16 +141,17 @@ def point_to_json(point: Point) -> dict:
     return {"chart": point.chart_id, "coords": [float(c) for c in point.coords]}
 
 
-def _sample_from_json(model: ManifoldModel, payload: dict,
-                      where: str) -> tuple[str, np.ndarray]:
-    """One chart-tagged sample as (chart id, coordinates), checked."""
+def _sample_from_json(model: ManifoldModel, payload: dict, where: str,
+                      placed: bool = True) -> tuple[str, np.ndarray]:
+    """One chart-tagged sample as (chart id, coordinates), checked; with
+    placed False, all but its place in the chart."""
     chart = _require(payload, "chart", str)
     if chart not in model.charts:
         raise ValidationError(f"{where}: unknown chart {chart!r}")
     coords = _numeric(_require(payload, "coords", list), f"{where}.coords")
     if coords.shape != (model.dim,):
         raise ValidationError(f"{where}: coords must have length {model.dim}")
-    if model.chart(chart).domain_test(coords) == OUTSIDE:
+    if placed and model.chart(chart).domain_test(coords) == OUTSIDE:
         raise ValidationError(f"{where}: point lies outside chart {chart!r}")
     return chart, coords
 
@@ -160,9 +162,26 @@ def point_from_json(model: ManifoldModel, payload: dict, where: str) -> Point:
 
 def _samples_from_json(model: ManifoldModel, entries: list,
                        where: str) -> Samples:
-    """A non-empty list of samples; entry j is checked as {where}[j]."""
-    charts, coords = zip(*(_sample_from_json(model, s, f"{where}[{j}]")
-                           for j, s in enumerate(entries)))
+    """A list of samples; entry j is checked as {where}[j], and the first
+    faulty entry is reported.  Fields are read up to the first malformed
+    entry; the entries before it are then placed in their charts by one
+    domain_test_many call per chart."""
+    charts, coords, malformed = [], [], None
+    try:
+        for j, s in enumerate(entries):
+            chart, x = _sample_from_json(model, s, f"{where}[{j}]", False)
+            charts.append(chart)
+            coords.append(x)
+    except ValidationError as exc:
+        malformed = exc
+    coords = np.reshape(coords, (len(charts), model.dim))
+    outside = [idx[model.chart(cid).domain_test_many(coords[idx]) == OUTSIDE]
+               for cid, idx in chart_groups(charts).items()]
+    j = min((int(idx[0]) for idx in outside if idx.size), default=None)
+    if j is not None:
+        raise ValidationError(f"{where}[{j}]: point lies outside chart {charts[j]!r}")
+    if malformed is not None:
+        raise malformed
     return Samples(charts, coords)
 
 
@@ -348,9 +367,7 @@ def points_from_json(payload: dict):
     _check_header(payload, "points")
     model = _model_of(payload)
     entries = _require(payload, "points", list)
-    points = tuple(point_from_json(model, s, f"points[{j}]")
-                   for j, s in enumerate(entries))
-    return model, points
+    return model, tuple(_samples_from_json(model, entries, "points"))
 
 
 # -- reports and CSV -------------------------------------------------------------

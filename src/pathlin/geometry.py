@@ -245,10 +245,12 @@ class ManifoldModel:
     christoffel_action_batch, M[l, j] = Gamma^l_{kj} r^k at (K, m) points,
     which transport, covariant derivatives and the batched inverse call, and
     christoffel_action_floats, its form on Python floats for the
-    single-curve inverse stepper.  Both default to christoffel (through
-    christoffel_batch and christoffel_action), so christoffel and metric are
-    all a model must implement; the built-in models override the two hooks
-    with closed forms.
+    single-curve inverse stepper, whose m rows of m floats may be tuples.
+    metric_many, the metric at (K, m) points of one chart as (K, m, m) for
+    g_norms, must agree with metric bit for bit.  The hooks default to
+    christoffel (through christoffel_batch and christoffel_action) and to
+    metric, so christoffel and metric are all a model must implement; the
+    built-in models override the hooks with closed forms.
     """
 
     def __init__(self, name: str, dim: int, charts: Sequence[ChartSpec],
@@ -278,9 +280,9 @@ class ManifoldModel:
         """The positions i, ascending, whose coordinates coords[i] are not
         INSIDE their chart: groups maps each chart id to its positions, as
         chart_groups does, and each chart classifies its own in one call."""
-        return np.sort(np.concatenate([
-            idx[self.chart(cid).domain_test_many(coords[idx]) != INSIDE]
-            for cid, idx in groups.items()]))
+        flagged = [idx[self.chart(cid).domain_test_many(coords[idx]) != INSIDE]
+                   for cid, idx in groups.items()]
+        return np.sort(np.concatenate(flagged)) if flagged else np.zeros(0, int)
 
     def transition(self, point: Point, target: str) -> Point:
         """Re-express a point in the target chart; NoOverlap if impossible."""
@@ -363,7 +365,8 @@ class ManifoldModel:
     def christoffel_action_floats(self, chart_id: str, coords: list[float],
                                   r: list[float]) -> list[list[float]]:
         """christoffel_action on Python floats: coords and r are length-m
-        lists, the result is M as m rows of m floats.
+        sequences (the 2-D stepper passes tuples), the result is M as m rows
+        of m floats, each row a tuple or a list.
 
         This is the hook of the single-curve inverse stepper, which keeps its
         state in floats because numpy's per-call overhead dominates at m = 2.
@@ -385,11 +388,20 @@ class ManifoldModel:
     def g_norm(self, t: Tangent) -> float:
         return float(np.sqrt(max(self.inner(t, t), 0.0)))
 
+    def metric_many(self, chart_id: str, coords: np.ndarray) -> np.ndarray:
+        """metric at (K, m) points of one chart, as a (K, m, m) array."""
+        return np.stack([self.metric(chart_id, x) for x in coords])
+
     def g_norms(self, charts, coords, vectors) -> np.ndarray:
         """g_norm of vectors[j] at the point (charts[j], coords[j]) for every
-        j, with g_norm's arithmetic node by node, so the bits agree."""
-        return np.array([np.sqrt(max(float(r @ self.metric(c, x) @ r), 0.0))
-                         for c, x, r in zip(charts, coords, vectors)])
+        j of the (n, m) arrays: g_norm's r @ g @ r, one metric_many a chart."""
+        sq = np.empty(len(vectors))
+        for cid, idx in chart_groups(charts).items():
+            r = vectors[idx]
+            rg = np.matmul(r[:, None, :], self.metric_many(cid, coords[idx]))
+            sq[idx] = np.vecdot(rg[:, 0], r)
+        # np.where, not np.maximum: max(q, 0.0) keeps q unless 0.0 > q
+        return np.sqrt(np.where(sq < 0.0, 0.0, sq))
 
     def r0(self, point: Point) -> float:
         return float(self._r0(point))

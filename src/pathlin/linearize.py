@@ -20,12 +20,12 @@ and writing a SampledCurve's samples as chart ids and coordinates, and
 neither builds a Point per node.  The forward core transports the frame
 with the batched transport core, transport._transport_columns, as a batch
 of one, and solves all nodes at once for the components.  The inverse
-core integrates a single curve with one RK4 stepper, _step_interval, whose
-state is a flat list of m + m^2 Python floats (position, then the frame
-row by row) and whose connection comes from the model's
-christoffel_action_floats: at m = 2 numpy's per-call overhead, not the
-arithmetic, is the cost, and the right-hand side is unrolled for m = 2
-(_frame_rhs_2d, exactly equal to the generic one).
+core integrates a single curve with RK4 on a flat state of m + m^2 Python
+floats (position, then the frame row by row), its connection from the
+model's christoffel_action_floats: at m = 2 numpy's per-call overhead, not
+the arithmetic, is the cost.  _stepper picks the interval stepper: for
+m = 2, the dimension of every built-in model, _step_interval_2d on six
+unpacked floats, bit-equal to the generic _step_interval it stands for.
 Batches of curves on one grid go through _solve_inverse_batch, the same
 scheme on (B, ...) numpy arrays; the two agree to rounding, with the same
 charts and switch logs.
@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from operator import mul
 
 import numpy as np
@@ -130,12 +131,12 @@ def p_forward(model: ManifoldModel, curve: SampledCurve,
     basepoint, expressed in frame0 (default: g-orthonormalized coordinates)."""
     frame0, comps, (_, _, _, switch_log), velocities = _p_forward_detailed(
         model, curve, frame0, substeps)
-    gram0 = model.frame_gram(frame0)
-    norms_v = [np.sqrt(max(c @ gram0 @ c, 0.0)) for c in comps]
+    sq = np.vecdot(comps @ model.frame_gram(frame0), comps)
+    norms_v = np.sqrt(np.where(sq < 0.0, 0.0, sq))
     pts = curve.points
     # np.max, not max: a NaN drift must surface, not be skipped
     drift = float(np.max(np.abs(
-        np.array(norms_v) - model.g_norms(pts.charts, pts.coords, velocities))))
+        norms_v - model.g_norms(pts.charts, pts.coords, velocities))))
     tc = TangentCurve(base=frame0.base, frame0=frame0, grid=curve.grid,
                       components=comps)
     return LinearizationReport(tangent_curve=tc, switch_log=tuple(switch_log),
@@ -161,54 +162,33 @@ def _switch_state(model, chart, x, cols, node, switch_log):
     return moved.chart_id, moved.coords, jac @ cols
 
 
-def _frame_rhs(action, chart: str, m: int):
-    """Right-hand side f(y, v) of the coupled system on the flat float state
-    of _step_interval: dx/dt = r = E v and dE/dt = -M(x, r) E, with M from
-    the model's christoffel_action_floats in the given chart."""
+def _stepper(action, chart: str, m: int):
+    """The interval stepper in a chart: _step_interval, written out at m = 2."""
     if m == 2:
-        return _frame_rhs_2d(action, chart)
-    return _frame_rhs_generic(action, chart, m)
+        return _step_interval_2d(action, chart)
+    return partial(_step_interval, _frame_rhs_generic(action, chart, m))
 
 
 def _frame_rhs_generic(action, chart: str, m: int):
+    """f(y, v): dx/dt = r = E v, dE/dt = -M(x, r) E.  Sums start at -0.0,
+    which adds exactly, so zeros keep their sign as in a * b + c * d."""
     row_starts = range(m, m + m * m, m)
     col_starts = range(m, 2 * m)
 
     def rhs(y, v):
-        r = [sum(map(mul, y[k:k + m], v)) for k in row_starts]
+        r = [sum(map(mul, y[k:k + m], v), -0.0) for k in row_starts]
         cols = [y[k::m] for k in col_starts]
-        return r + [-sum(map(mul, mrow, col))
+        return r + [-sum(map(mul, mrow, col), -0.0)
                     for mrow in action(chart, y[:m], r) for col in cols]
-    return rhs
-
-
-def _frame_rhs_2d(action, chart: str):
-    """_frame_rhs_generic unrolled for m = 2, the dimension of every built-in
-    model: a call takes about 1 us against 4-5 us for the generic loops, and
-    the single-curve inverse spends most of its time here.  Same operations
-    in the same order, so the two agree exactly."""
-    def rhs(y, v):
-        x0, x1, e00, e01, e10, e11 = y
-        v0, v1 = v
-        r0 = e00 * v0 + e01 * v1
-        r1 = e10 * v0 + e11 * v1
-        (m00, m01), (m10, m11) = action(chart, [x0, x1], [r0, r1])
-        return [r0, r1,
-                -(m00 * e00 + m01 * e10), -(m00 * e01 + m01 * e11),
-                -(m10 * e00 + m11 * e10), -(m10 * e01 + m11 * e11)]
     return rhs
 
 
 def _step_interval(rhs, y, stages, hsub):
     """One grid interval of the coupled position+frame system: classic RK4
-    with len(stages) // 2 substeps, in Python floats.
-
-    y is the state as one flat list of m + m^2 floats: the position x^k,
-    then the frame matrix row by row (entry m + l*m + i holds e_i^l).
-    stages holds the component vectors v at the 2 * substeps + 1 stage
-    times, in the direction of travel; hsub is the signed substep; rhs is
-    from _frame_rhs.  Returns the new state.
-    """
+    with len(stages) // 2 substeps, in Python floats.  y is the flat state
+    (entry m + l*m + i holds e_i^l), stages the component vectors v at the
+    2 * substeps + 1 stage times in the direction of travel, hsub the signed
+    substep and rhs from _frame_rhs_generic.  Returns the new state."""
     half = 0.5 * hsub
     sixth = hsub / 6.0
     for s in range(0, len(stages) - 1, 2):
@@ -220,6 +200,44 @@ def _step_interval(rhs, y, stages, hsub):
         y = [a + sixth * (p + 2.0 * q + 2.0 * r + t)
              for a, p, q, r, t in zip(y, k1, k2, k3, k4)]
     return y
+
+
+def _step_interval_2d(action, chart: str):
+    """_step_interval on _frame_rhs_generic written out for m = 2, on six
+    unpacked floats with tuples in and out, where the single-curve inverse
+    spends most of its time; same operations in the same order."""
+    def rhs(x0, x1, e00, e01, e10, e11, v0, v1):
+        r0 = e00 * v0 + e01 * v1
+        r1 = e10 * v0 + e11 * v1
+        (m00, m01), (m10, m11) = action(chart, (x0, x1), (r0, r1))
+        return (r0, r1,
+                -(m00 * e00 + m01 * e10), -(m00 * e01 + m01 * e11),
+                -(m10 * e00 + m11 * e10), -(m10 * e01 + m11 * e11))
+
+    def step(y, stages, hsub):
+        half = 0.5 * hsub
+        sixth = hsub / 6.0
+        x0, x1, e00, e01, e10, e11 = y
+        for s in range(0, len(stages) - 1, 2):
+            (a0, a1), (b0, b1), (c0, c1) = stages[s], stages[s + 1], stages[s + 2]
+            p0, p1, p2, p3, p4, p5 = rhs(x0, x1, e00, e01, e10, e11, a0, a1)
+            q0, q1, q2, q3, q4, q5 = rhs(
+                x0 + half * p0, x1 + half * p1, e00 + half * p2,
+                e01 + half * p3, e10 + half * p4, e11 + half * p5, b0, b1)
+            r0, r1, r2, r3, r4, r5 = rhs(
+                x0 + half * q0, x1 + half * q1, e00 + half * q2,
+                e01 + half * q3, e10 + half * q4, e11 + half * q5, b0, b1)
+            t0, t1, t2, t3, t4, t5 = rhs(
+                x0 + hsub * r0, x1 + hsub * r1, e00 + hsub * r2,
+                e01 + hsub * r3, e10 + hsub * r4, e11 + hsub * r5, c0, c1)
+            x0 = x0 + sixth * (p0 + 2.0 * q0 + 2.0 * r0 + t0)
+            x1 = x1 + sixth * (p1 + 2.0 * q1 + 2.0 * r1 + t1)
+            e00 = e00 + sixth * (p2 + 2.0 * q2 + 2.0 * r2 + t2)
+            e01 = e01 + sixth * (p3 + 2.0 * q3 + 2.0 * r3 + t3)
+            e10 = e10 + sixth * (p4 + 2.0 * q4 + 2.0 * r4 + t4)
+            e11 = e11 + sixth * (p5 + 2.0 * q5 + 2.0 * r5 + t5)
+        return x0, x1, e00, e01, e10, e11
+    return step
 
 
 def p_inverse_detailed(model: ManifoldModel, v: TangentCurve,
@@ -248,7 +266,7 @@ def p_inverse_detailed(model: ManifoldModel, v: TangentCurve,
 
     def march(stop: int):
         chart, y = v.base.chart_id, y0
-        rhs = _frame_rhs(action, chart, m)
+        step = _stepper(action, chart, m)
         direction = 1 if stop >= base_node else -1
         j = base_node
         while j != stop:
@@ -257,7 +275,7 @@ def p_inverse_detailed(model: ManifoldModel, v: TangentCurve,
             else:
                 stages, j = v_stages[j - 1][::-1], j - 1
             try:
-                y = _step_interval(rhs, y, stages, direction * hsub)
+                y = step(y, stages, direction * hsub)
                 finite = all(map(math.isfinite, y))
             except (ZeroDivisionError, OverflowError):
                 # Python floats raise where numpy would have returned inf
@@ -272,7 +290,7 @@ def p_inverse_detailed(model: ManifoldModel, v: TangentCurve,
                     chart, x, cols = _switch_state(model, chart, x, cols, j,
                                                    switch_log)
                     y = x.tolist() + cols.ravel().tolist()
-                    rhs = _frame_rhs(action, chart, m)
+                    step = _stepper(action, chart, m)
             charts[j], states[j] = chart, y
 
     march(n - 1)

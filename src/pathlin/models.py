@@ -11,8 +11,7 @@ Coordinate conventions are emitted by `pathlin models --describe <name>`.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
-from operator import mul
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -27,34 +26,33 @@ MODEL_NAMES = ("euclidean2", "hyperbolic2", "sphere2", "torus2")
 
 
 # ---------------------------------------------------------------------------
-# Conformal-metric helpers (sphere and Poincare disk are g = lam^2 * I)
+# Conformal models (sphere and Poincare disk are g = lam^2 * I)
 # ---------------------------------------------------------------------------
 
-def _conformal_christoffel(phi_grad: np.ndarray) -> np.ndarray:
-    """Gamma^l_{kj} = d_lk phi_j + d_lj phi_k - d_kj phi_l for g = e^{2 phi} I."""
-    m = phi_grad.size
-    eye = np.eye(m)
-    return (np.einsum("lk,j->lkj", eye, phi_grad)
-            + np.einsum("lj,k->lkj", eye, phi_grad)
-            - np.einsum("kj,l->lkj", eye, phi_grad))
-
-
 class _ConformalModel(ManifoldModel):
-    """Model whose metric is lam(x)^2 * I on every chart; subclasses provide
-    the conformal factor and the gradient of its logarithm (both accepting a
-    leading batch axis), and that gradient once more on a list of floats."""
+    """A surface with metric lam(x)^2 * I on every chart, lam = 2 / (1 +
+    kappa |x|^2): the sphere (kappa = 1) and the Poincare disk (kappa = -1);
+    grad log lam = -2 kappa x / (1 + kappa |x|^2).  At kappa = -1 these round
+    as the 1 - |x|^2 forms do, since 1.0 + (-1.0 * s) is 1.0 - s in IEEE."""
 
-    def _lam(self, coords: np.ndarray):
-        raise NotImplementedError
+    def __init__(self, kappa: float, **kwargs):
+        self._kappa = kappa
+        self._grad_scale = -2.0 * kappa
+        super().__init__(**kwargs)
 
-    def _phi_grad(self, coords: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+    def _lam(self, coords):
+        return 2.0 / (1.0 + self._kappa * np.sum(coords * coords, axis=-1))
 
-    def _phi_grad_floats(self, coords: list[float]) -> list[float]:
-        raise NotImplementedError
+    def _phi_grad(self, coords):
+        r2 = np.sum(coords * coords, axis=-1, keepdims=True)
+        return self._grad_scale * coords / (1.0 + self._kappa * r2)
 
     def christoffel(self, chart_id, coords):
-        return _conformal_christoffel(self._phi_grad(np.asarray(coords, float)))
+        # Gamma^l_{kj} = d_lk phi_j + d_lj phi_k - d_kj phi_l
+        phi = self._phi_grad(np.asarray(coords, float))
+        eye = np.eye(self.dim)
+        return (np.einsum("lk,j->lkj", eye, phi) + np.einsum("lj,k->lkj", eye, phi)
+                - np.einsum("kj,l->lkj", eye, phi))
 
     def christoffel_action_batch(self, chart_id, coords, r):
         # M[l, j] = Gamma^l_{kj} r^k expanded for a conformal metric
@@ -65,19 +63,23 @@ class _ConformalModel(ManifoldModel):
                 - np.einsum("bl,bj->blj", phi, r))
 
     def christoffel_action_floats(self, chart_id, coords, r):
-        # christoffel_action_batch term by term, in the same order
-        phi = self._phi_grad_floats(coords)
-        phi_r = sum(map(mul, phi, r))
-        out = []
-        for l, (p_l, r_l) in enumerate(zip(phi, r)):
-            row = [r_l * p_j - p_l * r_j for p_j, r_j in zip(phi, r)]
-            row[l] = r_l * p_l + phi_r - p_l * r_l
-            out.append(row)
-        return out
+        # christoffel_action_batch term by term, in the same order, at m = 2
+        x0, x1 = coords
+        r0, r1 = r
+        d = 1.0 + self._kappa * (x0 * x0 + x1 * x1)
+        p0 = self._grad_scale * x0 / d
+        p1 = self._grad_scale * x1 / d
+        pr = p0 * r0 + p1 * r1
+        return ((r0 * p0 + pr - p0 * r0, r0 * p1 - p0 * r1),
+                (r1 * p0 - p1 * r0, r1 * p1 + pr - p1 * r1))
 
     def metric(self, chart_id, coords):
         lam = self._lam(np.asarray(coords, float))
         return (lam * lam) * np.eye(self.dim)
+
+    def metric_many(self, chart_id, coords):
+        lam = self._lam(np.asarray(coords, float))
+        return (lam * lam)[:, None, None] * np.eye(self.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -92,11 +94,18 @@ class _FlatMixin:
         coords = np.asarray(coords, dtype=float)
         return np.zeros((coords.shape[0], self.dim, self.dim))
 
+    @cached_property
+    def _zero_action(self):
+        return ((0.0,) * self.dim,) * self.dim
+
     def christoffel_action_floats(self, chart_id, coords, r):
-        return [[0.0] * self.dim for _ in range(self.dim)]
+        return self._zero_action
 
     def metric(self, chart_id, coords):
         return np.eye(self.dim)
+
+    def metric_many(self, chart_id, coords):
+        return np.broadcast_to(np.eye(self.dim), (len(coords), self.dim, self.dim))
 
 
 class _EuclideanModel(_FlatMixin, ManifoldModel):
@@ -238,19 +247,6 @@ def sphere_pull_from_embedding(base: Point, w: np.ndarray) -> Tangent:
     return Tangent(base, (jac.T @ w) / lam2)
 
 
-class _SphereModel(_ConformalModel):
-    def _lam(self, coords):
-        return 2.0 / (1.0 + np.sum(coords * coords, axis=-1))
-
-    def _phi_grad(self, coords):
-        r2 = np.sum(coords * coords, axis=-1, keepdims=True)
-        return -2.0 * coords / (1.0 + r2)
-
-    def _phi_grad_floats(self, coords):
-        d = 1.0 + sum(map(mul, coords, coords))
-        return [-2.0 * c / d for c in coords]
-
-
 def _sphere_angle(P: np.ndarray, Q: np.ndarray):
     """Great-circle angle via the chord, stable near coincident points."""
     chord = np.linalg.norm(Q - P, axis=-1)
@@ -318,8 +314,8 @@ def _sphere2() -> ManifoldModel:
     ]
     inv = TransitionMap(_inversion, _inversion_jacobian)
     transitions = {("north", "south"): inv, ("south", "north"): inv}
-    return _SphereModel(
-        name="sphere2", dim=2, charts=charts, transitions=transitions,
+    return _ConformalModel(
+        kappa=1.0, name="sphere2", dim=2, charts=charts, transitions=transitions,
         r0=lambda p: math.pi / 2.0, oracle=_SphereOracle())
 
 
@@ -343,19 +339,6 @@ def mobius_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b2 = float(b @ b)
     denom = 1.0 + 2.0 * ab + a2 * b2
     return ((1.0 + 2.0 * ab + b2) * a + (1.0 - a2) * b) / denom
-
-
-class _DiskModel(_ConformalModel):
-    def _lam(self, coords):
-        return 2.0 / (1.0 - np.sum(coords * coords, axis=-1))
-
-    def _phi_grad(self, coords):
-        r2 = np.sum(coords * coords, axis=-1, keepdims=True)
-        return 2.0 * coords / (1.0 - r2)
-
-    def _phi_grad_floats(self, coords):
-        d = 1.0 - sum(map(mul, coords, coords))
-        return [2.0 * c / d for c in coords]
 
 
 class _DiskOracle(Oracle):
@@ -408,8 +391,8 @@ def _hyperbolic2() -> ManifoldModel:
         description="Poincare disk coordinates |x| < 1, curvature -1",
         domain_test_many=_disk_domain_many,
     )
-    return _DiskModel(
-        name="hyperbolic2", dim=2, charts=[chart], transitions={},
+    return _ConformalModel(
+        kappa=-1.0, name="hyperbolic2", dim=2, charts=[chart], transitions={},
         r0=lambda p: R0_CAP, oracle=_DiskOracle())
 
 

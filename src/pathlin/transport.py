@@ -146,8 +146,8 @@ def curve_velocities(model: ManifoldModel, curve: SampledCurve) -> tuple[Tangent
 
 
 def curve_speeds(model: ManifoldModel, curve: SampledCurve) -> np.ndarray:
-    """g-norm of the finite-difference velocity at every node, node by node
-    with g_norm's arithmetic."""
+    """g-norm of the finite-difference velocity at every node, bit-equal to
+    g_norm's."""
     pts = curve.points
     return model.g_norms(pts.charts, pts.coords, _velocities(
         model, curve.grid, [pts.charts], pts.coords[None])[0])

@@ -161,6 +161,15 @@ def test_flow_group_law_and_inverse(model):
         assert model.dist_oracle(two, one) < 1e-5, (s, t)
 
 
+def test_flow_of_an_empty_batch(model):
+    rng = np.random.default_rng(7)
+    p = random_interior_point(model, rng)
+    q = model.exp_oracle(p, random_tangent(model, rng, p, norm=0.25))
+    charts, coords = bundleflow._flow_many(make_carrier(model, p, q), [],
+                                           np.zeros((0, model.dim)), 1.0)
+    assert charts == [] and coords.shape == (0, model.dim)
+
+
 def test_trivialize_at_base_is_identity(model):
     rng = np.random.default_rng(11)
     grid = Grid.regular(0.0, 1.0, 60)

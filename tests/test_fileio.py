@@ -85,6 +85,65 @@ def test_validation_names_fields(tmp_path, sphere):
         fileio.curve_from_json(bad)
 
 
+def test_outside_sample_is_reported_before_a_later_malformed_one(sphere):
+    # the fields are read up to the first malformed entry and the chart test
+    # runs per chart afterwards: the first faulty entry is still reported
+    rng = np.random.default_rng(7)
+    curve = random_curve(sphere, rng, Grid.regular(0.0, 1.0, 30))
+    payload = fileio.curve_to_json(sphere, curve)
+    outside = {"chart": "south", "coords": [5.0, 0.0]}
+    malformed = {"chart": "north", "coords": [0.1]}
+    cases = (({8: outside, 12: malformed}, "samples[8]: point lies outside "
+              "chart 'south'"),
+             ({8: malformed, 12: outside}, "samples[8]: coords must have "
+              "length 2"),
+             ({5: {"chart": "north", "coords": [0.0, -4.5]}, 3: outside},
+              "samples[3]: point lies outside chart 'south'"))
+    for faults, message in cases:
+        bad = json.loads(json.dumps(payload))
+        for j, entry in faults.items():
+            bad["samples"][j] = entry
+        with pytest.raises(ValidationError) as exc:
+            fileio.curve_from_json(bad)
+        assert str(exc.value) == message
+
+
+def _reference_samples_error(model, entries):
+    """The message of the sample-by-sample reader, each entry's fields and
+    then its chart test before the next entry."""
+    for j, s in enumerate(entries):
+        try:
+            fileio.point_from_json(model, s, f"samples[{j}]")
+        except ValidationError as exc:
+            return str(exc)
+    return None
+
+
+def test_sample_messages_match_the_sample_by_sample_reader(sphere, torus):
+    rng = np.random.default_rng(19)
+    faults = ({"chart": "nope", "coords": [0.0, 0.0]}, {"coords": [0.0, 0.0]},
+              {"chart": "a", "coords": "x"}, {"chart": "a", "coords": [0.0]},
+              {"chart": "north", "coords": [9.0, 0.0]},
+              {"chart": "south", "coords": [0.0, 3.0]},
+              {"chart": "a", "coords": [-1.0, 1.0]},
+              {"chart": "b", "coords": [1.0, 4.0]})
+    for model in (sphere, torus):
+        charts = sorted(model.charts)
+        for _ in range(60):
+            entries = [{"chart": str(rng.choice(charts)),
+                        "coords": rng.uniform(0.5, 1.5, 2).tolist()}
+                       for _ in range(12)]
+            for j in rng.choice(12, rng.integers(0, 4), replace=False):
+                entries[j] = faults[rng.integers(len(faults))]
+            expected = _reference_samples_error(model, entries)
+            try:
+                fileio._samples_from_json(model, entries, "samples")
+                got = None
+            except ValidationError as exc:
+                got = str(exc)
+            assert got == expected
+
+
 def test_consecutive_sample_invariant(euclidean):
     grid = Grid.regular(0.0, 1.0, 8)
     pts = [Point("xy", [0.1 * t, 0.0]) for t in grid.nodes]
@@ -118,6 +177,14 @@ def test_points_file(tmp_path, torus):
     fileio.dump_json(fileio.points_to_json(torus, pts), path)
     _, loaded = fileio.points_from_json(fileio.load_json(path))
     assert loaded[1].chart_id == "b"
+    # points go through the sample reader: none is fine, and a point outside
+    # its chart is named
+    assert fileio.points_from_json(fileio.points_to_json(torus, []))[1] == ()
+    payload = fileio.points_to_json(torus, pts)
+    payload["points"][1]["coords"] = [-4.0, 3.0]
+    with pytest.raises(ValidationError,
+                       match=r"points\[1\]: point lies outside chart 'b'"):
+        fileio.points_from_json(payload)
 
 
 def test_csv_emission(tmp_path, euclidean):

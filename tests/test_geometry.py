@@ -210,6 +210,30 @@ def test_g_norms_equal_g_norm_per_node(model):
     assert norms.tolist() == expected
 
 
+@pytest.mark.parametrize("name", MODEL_NAMES + ("conformal3",))
+@given(data=st.data())
+def test_array_g_norms_match_g_norm_bit_for_bit(name, data):
+    # every chart of the built-ins, through their metric_many, and a model
+    # that defines only metric, through the default; the directions take
+    # signed zeros too, and the vectors span the scales 1e-8 to 1e3
+    model = _Conformal3() if name == "conformal3" else get_model(name)
+    m = model.dim
+    rows = data.draw(st.lists(st.tuples(
+        st.sampled_from(sorted(model.charts)),
+        st.lists(st.floats(0.0, 1.0), min_size=m, max_size=m),
+        st.lists(st.floats(-1.0, 1.0), min_size=m, max_size=m),
+        st.floats(-8.0, 3.0)), min_size=1, max_size=20))
+    charts = [chart for chart, _, _, _ in rows]
+    boxes = [model.chart(chart).sample_box for chart in charts]
+    coords = np.array([lo + np.array(u) * (hi - lo)
+                       for (lo, hi), (_, u, _, _) in zip(boxes, rows)])
+    vectors = np.array([np.array(d) * 10.0 ** e for _, _, d, e in rows])
+    norms = model.g_norms(charts, coords, vectors)
+    expected = np.array([model.g_norm(Tangent(Point(c, x), r))
+                         for c, x, r in zip(charts, coords, vectors)])
+    assert norms.tobytes() == expected.tobytes()
+
+
 # The scalar dist and log each oracle wrote out before both became the K = 1
 # case of the array kernels, kept as references for the derived forms.
 
@@ -494,6 +518,11 @@ def test_default_array_classifier_applies_the_scalar_one_by_rows():
     coords = np.random.default_rng(6).uniform(-2.0, 2.0, (9, 3))
     assert set(_assert_classifiers_agree(spec, coords)) == {INSIDE}
     assert _assert_classifiers_agree(spec, np.empty((0, 3))).size == 0
+
+
+def test_off_interior_of_no_groups_is_empty(model):
+    flagged = model.off_interior({}, np.zeros((0, model.dim)))
+    assert flagged.shape == (0,) and flagged.dtype.kind == "i"
 
 
 def test_off_interior_lists_the_flagged_positions_in_order(sphere, torus):

@@ -8,8 +8,10 @@ import pytest
 from pathlin import Frame, Grid, Point, Tangent, get_model
 from pathlin.errors import NonFiniteState, ValidationError
 from pathlin.geometry import INSIDE, ChartSpec, ManifoldModel
-from pathlin.linearize import (TangentCurve, _frame_rhs_2d,
-                               _frame_rhs_generic, _solve_inverse_batch,
+from pathlin import linearize
+from pathlin.linearize import (TangentCurve, _frame_rhs_generic,
+                               _solve_inverse_batch, _step_interval,
+                               _step_interval_2d,
                                basis_independence_check,
                                chart_independence_check, p_forward, p_inverse,
                                p_inverse_detailed, rescale_to_unit,
@@ -17,7 +19,7 @@ from pathlin.linearize import (TangentCurve, _frame_rhs_2d,
 from pathlin.suite import random_curve, random_tangent_curve
 from pathlin.transport import SampledCurve
 
-from conftest import assert_close
+from conftest import MODEL_NAMES, assert_close
 
 
 def test_straight_line_linearizes_to_constant(euclidean):
@@ -224,14 +226,53 @@ def test_scalar_and_batched_inverse_agree(name, span):
     assert_close(frames, frames_b[0], 1e-12, "frames")
 
 
-def test_unrolled_rhs_matches_generic(sphere):
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_unrolled_rhs_matches_generic(monkeypatch):
+    # the m = 2 interval against _step_interval on _frame_rhs_generic: whole
+    # intervals on every chart of the four models, with signed zeros in the
+    # state and the stages, bit for bit (tobytes sees the sign of a zero)
     rng = np.random.default_rng(17)
-    action = sphere.christoffel_action_floats
-    fast = _frame_rhs_2d(action, "north")
-    generic = _frame_rhs_generic(action, "north", 2)
-    for _ in range(20):
-        y, v = rng.normal(size=6).tolist(), rng.normal(size=2).tolist()
-        assert fast(y, v) == generic(y, v)
+    special = np.array([0.0, -0.0, 1.0, -1.0])
+    for name in MODEL_NAMES:
+        model = get_model(name)
+        action = model.christoffel_action_floats
+        for cid in sorted(model.charts):
+            lo, hi = model.chart(cid).sample_box
+            fast = _step_interval_2d(action, cid)
+            generic = _frame_rhs_generic(action, cid, 2)
+            for substeps in (1, 2, 3):
+                for trial in range(8):
+                    frame = rng.normal(size=4)
+                    stages = rng.normal(size=(2 * substeps + 1, 2))
+                    if trial % 2:
+                        frame = rng.choice(special, 4)
+                        stages[rng.random(stages.shape) < 0.5] = -0.0
+                    y = rng.uniform(lo, hi).tolist() + frame.tolist()
+                    hsub = float(rng.choice([-1.0, 1.0]) * rng.uniform(1e-3, 0.2))
+                    got = fast(y, stages.tolist(), hsub)
+                    ref = _step_interval(generic, y, stages.tolist(), hsub)
+                    assert _same_bits(got, ref), (name, cid, substeps, trial)
+
+    # and whole inverses across a chart switch, the generic interval swapped
+    # in where the 2-D one is chosen
+    def generic_2d(action, chart):
+        rhs = _frame_rhs_generic(action, chart, 2)
+        return lambda y, stages, hsub: _step_interval(rhs, y, stages, hsub)
+
+    for name in ("sphere2", "torus2"):
+        model = get_model(name)
+        v = _margin_crossing_curve(model, Grid.regular(-1.0, 1.0, 200))
+        fast = p_inverse_detailed(model, v)
+        with monkeypatch.context() as patch:
+            patch.setattr(linearize, "_step_interval_2d", generic_2d)
+            ref = p_inverse_detailed(model, v)
+        assert fast[3], "the curve must cross a chart margin"
+        assert fast[0] == ref[0] and fast[3] == ref[3]
+        assert _same_bits(fast[1], ref[1]) and _same_bits(fast[2], ref[2])
 
 
 class _Conformal3(ManifoldModel):
