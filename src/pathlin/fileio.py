@@ -141,23 +141,23 @@ def point_to_json(point: Point) -> dict:
     return {"chart": point.chart_id, "coords": [float(c) for c in point.coords]}
 
 
-def _sample_from_json(model: ManifoldModel, payload: dict, where: str,
-                      placed: bool = True) -> tuple[str, np.ndarray]:
-    """One chart-tagged sample as (chart id, coordinates), checked; with
-    placed False, all but its place in the chart."""
+def _sample_from_json(model: ManifoldModel, payload: dict,
+                      where: str) -> tuple[str, np.ndarray]:
+    """A sample as (chart id, coordinates), checked but not yet placed."""
     chart = _require(payload, "chart", str)
     if chart not in model.charts:
         raise ValidationError(f"{where}: unknown chart {chart!r}")
     coords = _numeric(_require(payload, "coords", list), f"{where}.coords")
     if coords.shape != (model.dim,):
         raise ValidationError(f"{where}: coords must have length {model.dim}")
-    if placed and model.chart(chart).domain_test(coords) == OUTSIDE:
-        raise ValidationError(f"{where}: point lies outside chart {chart!r}")
     return chart, coords
 
 
 def point_from_json(model: ManifoldModel, payload: dict, where: str) -> Point:
-    return Point(*_sample_from_json(model, payload, where))
+    chart, coords = _sample_from_json(model, payload, where)
+    if model.chart(chart).domain_test(coords) == OUTSIDE:
+        raise ValidationError(f"{where}: point lies outside chart {chart!r}")
+    return Point(chart, coords)
 
 
 def _samples_from_json(model: ManifoldModel, entries: list,
@@ -169,7 +169,7 @@ def _samples_from_json(model: ManifoldModel, entries: list,
     charts, coords, malformed = [], [], None
     try:
         for j, s in enumerate(entries):
-            chart, x = _sample_from_json(model, s, f"{where}[{j}]", False)
+            chart, x = _sample_from_json(model, s, f"{where}[{j}]")
             charts.append(chart)
             coords.append(x)
     except ValidationError as exc:

@@ -151,6 +151,27 @@ def test_gl_equivariance(model):
     assert_close(rep_b.tangent_curve.components, expected, 1e-9)
 
 
+def test_norm_drift_norms_match_per_node_loop(model, monkeypatch):
+    """p_forward's array norms |v(t_j)|_{gram0} equal the per-node
+    sqrt(max(c @ gram0 @ c, 0.0)) bit for bit, in a frame whose Gram matrix
+    has real off-diagonal entries: with g_norms replaced by that loop, every
+    node's difference, and so the drift, is exactly 0."""
+    rng = np.random.default_rng(17)
+    grid = Grid.regular(0.0, 1.0, 300)
+    a = np.array([[1.2, -0.4], [0.5, 0.9]])
+    for _ in range(3):
+        curve = random_curve(model, rng, grid)
+        frame = Frame(curve.basepoint,
+                      model.orthonormal_frame(curve.basepoint).columns @ a)
+        gram0 = model.frame_gram(frame)
+        assert gram0[0, 1] != 0.0
+        comps = p_forward(model, curve, frame).tangent_curve.components
+        loop = np.array([np.sqrt(max(c @ gram0 @ c, 0.0)) for c in comps])
+        monkeypatch.setattr(model, "g_norms", lambda *_: loop)
+        assert p_forward(model, curve, frame).norm_drift == 0.0
+        monkeypatch.undo()
+
+
 def test_two_sided_grid_roundtrip(model):
     rng = np.random.default_rng(15)
     grid = Grid.regular(-1.0, 1.0, 400)

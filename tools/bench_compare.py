@@ -1,12 +1,13 @@
 """Compare two source checkouts on the benchmark and write a BENCH file.
 
     python3 tools/bench_compare.py PARENT_DIR CHANGE_DIR -o BENCH_11.json \
-        --repeats 5 --seconds 10 --seed 11
+        --seconds 10 --seed 11
 
 Each checkout runs `benchmarks/run.py --trace 0` from its own root, so each
-is measured with its own library.  Runs alternate between the two, and the
-checkout that goes first alternates from one repeat to the next, so both
-see the same spells of machine load.  The output holds every run's result
+is measured with its own library, on every workload, REPEATS times.  Runs
+alternate between the two, and the checkout that goes first alternates from
+one repeat to the next, so both see the same spells of machine load; ten
+alternating pairs are the fewest that can show a gain in nine of ten.  The output holds every run's result
 record, the quartiles of each end-to-end metric over the repeats, the
 ratio of the medians (change / parent) and the machine facts.
 """
@@ -22,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 WORKLOADS = ("curves", "switching", "squares", "files")
+REPEATS = 10
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -55,18 +57,15 @@ def main(argv=None) -> int:
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
     parser.add_argument("-o", "--output", type=Path, required=True)
-    parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--seconds", type=float, default=10.0)
     parser.add_argument("--seed", type=int, default=11)
-    parser.add_argument("--workloads", nargs="+", default=list(WORKLOADS),
-                        choices=WORKLOADS)
     args = parser.parse_args(argv)
 
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    runs = {w: {name: [] for name in trees} for w in args.workloads}
-    for i in range(args.repeats):
+    runs = {w: {name: [] for name in trees} for w in WORKLOADS}
+    for i in range(REPEATS):
         order = list(trees) if i % 2 == 0 else list(trees)[::-1]
-        for workload in args.workloads:
+        for workload in WORKLOADS:
             for name in order:
                 record = run_once(trees[name], workload, args.seed,
                                   args.seconds)
@@ -85,9 +84,9 @@ def main(argv=None) -> int:
             q["ratio_of_medians"] = (q["change"]["median"] / parent
                                      if parent else None)
             summary[workload][metric] = q
-    first = runs[args.workloads[0]]["parent"][0]["facts"]
+    first = runs[WORKLOADS[0]]["parent"][0]["facts"]
     payload = {
-        "protocol": {"repeats": args.repeats, "seconds": args.seconds,
+        "protocol": {"repeats": REPEATS, "seconds": args.seconds,
                      "seed": args.seed, "trace": 0,
                      "order": "alternating, first checkout swapped per repeat"},
         "machine": {"cpu": cpu_model(), "nproc": os.cpu_count(),
