@@ -6,6 +6,10 @@ t -> exp_p(m' + t q') (primes are logs at p), faded out by a smooth radial
 cutoff between r0(p)/2 and 2 r0(p)/3.  Its time-1 flow phi_{p,q} moves p to
 q and is a diffeomorphism, which is what trivializes the evaluation bundle:
 curves over p are carried to curves over m by composing with phi_{p,m}.
+In normal coordinates y = log_p(m) the field is rho(|y|_{g_p}) q', a
+constant vector faded by the radial bump (the flow of Milnor's homogeneity
+lemma), so the flow runs there: one log_from pass in and one exp_from pass
+out, with no oracle call inside the time loop.
 
 Mapping-space charts identify curves near a reference curve with tangent
 sections through nodewise exp/log, and arc-length normalization selects the
@@ -16,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -105,37 +109,53 @@ def carrier_field(spec: CarrierFieldSpec, m: Point) -> Tangent:
 def _flow_many(spec: CarrierFieldSpec, charts: list, coords: np.ndarray,
                time: float):
     """RK4 flow of a batch of points (independent trajectories) in
-    max(16, ceil(64 |time|)) steps, grouped by chart per stage.  At each
-    step boundary every chart classifies its points in one call, and the
-    points it flags go through select_chart one by one, in order."""
+    max(16, ceil(64 |time|)) steps, run in normal coordinates y = log_p(m),
+    where the carrier field is rho(|y|_{g_p}) q': one log_from pass per
+    chart on the way in, RK4 on the points inside r_out, one exp_from pass
+    per chart back into each point's start chart.  A point beyond r_out, or
+    whose y does not move, keeps its chart and coordinates bit for bit; the
+    moved points that end off their chart's interior go through
+    select_chart one by one, in order."""
     if time == 0.0:
         return charts, coords
     steps = max(16, int(math.ceil(FLOW_STEPS_PER_UNIT_TIME * abs(time))))
-    model = spec.model
     h = time / steps
-    # the field is autonomous: every RK4 stage is evaluated in the chart
-    carrier = partial(carrier_field_many, spec)
+    model, p = spec.model, spec.p
+    oracle = model._require_oracle()
     groups = chart_groups(charts)
+    d = np.empty(len(coords))
+    y0 = np.empty_like(coords)
+    for cid, idx in groups.items():
+        d[idx], y0[idx] = oracle.log_from(model, p, cid, coords[idx])
+    near = d < spec.r_out
+    g = model.metric(p.chart_id, p.coords)
+    q_prime = spec.q_prime.components
+
+    def carrier(_, y):
+        rho = _bump_many(spec, np.sqrt(np.vecdot(y @ g, y)))
+        return rho[:, None] * q_prime
+
+    y = y0[near]
     for _ in range(steps):
-        for cid, idx in groups.items():
-            coords[idx] = rk4_step(carrier, coords[idx], h, cid, cid, cid)
-        if not np.all(np.isfinite(coords)):
-            raise NonFiniteState("carrier flow became non-finite")
-        switched = False
-        for i in model.off_interior(groups, coords):
-            moved = model.select_chart(Point(charts[i], coords[i]))
-            if moved.chart_id != charts[i]:
-                charts[i] = moved.chart_id
-                coords[i] = moved.coords
-                switched = True
-        if switched:
-            groups = chart_groups(charts)
+        y = rk4_step(carrier, y, h, None, None, None)
+    y1 = y0.copy()
+    y1[near] = y
+    moved = np.any(y1 != y0, axis=1)
+    groups = {cid: idx[moved[idx]] for cid, idx in groups.items()}
+    for cid, idx in groups.items():
+        coords[idx] = oracle.exp_from(model, p, y1[idx], cid)
+    if not np.all(np.isfinite(coords)):
+        raise NonFiniteState("carrier flow became non-finite")
+    for i in model.off_interior(groups, coords):
+        to = model.select_chart(Point(charts[i], coords[i]))
+        charts[i], coords[i] = to.chart_id, to.coords
     return charts, coords
 
 
 def flow_points(spec: CarrierFieldSpec, points, time: float) -> list[Point]:
     """RK4 flow of the carrier field for a signed time, of points in one
-    batch, switching charts when a trajectory reaches a margin."""
+    batch, in normal coordinates at p (see _flow_many); a point that ends
+    off its start chart's interior moves to the chart select_chart picks."""
     if not points:
         return []
     charts, coords = _flow_many(spec, [m.chart_id for m in points],

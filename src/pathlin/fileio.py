@@ -244,17 +244,20 @@ def validate_curve(model: ManifoldModel, curve: SampledCurve) -> None:
     most one transition and stay within the injectivity floor.  The first
     failing pair is reported, its chart test before its distance test."""
     pts = curve.points
+    switch = [a != b for a, b in zip(pts.charts, pts.charts[1:])]
+    far = np.zeros(len(switch), dtype=bool)
     if model.oracle is not None:
         dists = model.point_distances(pts[:-1], pts[1:])
-    for j in range(len(pts) - 1):
-        a, b = pts[j], pts[j + 1]
-        try:
-            model.transition(b, a.chart_id)
-        except Exception:
-            raise ValidationError(
-                f"samples[{j}] and samples[{j + 1}] share no chart")
-        if model.oracle is not None and \
-                dists[j] >= min(model.r0(a), model.r0(b)):
+        r0 = np.array([model.r0(pt) for pt in pts])
+        far = dists >= np.minimum(r0[:-1], r0[1:])
+    for j in np.flatnonzero(np.logical_or(switch, far)).tolist():
+        if switch[j]:
+            try:
+                model.transition(pts[j + 1], pts.charts[j])
+            except Exception:
+                raise ValidationError(
+                    f"samples[{j}] and samples[{j + 1}] share no chart")
+        if far[j]:
             raise ValidationError(
                 f"samples[{j}] and samples[{j + 1}] are {dists[j]:.4f} apart, "
                 "beyond the injectivity floor")

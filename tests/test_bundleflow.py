@@ -1,6 +1,7 @@
 """Carrier fields, flows, trivializations, mapping charts, normalization."""
 
 import math
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -12,12 +13,14 @@ from pathlin.bundleflow import (TrivializationChart, arclength_normalize,
                                 carrier_field, flow, make_carrier,
                                 mapping_chart_in, mapping_chart_out, phi,
                                 smooth_step, trivialize, untrivialize)
-from pathlin.errors import (ChartContinuationFailure, NoOverlap, NotImmersed,
+from pathlin.errors import (ChartContinuationFailure, NoOverlap,
+                            NonFiniteState, NotImmersed,
                             OutOfInjectivityRange, PathlinError)
-from pathlin.geometry import Samples
+from pathlin.geometry import OUTSIDE, Samples, chart_groups
 from pathlin.linearize import TangentCurve, p_forward, p_inverse
 from pathlin.models import sphere_point_from_embedding
-from pathlin.numerics import lagrange_integral_weights, lagrange_weights
+from pathlin.numerics import (lagrange_integral_weights, lagrange_weights,
+                              rk4_step)
 from pathlin.suite import random_curve, random_interior_point, random_tangent
 from pathlin.transport import SampledCurve, _coords_in, curve_velocities
 
@@ -53,7 +56,9 @@ def test_carrier_zero_outside_cutoff(model):
                                                  norm=scale * spec.r_out))
         y = carrier_field(spec, far)
         assert np.all(y.components == 0.0), "exact zero outside r_out"
-        assert model.point_distance(flow(spec, far, 1.0), far) < 1e-14
+        moved = flow(spec, far, 1.0)
+        assert moved.chart_id == far.chart_id
+        assert moved.coords.tobytes() == far.coords.tobytes()
 
 
 def _pre_change_carrier_field_many(spec, chart_id, coords):
@@ -114,6 +119,127 @@ def test_carrier_field_many_matches_pre_change_formula(model, k, case):
             assert got.tobytes() == want.tobytes(), trial
 
 
+def _chart_flow_reference(spec, charts, coords, time):
+    """_flow_many as written before the flow ran in normal coordinates: RK4
+    on carrier_field_many in chart coordinates, grouped by chart per stage,
+    with select_chart on the points off their chart's interior after every
+    step."""
+    model = spec.model
+    steps = max(16, int(math.ceil(bundleflow.FLOW_STEPS_PER_UNIT_TIME
+                                  * abs(time))))
+    h = time / steps
+
+    def carrier(cid, y):
+        return bundleflow.carrier_field_many(spec, cid, y)
+
+    for _ in range(steps):
+        for cid, idx in chart_groups(charts).items():
+            coords[idx] = rk4_step(carrier, coords[idx], h, cid, cid, cid)
+        for i in model.off_interior(chart_groups(charts), coords):
+            moved = model.select_chart(Point(charts[i], coords[i]))
+            charts[i], coords[i] = moved.chart_id, moved.coords
+    return charts, coords
+
+
+def _flow_batch(model, rng, k=24):
+    """A carrier with d(p, q) = 0.3, the fiber distance of the trivialize
+    checks, and k points around p, each stored in a random chart that holds
+    it: two thirds inside r_out, the rest up to 1.2 r_out.  On hyperbolic2
+    the inner ones stay within d = 4: from there out to r_out = 6.67 the
+    reference's chart coordinates approach the disk's edge (|x| = 0.9975 at
+    r_out from the center), and its RK4 error grows to 8e-9 against a flow
+    in normal coordinates at 16 times the steps, from which _flow_many
+    stays within 2.4e-10."""
+    p = random_interior_point(model, rng)
+    q = model.exp_oracle(p, random_tangent(model, rng, p, norm=0.3))
+    spec = make_carrier(model, p, q)
+    near = 4.0 if model.name == "hyperbolic2" else spec.r_out
+    d = np.where(np.arange(k) % 3 < 2, rng.uniform(0.0, near, k),
+                 rng.uniform(spec.r_out, 1.2 * spec.r_out, k))
+    vecs = rng.normal(size=(k, model.dim))
+    vecs *= (d / model.g_norms([p.chart_id] * k, np.tile(p.coords, (k, 1)),
+                               vecs))[:, None]
+    points = []
+    for x in model.oracle.exp_from(model, p, vecs, p.chart_id):
+        m = model.select_chart(Point(p.chart_id, x))
+        try:
+            m = model.transition(m, sorted(model.charts)[
+                rng.integers(len(model.charts))])
+        except NoOverlap:
+            pass
+        points.append(m if model.domain_status(m) != OUTSIDE
+                      else model.select_chart(m))
+    return spec, [m.chart_id for m in points], np.stack([m.coords
+                                                         for m in points])
+
+
+def test_flow_matches_chart_coordinate_reference(model):
+    switched = 0
+    for trial in range(6):
+        rng = np.random.default_rng([41, trial])
+        spec, charts, coords = _flow_batch(model, rng)
+        for time in (1.0, -1.0, float(rng.uniform(-2.0, 2.0))):
+            got_c, got_x = bundleflow._flow_many(spec, list(charts),
+                                                 coords.copy(), time)
+            ref_c, ref_x = _chart_flow_reference(spec, list(charts),
+                                                 coords.copy(), time)
+            worst = np.max(model.point_distances(Samples(got_c, got_x),
+                                                 Samples(ref_c, ref_x)))
+            assert worst < 1e-9, (trial, time, worst)
+            switched += sum(c != c0 for c, c0 in zip(got_c, charts))
+    # on sphere2 and torus2 some trajectories end outside their start
+    # chart's interior and are moved to another chart
+    assert (switched > 0) == (len(model.charts) > 1)
+
+
+def test_flow_keeps_stationary_points_bit_exact(model):
+    rng = np.random.default_rng(47)
+    spec, charts, coords = _flow_batch(model, rng, k=40)
+    d = np.array([model.dist_oracle(spec.p, Point(c, x))
+                  for c, x in zip(charts, coords)])
+    got_c, got_x = bundleflow._flow_many(spec, list(charts), coords.copy(),
+                                         0.7)
+    far = d >= spec.r_out
+    assert far.any() and not far.all()
+    assert [c for c, f in zip(got_c, far) if f] == \
+        [c for c, f in zip(charts, far) if f]
+    assert got_x[far].tobytes() == coords[far].tobytes()
+    # q' = 0: y never moves, so every point keeps its chart and bits
+    still = replace(spec, q_prime=Tangent(spec.p, np.zeros(model.dim)))
+    got_c, got_x = bundleflow._flow_many(still, list(charts), coords.copy(),
+                                         1.0)
+    assert got_c == charts and got_x.tobytes() == coords.tobytes()
+
+
+def test_flow_keeps_the_ball_of_radius_r_out(model):
+    # the field vanishes from r_out on, so no trajectory leaves the ball;
+    # points on the ray along q' run through the band of the bump
+    rng = np.random.default_rng(59)
+    p = random_interior_point(model, rng)
+    q = model.exp_oracle(p, random_tangent(model, rng, p, norm=0.3))
+    spec = make_carrier(model, p, q)
+    unit = spec.q_prime.components / model.g_norm(spec.q_prime)
+    s = np.linspace(spec.r_in, spec.r_out, 9)[:-1]
+    vecs = np.concatenate([s[:, None] * unit, -s[:, None] * unit])
+    coords = model.oracle.exp_from(model, p, vecs, p.chart_id)
+    for time in (1.0, -1.0):
+        charts, out = bundleflow._flow_many(spec, [p.chart_id] * len(coords),
+                                            coords.copy(), time)
+        d = model.point_distances(Samples([p.chart_id] * len(out),
+                                          np.tile(p.coords, (len(out), 1))),
+                                  Samples(charts, out))
+        assert np.all(d < spec.r_out), time
+
+
+def test_flow_raises_on_non_finite_state(model, monkeypatch):
+    spec, charts, coords = _flow_batch(model, np.random.default_rng(53))
+    monkeypatch.setattr(model.oracle, "exp_from",
+                        lambda model, p, vecs, chart_id:
+                        np.full(vecs.shape, np.inf))
+    with pytest.raises(NonFiniteState):
+        bundleflow._flow_many(spec, charts, coords, 1.0)
+
+
 def test_carrier_rejects_distant_pair(sphere):
     p = Point("north", [0.0, 0.0])
     q = sphere.exp_oracle(p, Tangent(p, [0.5, 0.0]))   # distance 1 > r0/2
@@ -146,7 +272,9 @@ def test_phi_moves_p_to_q_seeded(model):
         q = model.exp_oracle(p, random_tangent(model, rng, p, norm=d))
         spec = make_carrier(model, p, q)
         worst = max(worst, model.dist_oracle(phi(spec, p), q))
-    assert worst < 1e-6
+    # the field is the constant q' on the ball of radius r_in around p in
+    # normal coordinates, which RK4 integrates exactly
+    assert worst < 1e-13
 
 
 def test_flow_group_law_and_inverse(model):

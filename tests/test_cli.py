@@ -265,6 +265,21 @@ def test_flow_and_trivialize_commands(tmp_path, capsys, sphere_fixture):
     capsys.readouterr()
 
 
+def test_trivialize_non_finite_flow_exits_3(tmp_path, capsys, monkeypatch,
+                                            sphere_fixture):
+    sphere, _, path = sphere_fixture
+    monkeypatch.setattr(sphere.oracle, "exp_from",
+                        lambda model, p, vecs, chart_id:
+                        np.full(vecs.shape, np.inf))
+    out = tmp_path / "sigma.json"
+    code = main(["trivialize", str(path), "--fiber", "north:0.1,0.05",
+                 "-o", str(out)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "non-finite" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_normalize_command(tmp_path, capsys, sphere_fixture):
     sphere, _, path = sphere_fixture
     out = tmp_path / "unit.json"

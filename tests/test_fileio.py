@@ -171,6 +171,18 @@ def test_validate_curve_reports_the_first_fault(sphere):
     assert str(chartless.value) == "samples[1] and samples[2] share no chart"
 
 
+def test_validate_curve_chart_fault_before_a_far_pair(sphere):
+    # a chartless pair (0, 1), 1.4 degrees apart near the south pole, before
+    # a far pair (2, 3): the chartless pair is reported
+    pts = (Point("north", [3.9, 0.0]), Point("south", [0.24, 0.0]),
+           Point("south", [0.2, 0.0]), Point("south", [3.0, 0.0]),
+           Point("south", [3.0, 0.1]), Point("south", [3.0, 0.2]))
+    with pytest.raises(ValidationError) as err:
+        fileio.validate_curve(sphere, SampledCurve(Grid.regular(0.0, 1.0, 5),
+                                                   pts))
+    assert str(err.value) == "samples[0] and samples[1] share no chart"
+
+
 def test_points_file(tmp_path, torus):
     pts = [Point("a", [1.0, 2.0]), Point("b", [-0.5, 3.0])]
     path = tmp_path / "pts.json"
