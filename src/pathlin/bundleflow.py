@@ -19,7 +19,7 @@ unit-speed representative of an immersed curve.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -177,26 +177,12 @@ def phi(spec: CarrierFieldSpec, m: Point) -> Point:
 # Evaluation-bundle trivialization
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class TrivializationChart:
-    """Trivialization machinery over a base point p.
-
-    The carrier cache is keyed by the fiber point; reads may be concurrent
-    and population is idempotent, so results are deterministic regardless
-    of interleaving.
-    """
+    """Trivialization machinery over a base point p."""
 
     model: ManifoldModel
     p: Point
-    _carriers: dict = field(default_factory=dict, repr=False)
-
-    def carrier(self, m: Point) -> CarrierFieldSpec:
-        key = (m.chart_id, tuple(m.coords))
-        spec = self._carriers.get(key)
-        if spec is None:
-            spec = make_carrier(self.model, self.p, m)
-            self._carriers[key] = spec
-        return spec
 
 
 def _flow_curve(spec: CarrierFieldSpec, gamma: SampledCurve,
@@ -209,7 +195,7 @@ def _flow_curve(spec: CarrierFieldSpec, gamma: SampledCurve,
 def trivialize(chart: TrivializationChart, m: Point,
                gamma: SampledCurve) -> SampledCurve:
     """Carry a curve over p to a curve over m by composing with phi_{p,m}."""
-    return _flow_curve(chart.carrier(m), gamma, 1.0)
+    return _flow_curve(make_carrier(chart.model, chart.p, m), gamma, 1.0)
 
 
 def untrivialize(chart: TrivializationChart,
@@ -217,7 +203,7 @@ def untrivialize(chart: TrivializationChart,
     """Inverse trivialization: read off the fiber point sigma(base) and pull
     the curve back over p with the reversed flow."""
     m = sigma.basepoint
-    back = _flow_curve(chart.carrier(m), sigma, -1.0)
+    back = _flow_curve(make_carrier(chart.model, chart.p, m), sigma, -1.0)
     return m, back
 
 

@@ -116,20 +116,20 @@ def p2_forward(model: ManifoldModel, alpha: CubeSample,
                frame0: Frame | None = None, substeps: int = 2) -> CubeLinearization:
     """Linearize a sampled square map into (v1, v2) at its basepoint."""
     _, j0 = alpha.base_indices
-    frame0, v1, (charts, coords, cols, _), _ = _p_forward_detailed(
-        model, _axis_curve(alpha), frame0, substeps)
+    frame0, v1, axis, _ = _p_forward_detailed(model, _axis_curve(alpha),
+                                              frame0, substeps)
 
     # Every s2-line starts from the axis frame at its node, re-expressed in
     # the chart its base sample is stored in; v2 is then the line's
     # velocities in its transported frame.
     lines = alpha.points
     starts = [row[j0] for row in lines.charts]
-    frames = cols.copy()
-    moved = [i for i, c in enumerate(starts) if c != charts[i]]
+    frames = axis.columns.copy()
+    moved = [i for i, c in enumerate(starts) if c != axis.points.charts[i]]
     if moved:
         frames[moved] = np.stack([
-            model.transition_jacobian(Point(charts[i], coords[i]), starts[i])
-            for i in moved]) @ cols[moved]
+            model.transition_jacobian(axis.points[i], starts[i])
+            for i in moved]) @ axis.columns[moved]
     _, _, line_cols, vel, _ = _transport_columns(
         model, alpha.grid2, lines.charts, lines.coords,
         _velocities(model, alpha.grid2, lines.charts, lines.coords),
@@ -149,10 +149,9 @@ def p2_inverse(model: ManifoldModel, lin: CubeLinearization,
     s2-direction system for every s1 node."""
     v1_curve = TangentCurve(base=lin.base, frame0=lin.frame0, grid=lin.grid1,
                             components=lin.v1)
-    charts0, coords0, frames0, _ = p_inverse_detailed(model, v1_curve,
-                                                      substeps=substeps)
+    axis = p_inverse_detailed(model, v1_curve, substeps=substeps)
     charts, coords, _, _ = _solve_inverse_batch(
-        model, charts0, coords0, frames0, lin.grid2,
-        np.asarray(lin.v2), substeps=substeps)
+        model, axis.points.charts, axis.points.coords, axis.columns,
+        lin.grid2, np.asarray(lin.v2), substeps=substeps)
     return CubeSample(grid1=lin.grid1, grid2=lin.grid2,
                       points=Samples(charts, coords))

@@ -17,9 +17,11 @@ integrated outward in both directions.
 Each map has one array core, which every caller in the library uses:
 _p_forward_detailed and p_inverse_detailed.  Both work on arrays, reading
 and writing a SampledCurve's samples as chart ids and coordinates, and
-neither builds a Point per node.  The forward core transports the frame
-with the batched transport core, transport._transport_columns, as a batch
-of one, and solves all nodes at once for the components.  The inverse
+neither builds a Point or a Frame per node: each returns the frame
+transported along the curve as one transport.FrameField.  The forward
+core transports the frame with the batched transport core,
+transport._transport_columns, as a batch of one, and solves all nodes at
+once for the components.  The inverse
 core integrates a single curve with RK4 on a flat state of m + m^2 Python
 floats (position, then the frame row by row), its connection from the
 model's christoffel_action_floats: at m = 2 numpy's per-call overhead, not
@@ -41,11 +43,10 @@ from operator import mul
 import numpy as np
 
 from .errors import ChartContinuationFailure, NoOverlap, NonFiniteState, ValidationError
-from .geometry import (INSIDE, Frame, ManifoldModel, Point, Samples,
-                       chart_groups, require_independent_columns)
+from .geometry import INSIDE, Frame, ManifoldModel, Point, Samples, chart_groups
 from .numerics import Grid
-from .transport import (SampledCurve, _check_frame_base, _stage_values,
-                        _transport_columns, _velocities)
+from .transport import (FrameField, SampledCurve, _check_frame_base,
+                        _stage_values, _transport_columns, _velocities)
 
 
 @dataclass(frozen=True)
@@ -101,12 +102,10 @@ def _p_forward_detailed(model: ManifoldModel, curve: SampledCurve,
                         frame0: Frame | None = None, substeps: int = 2):
     """The forward core, on arrays.
 
-    Returns (frame0, comps, (charts, coords, cols, switch_log), velocities):
-    the initial frame (the g-orthonormal one when frame0 is None), the
-    (n, m) components of the transported velocities in it, the curve's
-    charts, positions, frame columns and switch log as from
-    transport._transport_columns, and the (n, m) curve velocities, each in
-    its node's stored chart.
+    Returns (frame0, comps, field, velocities): the initial frame (the
+    g-orthonormal one when frame0 is None), the (n, m) components of the
+    transported velocities in it, the transported FrameField and the (n, m)
+    curve velocities, each in its node's stored chart.
     """
     if curve.order < 1:
         raise ValidationError("curve order must be at least 1")
@@ -119,17 +118,17 @@ def _p_forward_detailed(model: ManifoldModel, curve: SampledCurve,
         model, curve.grid, charts, coords, velocities,
         [frame0.base.chart_id], frame0.columns[None], curve.base_index,
         substeps)
-    require_independent_columns(cols[0])
-    comps = np.linalg.solve(cols[0], vel[0][:, :, None])[:, :, 0]
-    transported = charts[0], coords[0], cols[0], logs[0]
-    return frame0, comps, transported, velocities[0]
+    field = FrameField(curve.grid, Samples(charts[0], coords[0]), cols[0],
+                       logs[0])
+    comps = np.linalg.solve(field.columns, vel[0][:, :, None])[:, :, 0]
+    return frame0, comps, field, velocities[0]
 
 
 def p_forward(model: ManifoldModel, curve: SampledCurve,
               frame0: Frame | None = None, substeps: int = 2) -> LinearizationReport:
     """Linearize a based curve: v(t_j) = transport of the velocity to the
     basepoint, expressed in frame0 (default: g-orthonormalized coordinates)."""
-    frame0, comps, (_, _, _, switch_log), velocities = _p_forward_detailed(
+    frame0, comps, field, velocities = _p_forward_detailed(
         model, curve, frame0, substeps)
     sq = np.vecdot(comps @ model.frame_gram(frame0), comps)
     norms_v = np.sqrt(np.where(sq < 0.0, 0.0, sq))
@@ -139,7 +138,7 @@ def p_forward(model: ManifoldModel, curve: SampledCurve,
         norms_v - model.g_norms(pts.charts, pts.coords, velocities))))
     tc = TangentCurve(base=frame0.base, frame0=frame0, grid=curve.grid,
                       components=comps)
-    return LinearizationReport(tangent_curve=tc, switch_log=tuple(switch_log),
+    return LinearizationReport(tangent_curve=tc, switch_log=field.switch_log,
                                norm_drift=drift, h=curve.grid.h)
 
 
@@ -245,10 +244,10 @@ def p_inverse_detailed(model: ManifoldModel, v: TangentCurve,
     """The inverse core: integrate the coupled position+frame system outward
     from the base node.
 
-    Returns (charts, coords, frames, switch_log): a chart id per node,
-    (n, m) positions, (n, m, m) frame columns and the sorted switch log.
-    Raises ValidationError, as Frame does, if a transported frame has
-    become linearly dependent.
+    Returns the FrameField along v's grid: the realized curve's samples,
+    the transported frame columns and the sorted switch log.  Raises
+    ValidationError, as FrameField does, if a transported frame has become
+    linearly dependent.
     """
     grid = v.grid
     base_node = grid.base_node()
@@ -297,18 +296,17 @@ def p_inverse_detailed(model: ManifoldModel, v: TangentCurve,
     if base_node > 0:
         march(0)
     states = np.array(states)
-    frames = states[:, m:].reshape(n, m, m)
-    require_independent_columns(frames)
     switch_log.sort()
-    return charts, states[:, :m], frames, switch_log
+    return FrameField(grid, Samples(charts, states[:, :m]),
+                      states[:, m:].reshape(n, m, m), switch_log)
 
 
 def p_inverse(model: ManifoldModel, v: TangentCurve,
               substeps: int = 2, order: int = 3) -> SampledCurve:
     """Realize a tangent-space curve as a manifold curve through the coupled
     position+frame initial-value problem."""
-    charts, coords, _, _ = p_inverse_detailed(model, v, substeps)
-    return SampledCurve(grid=v.grid, points=Samples(charts, coords),
+    return SampledCurve(grid=v.grid,
+                        points=p_inverse_detailed(model, v, substeps).points,
                         order=order, base_index=v.grid.base_node())
 
 

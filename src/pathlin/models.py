@@ -189,12 +189,18 @@ def _inversion_jacobian(coords: np.ndarray) -> np.ndarray:
 def sphere_embed(point: Point) -> np.ndarray:
     """Chart coordinates, (2,) or (K, 2), -> unit-sphere points in R^3,
     (3,) or (K, 3)."""
-    x, y = point.coords.T
-    d = 1.0 + x * x + y * y
+    return _sphere_embed(point.chart_id, point.coords)
+
+
+def _sphere_embed(chart_id: str, coords: np.ndarray) -> np.ndarray:
+    """sphere_embed on a chart id and coordinates: the one closed form, so
+    a point embeds to the same bits however it is passed."""
+    d = 1.0 + np.sum(coords * coords, axis=-1)
     z = (2.0 - d) / d
-    if point.chart_id == "south":
+    if chart_id == "south":
         z = -z
-    return np.array([2.0 * x / d, 2.0 * y / d, z]).T
+    return np.stack([2.0 * coords[..., 0] / d, 2.0 * coords[..., 1] / d, z],
+                    axis=-1)
 
 
 def _sphere_embed_jacobian(point: Point) -> np.ndarray:
@@ -264,26 +270,16 @@ class _SphereOracle(Oracle):
         return sphere_point_from_embedding(Q, prefer=p.chart_id)
 
     @staticmethod
-    def _embed_many(chart_id: str, coords: np.ndarray) -> np.ndarray:
-        r2 = np.sum(coords * coords, axis=1)
-        d = 1.0 + r2
-        z = (2.0 - d) / d
-        if chart_id == "south":
-            z = -z
-        return np.stack([2.0 * coords[:, 0] / d, 2.0 * coords[:, 1] / d, z],
-                        axis=1)
-
-    @staticmethod
     def _unembed_many(xyz: np.ndarray, chart_id: str) -> np.ndarray:
         denom = 1.0 + xyz[..., 2] if chart_id == "north" else 1.0 - xyz[..., 2]
         return xyz[..., :2] / denom[..., None]
 
     def dist_from(self, model, p, chart_id, coords):
-        return _sphere_angle(sphere_embed(p), self._embed_many(chart_id, coords))
+        return _sphere_angle(sphere_embed(p), _sphere_embed(chart_id, coords))
 
     def log_from(self, model, p, chart_id, coords):
         P = sphere_embed(p)
-        Q = self._embed_many(chart_id, coords)
+        Q = _sphere_embed(chart_id, coords)
         theta = _sphere_angle(P, Q)
         u = Q - (Q @ P)[:, None] * P
         n = np.linalg.norm(u, axis=1)

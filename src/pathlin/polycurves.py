@@ -97,14 +97,14 @@ def conjugation_residual(model: ManifoldModel, curve: SampledCurve,
     basepoint and the grid derivative of the linearized components."""
     if curve.order < 2:
         raise ValidationError("conjugation residual needs curve order >= 2")
-    frame0, comps, (charts, _, cols, _), velocities = _p_forward_detailed(
+    frame0, comps, field, velocities = _p_forward_detailed(
         model, curve, frame0, substeps)
     accel = covariant_derivative(model, curve,
                                  map(Tangent, curve.points, velocities))
     dv = differentiate(comps, curve.grid)
     gram = model.frame_gram(frame0)
     worst = 0.0
-    for a, chart, e, d in zip(accel, charts, cols, dv):
+    for a, chart, e, d in zip(accel, field.points.charts, field.columns, dv):
         if a.base.chart_id != chart:
             a = model.push_tangent(a, chart)
         gap = np.linalg.solve(e, a.components) - d

@@ -10,9 +10,11 @@ never from an analytic curve, after each node's window is re-expressed in
 the node's chart; covariant derivatives difference vector fields the same
 way.
 
-A curve's samples are stored as arrays (geometry.Samples), which the cores
-read directly; Points, Tangents and Frames are built only for what the
-public functions return.
+A curve's samples are stored as arrays (geometry.Samples), and so is a
+frame field (FrameField: the samples plus (n, m, m) frame columns), which
+transport_frame and both linearization cores return; the cores read and
+write the arrays directly.  Points, Tangents and Frames are built only for
+what the public functions return, such as FrameField.frame(j).
 
 Chart continuation: the curve is re-expressed chart-run by chart-run.  A run
 ends when a node's coordinates reach the working chart's margin; the full
@@ -28,15 +30,17 @@ and the frames of the whole batch advance node by node as (B, m, m) stacks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
 import numpy as np
 
 from .errors import (ChartContinuationFailure, NoOverlap, NonFiniteState,
                      ValidationError)
 from .geometry import (INSIDE, MARGIN, OUTSIDE, Frame, ManifoldModel, Point,
-                       Samples, Tangent, chart_groups)
+                       Samples, Tangent, chart_groups,
+                       require_independent_columns)
 from .numerics import (Grid, lagrange_weights, rk4_step, stencil_derivative,
                        stencil_windows)
 
@@ -71,15 +75,35 @@ class SampledCurve:
 
 @dataclass(frozen=True)
 class FrameField:
-    """A frame per curve node plus the chart-switch log of the transport."""
+    """A frame per grid node, stored as arrays, as Samples stores points.
 
-    curve: SampledCurve
-    frames: tuple[Frame, ...]
-    switch_log: tuple[tuple[int, str, str], ...] = field(default_factory=tuple)
+    `points` holds the frames' base points, a chart id and (n, m)
+    coordinates per node; `columns` the frozen (n, m, m) frame columns in
+    those charts; `switch_log` the chart switches of the transport.  The
+    constructor checks the shapes, and every frame's columns at once with
+    require_independent_columns; frame(j) builds one Frame at the API edge.
+    """
+
+    grid: Grid
+    points: Samples
+    columns: np.ndarray
+    switch_log: tuple[tuple[int, str, str], ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "frames", tuple(self.frames))
+        points = Samples.of(self.points)
+        n, m = points.coords.shape
+        cols = np.array(self.columns, dtype=float)
+        if n != self.grid.nodes.size or cols.shape != (n, m, m):
+            raise ValidationError(
+                "frame field needs one (m, m) column matrix per grid node")
+        require_independent_columns(cols)
+        cols.flags.writeable = False
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "columns", cols)
         object.__setattr__(self, "switch_log", tuple(self.switch_log))
+
+    def frame(self, j: int) -> Frame:
+        return Frame(self.points[j], self.columns[j])
 
 
 # ---------------------------------------------------------------------------
@@ -321,20 +345,17 @@ def _check_frame_base(model: ManifoldModel, f0: Frame, point: Point):
 
 
 def transport_frame(model: ManifoldModel, curve: SampledCurve, f0: Frame,
-                    start: int | None = None, substeps: int = 2) -> FrameField:
-    """Parallel-transport a frame along the whole curve from `start`
-    (default: the curve's base node), switching charts as needed."""
-    if start is None:
-        start = curve.base_index
-    _check_frame_base(model, f0, curve.points[start])
+                    substeps: int = 2) -> FrameField:
+    """Parallel-transport a frame along the whole curve from its base node,
+    switching charts as needed."""
+    _check_frame_base(model, f0, curve.basepoint)
     charts, coords = [curve.points.charts], curve.points.coords[None]
     vel = _velocities(model, curve.grid, charts, coords)
     charts, coords, cols, _, logs = _transport_columns(
         model, curve.grid, charts, coords, vel, [f0.base.chart_id],
-        f0.columns[None], start, substeps)
-    frames = tuple(Frame(Point(c, x), e)
-                   for c, x, e in zip(charts[0], coords[0], cols[0]))
-    return FrameField(curve=curve, frames=frames, switch_log=tuple(logs[0]))
+        f0.columns[None], curve.base_index, substeps)
+    return FrameField(curve.grid, Samples(charts[0], coords[0]), cols[0],
+                      logs[0])
 
 
 def _transport_columns(model: ManifoldModel, grid: Grid, charts,
@@ -349,8 +370,8 @@ def _transport_columns(model: ManifoldModel, grid: Grid, charts,
     (charts, coords, cols, velocities, switch_logs): per element the chart
     of every node, the (B, n, m) positions, (B, n, m, m) frame columns and
     (B, n, m) velocities in those charts, and per element the sorted switch
-    log.  The columns are not checked for independence; Frame does that at
-    the API edge, require_independent_columns on arrays.
+    log.  The columns are not checked for independence; FrameField does
+    that, and require_independent_columns on other arrays.
 
     Each element's chart runs follow the margin rule.  Frames then advance
     node by node for the whole batch, one (B, m, m) product per node
@@ -415,32 +436,29 @@ def _transport_columns(model: ManifoldModel, grid: Grid, charts,
 def _frame_at(model: ManifoldModel, field: FrameField, t: float) -> Frame:
     """Frame at an off-node time by windowed cubic interpolation (columns and
     position), expressed in the chart of the window's reference node."""
-    grid = field.curve.grid
+    grid = field.grid
     nodes = grid.nodes
     if t < nodes[0] - 1e-12 or t > nodes[-1] + 1e-12:
         raise ValidationError(f"time {t} is outside the grid span")
     j = int(np.clip(np.searchsorted(nodes, t, side="right") - 1, 0, nodes.size - 2))
     if abs(t - nodes[j]) < 1e-12:
-        return field.frames[j]
+        return field.frame(j)
     if abs(t - nodes[j + 1]) < 1e-12:
-        return field.frames[j + 1]
+        return field.frame(j + 1)
     w = int(np.clip(j - 1, 0, nodes.size - 4))
-    chart = field.frames[j].base.chart_id
+    chart = field.points.charts[j]
+    cols = field.columns[w:w + 4].copy()
+    xy = field.points.coords[w:w + 4].copy()
+    for s in range(4):
+        if field.points.charts[w + s] != chart:
+            base = field.points[w + s]
+            cols[s] = model.transition_jacobian(base, chart) @ cols[s]
+            xy[s] = model.transition(base, chart).coords
     positions = (nodes[w:w + 4] - nodes[j]) / grid.h
     weights = lagrange_weights(positions, (t - nodes[j]) / grid.h)
-    cols = np.zeros((model.dim, model.dim))
-    xy = np.zeros(model.dim)
-    for s in range(4):
-        fr = field.frames[w + s]
-        if fr.base.chart_id == chart:
-            c, x = fr.columns, fr.base.coords
-        else:
-            jac = model.transition_jacobian(fr.base, chart)
-            c = jac @ fr.columns
-            x = model.transition(fr.base, chart).coords
-        cols += weights[s] * c
-        xy += weights[s] * x
-    return Frame(Point(chart, xy), cols)
+    # term by term in window order, not a dot product: tests pin its rounding
+    return Frame(Point(chart, sum(map(mul, weights, xy))),
+                 sum(map(mul, weights, cols)))
 
 
 def transport_vector(model: ManifoldModel, curve: SampledCurve, v: Tangent,

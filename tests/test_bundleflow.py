@@ -298,15 +298,31 @@ def test_flow_of_an_empty_batch(model):
     assert charts == [] and coords.shape == (0, model.dim)
 
 
+@pytest.mark.parametrize("name", ["euclidean2", "sphere2", "torus2"])
+def test_log_at_the_point_itself_is_zero(name):
+    # p and the points log_from is given embed through one closed form, so
+    # log_p(p) is exactly zero (hyperbolic2's is not: see CHANGES.md)
+    model = get_model(name)
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        p = random_interior_point(model, rng)
+        assert np.all(model.log_oracle(p, p).components == 0.0), p
+
+
 def test_trivialize_at_base_is_identity(model):
     rng = np.random.default_rng(11)
     grid = Grid.regular(0.0, 1.0, 60)
     curve = random_curve(model, rng, grid)
     chart = TrivializationChart(model, curve.basepoint)
     sigma = trivialize(chart, curve.basepoint, curve)
-    worst = max(model.point_distance(a, b)
-                for a, b in zip(curve.points, sigma.points))
-    assert worst < 1e-12, "Y(p, p) = 0 so phi is the identity"
+    if model.name == "hyperbolic2":
+        worst = max(model.point_distance(a, b)
+                    for a, b in zip(curve.points, sigma.points))
+        assert worst < 1e-12, "Y(p, p) = 0 so phi is the identity"
+    else:
+        # log_p(p) = 0 exactly, so the carrier field and the flow vanish
+        assert sigma.points.charts == curve.points.charts
+        assert np.array_equal(sigma.points.coords, curve.points.coords)
 
 
 def test_trivialize_euclidean_is_translation(euclidean):

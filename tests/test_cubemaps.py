@@ -194,8 +194,8 @@ def p2_forward_per_line(model, alpha, frame0):
     """Reference (v1, v2): one single-curve forward call per s2-line in its
     own orthonormal frame, mapped to the axis frame at the line's node."""
     _, j0 = alpha.base_indices
-    _, v1, (charts, _, cols, _), _ = _p_forward_detailed(
-        model, _axis_curve(alpha), frame0)
+    _, v1, axis, _ = _p_forward_detailed(model, _axis_curve(alpha), frame0)
+    charts, cols = axis.points.charts, axis.columns
     v2 = np.empty((alpha.grid1.nodes.size, alpha.grid2.nodes.size, model.dim))
     for i, row in enumerate(alpha.points):
         line = SampledCurve(alpha.grid2, row, order=2, base_index=j0)
@@ -251,9 +251,8 @@ def test_batched_lines_with_different_chart_runs(sphere):
         rows.append(tuple(row))
     alpha = CubeSample(g1, g2, tuple(rows))
     _, j0 = alpha.base_indices
-    logs = [_p_forward_detailed(sphere, SampledCurve(g2, row, order=2,
-                                                     base_index=j0))[2][3]
-            for row in rows]
+    logs = [_p_forward_detailed(sphere, SampledCurve(
+        g2, row, order=2, base_index=j0))[2].switch_log for row in rows]
     assert len({log[0][0] for log in logs if log}) > 2
     assert {q.chart_id for q in rows[1]} == {"north", "south"}
     assert {q.chart_id for q in rows[3]} == {"south"}

@@ -236,15 +236,15 @@ def test_scalar_and_batched_inverse_agree(name, span):
     # intervals x 8 stage evaluations x 2.2e-16 < 1e-12)
     model = get_model(name)
     v = _margin_crossing_curve(model, Grid.regular(*span, 800))
-    charts, coords, frames, log = p_inverse_detailed(model, v)
+    field = p_inverse_detailed(model, v)
     charts_b, coords_b, frames_b, logs_b = _solve_inverse_batch(
         model, [v.base.chart_id], v.base.coords[None],
         v.frame0.columns[None], v.grid, np.asarray(v.components)[None])
-    assert log, "the curve must cross a chart margin"
-    assert charts == charts_b[0]
-    assert log == logs_b[0]
-    assert_close(coords, coords_b[0], 1e-12, "positions")
-    assert_close(frames, frames_b[0], 1e-12, "frames")
+    assert field.switch_log, "the curve must cross a chart margin"
+    assert list(field.points.charts) == charts_b[0]
+    assert list(field.switch_log) == logs_b[0]
+    assert_close(field.points.coords, coords_b[0], 1e-12, "positions")
+    assert_close(field.columns, frames_b[0], 1e-12, "frames")
 
 
 def _same_bits(a, b) -> bool:
@@ -291,9 +291,11 @@ def test_unrolled_rhs_matches_generic(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(linearize, "_step_interval_2d", generic_2d)
             ref = p_inverse_detailed(model, v)
-        assert fast[3], "the curve must cross a chart margin"
-        assert fast[0] == ref[0] and fast[3] == ref[3]
-        assert _same_bits(fast[1], ref[1]) and _same_bits(fast[2], ref[2])
+        assert fast.switch_log, "the curve must cross a chart margin"
+        assert fast.points.charts == ref.points.charts
+        assert fast.switch_log == ref.switch_log
+        assert _same_bits(fast.points.coords, ref.points.coords)
+        assert _same_bits(fast.columns, ref.columns)
 
 
 class _Conformal3(ManifoldModel):
@@ -325,12 +327,13 @@ def test_generic_stepper_matches_batched_in_3d():
     comps = 0.4 * np.stack([np.cos(t), np.sin(2.0 * t), np.ones_like(t)],
                            axis=1)
     v = TangentCurve(p, model.orthonormal_frame(p), grid, comps)
-    _, coords, frames, _ = p_inverse_detailed(model, v)
+    field = p_inverse_detailed(model, v)
     _, coords_b, frames_b, _ = _solve_inverse_batch(
         model, ["xyz"], p.coords[None], v.frame0.columns[None], grid,
         comps[None])
+    coords = field.points.coords
     assert_close(coords, coords_b[0], 1e-12)
-    assert_close(frames, frames_b[0], 1e-12)
+    assert_close(field.columns, frames_b[0], 1e-12)
     assert np.max(np.abs(coords[-1] - coords[0])) > 0.1
 
 

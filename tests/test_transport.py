@@ -15,9 +15,11 @@ from pathlin.linearize import TangentCurve, p_inverse
 from pathlin.models import (sphere_pull_from_embedding,
                             sphere_push_to_embedding, torus_point_from_angles)
 from pathlin.suite import random_curve, random_tangent
-from pathlin.transport import (SampledCurve, _build_runs, _coords_in,
-                               covariant_derivative, curve_velocities,
-                               transport_frame, transport_vector)
+from pathlin.numerics import lagrange_weights
+from pathlin.transport import (FrameField, SampledCurve, _build_runs,
+                               _coords_in, _frame_at, covariant_derivative,
+                               curve_velocities, transport_frame,
+                               transport_vector)
 
 from conftest import assert_close
 
@@ -33,12 +35,20 @@ def great_circle_curve(sphere, n=400, speed=1.0):
     return SampledCurve(grid, points, order=3)
 
 
+def seam_curve(n=60):
+    """A torus curve across the seam of chart a, stored in both charts."""
+    grid = Grid.regular(0.0, 1.0, n)
+    return SampledCurve(grid, tuple(torus_point_from_angles(
+        np.array([5.0 + 1.8 * t, 1.2 + 0.2 * t]), prefer="a")
+        for t in grid.nodes))
+
+
 def test_euclidean_frames_constant(euclidean):
     grid = Grid.regular(0.0, 1.0, 50)
     pts = tuple(Point("xy", [math.sin(t), t * t]) for t in grid.nodes)
     field = transport_frame(euclidean, SampledCurve(grid, pts),
                             Frame(pts[0], np.eye(2)))
-    assert all(np.array_equal(fr.columns, np.eye(2)) for fr in field.frames)
+    assert (field.columns == np.eye(2)).all()
     assert field.switch_log == ()
 
 
@@ -50,26 +60,21 @@ def test_sphere_great_circle_frame(sphere):
     c2 = sphere_pull_from_embedding(pole, np.array([0.0, 1.0, 0.0]))
     f0 = Frame(pole, np.stack([c1.components, c2.components], axis=1))
     field = transport_frame(sphere, curve, f0)
-    for t, fr in zip(curve.grid.nodes, field.frames):
-        first = sphere_push_to_embedding(Tangent(fr.base, fr.columns[:, 0]))
+    for t, base, cols in zip(curve.grid.nodes, field.points, field.columns):
+        first = sphere_push_to_embedding(Tangent(base, cols[:, 0]))
         assert_close(first, [math.cos(t), 0.0, -math.sin(t)], 1e-6,
                      "tangent column")
-        second = sphere_push_to_embedding(Tangent(fr.base, fr.columns[:, 1]))
+        second = sphere_push_to_embedding(Tangent(base, cols[:, 1]))
         assert abs(first @ second) < 1e-6
         assert abs(np.linalg.norm(second) - 1.0) < 1e-6
 
 
 def test_torus_seam_crossing_logs_switch(torus):
-    grid = Grid.regular(0.0, 1.0, 60)
-    pts = tuple(torus_point_from_angles(
-        np.array([5.0 + 1.8 * t, 1.2 + 0.2 * t]), prefer="a")
-        for t in grid.nodes)
-    curve = SampledCurve(grid, pts)
-    f0 = Frame(pts[0], np.eye(2))
+    curve = seam_curve()
+    f0 = Frame(curve.points[0], np.eye(2))
     field = transport_frame(torus, curve, f0)
     assert len(field.switch_log) >= 1
-    for fr in field.frames:
-        assert_close(fr.columns, np.eye(2), 1e-12, "flat transport")
+    assert_close(field.columns, np.eye(2), 1e-12, "flat transport")
 
 
 def test_transport_vector_identity_and_inverse(model):
@@ -137,9 +142,9 @@ def test_norm_preservation_seeded(model):
         field = transport_frame(model, curve, f0)
         c = rng.normal(size=2)
         ref = model.g_norm(Tangent(f0.base, f0.columns @ c))
-        for fr in field.frames[::40]:
-            worst = max(worst, abs(
-                model.g_norm(Tangent(fr.base, fr.columns @ c)) - ref))
+        pts = field.points[::40]
+        norms = model.g_norms(pts.charts, pts.coords, field.columns[::40] @ c)
+        worst = max(worst, float(np.max(np.abs(norms - ref))))
     assert worst < 1e-5
 
 
@@ -152,9 +157,9 @@ def test_refinement_order_great_circle(sphere):
         f0 = Frame(pole, np.stack([c1.components, c2.components], axis=1))
         field = transport_frame(sphere, curve, f0)
         worst = 0.0
-        for t, fr in zip(curve.grid.nodes, field.frames):
-            ambient = sphere_push_to_embedding(
-                Tangent(fr.base, fr.columns[:, 0]))
+        for t, base, cols in zip(curve.grid.nodes, field.points,
+                                 field.columns):
+            ambient = sphere_push_to_embedding(Tangent(base, cols[:, 0]))
             expect = np.array([math.cos(t), 0.0, -math.sin(t)])
             worst = max(worst, float(np.max(np.abs(ambient - expect))))
         return worst
@@ -168,7 +173,7 @@ def test_covariant_derivative_of_parallel_field(sphere):
     curve = random_curve(sphere, rng, Grid.regular(0.0, 1.0, 400))
     f0 = sphere.orthonormal_frame(curve.basepoint)
     field = transport_frame(sphere, curve, f0)
-    column = [fr.column(0) for fr in field.frames]
+    column = list(map(Tangent, field.points, field.columns[:, :, 0]))
     deriv = covariant_derivative(sphere, curve, column)
     assert max(sphere.g_norm(d) for d in deriv) < 1e-5
 
@@ -208,6 +213,106 @@ def test_frame_base_mismatch_rejected(euclidean):
     wrong = Frame(Point("xy", [5.0, 5.0]), np.eye(2))
     with pytest.raises(ValidationError):
         transport_frame(euclidean, SampledCurve(grid, pts), wrong)
+
+
+def test_frame_field_checks_shapes_and_columns(euclidean):
+    grid = Grid.regular(0.0, 1.0, 4)
+    points = Samples(["xy"] * 5, np.zeros((5, 2)))
+    cols = np.tile(np.eye(2), (5, 1, 1))
+    field = FrameField(grid, points, cols, [(2, "xy", "xy")])
+    cols[0, 0, 0] = 7.0         # the field holds its own frozen copy
+    assert field.columns[0, 0, 0] == 1.0
+    with pytest.raises(ValueError):
+        field.columns[1, 0, 0] = 2.0
+    assert field.switch_log == ((2, "xy", "xy"),)
+    frame = field.frame(3)
+    assert isinstance(frame, Frame) and frame.base is points[3]
+    dependent = np.tile(np.eye(2), (5, 1, 1))
+    dependent[3] = [[1.0, 2.0], [1.0, 2.0]]
+    for grid_, cols_ in ((grid, dependent),
+                         (grid, np.zeros((5, 2, 2))),
+                         (grid, np.tile(np.eye(2), (4, 1, 1))),
+                         (grid, np.zeros((5, 2, 3))),
+                         (Grid.regular(0.0, 1.0, 5), np.tile(np.eye(2),
+                                                              (5, 1, 1)))):
+        with pytest.raises(ValidationError):
+            FrameField(grid_, points, cols_)
+
+
+def test_transport_frame_builds_no_frame_per_node(torus, monkeypatch):
+    curve = seam_curve(400)
+    f0 = torus.orthonormal_frame(curve.basepoint)
+    built = []
+    init = Frame.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Frame, "__init__", counting_init)
+    field = transport_frame(torus, curve, f0)
+    assert field.switch_log and field.columns.shape == (401, 2, 2)
+    assert built == []
+    field.frame(200)
+    assert len(built) == 1
+
+
+def reference_frame_at(model, grid, frames, t):
+    """_frame_at as written for a field held as a tuple of Frames: every
+    window entry through a Frame, the foreign ones transitioned."""
+    nodes = grid.nodes
+    j = int(np.clip(np.searchsorted(nodes, t, side="right") - 1, 0,
+                    nodes.size - 2))
+    if abs(t - nodes[j]) < 1e-12:
+        return frames[j]
+    if abs(t - nodes[j + 1]) < 1e-12:
+        return frames[j + 1]
+    w = int(np.clip(j - 1, 0, nodes.size - 4))
+    chart = frames[j].base.chart_id
+    positions = (nodes[w:w + 4] - nodes[j]) / grid.h
+    weights = lagrange_weights(positions, (t - nodes[j]) / grid.h)
+    cols = np.zeros((model.dim, model.dim))
+    xy = np.zeros(model.dim)
+    for s in range(4):
+        fr = frames[w + s]
+        if fr.base.chart_id == chart:
+            c, x = fr.columns, fr.base.coords
+        else:
+            c = model.transition_jacobian(fr.base, chart) @ fr.columns
+            x = model.transition(fr.base, chart).coords
+        cols += weights[s] * c
+        xy += weights[s] * x
+    return Frame(Point(chart, xy), cols)
+
+
+def test_frame_at_matches_the_per_frame_reference(sphere, torus):
+    # times around every switch node, where the windows mix two charts,
+    # and one node hit: frames and transported vectors bit for bit
+    rng = np.random.default_rng(41)
+    for model, curve in ((torus, seam_curve()),
+                         (sphere, margin_crossing_sphere_curve(sphere, 200))):
+        field = transport_frame(model, curve, model.orthonormal_frame(
+            curve.basepoint))
+        assert field.switch_log
+        frames = tuple(map(field.frame, range(len(field.points))))
+        nodes, h = curve.grid.nodes, curve.grid.h
+        v = random_tangent(model, rng, curve.basepoint)
+        for j, _, _ in field.switch_log:
+            for t in list(nodes[j] + h * np.array([-1.7, -0.5, 0.3, 1.4])) \
+                    + [float(nodes[j])]:
+                got = _frame_at(model, field, t)
+                ref = reference_frame_at(model, curve.grid, frames, t)
+                assert got.base.chart_id == ref.base.chart_id
+                assert got.base.coords.tobytes() == ref.base.coords.tobytes()
+                assert got.columns.tobytes() == ref.columns.tobytes()
+                moved = transport_vector(model, curve, v, curve.grid.nodes[
+                    curve.base_index], t, field=field)
+                ref_a = frames[curve.base_index]
+                coeffs = np.linalg.solve(ref_a.columns, model.push_tangent(
+                    v, ref_a.base.chart_id).components)
+                assert moved.base.chart_id == ref.base.chart_id
+                assert moved.components.tobytes() == \
+                    (ref.columns @ coeffs).tobytes()
 
 
 # The per-node mixed-chart loops that curve_velocities and
