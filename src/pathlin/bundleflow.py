@@ -45,8 +45,9 @@ def smooth_step(x):
     x = np.asarray(x, dtype=float)
     out = np.where(x >= 1.0, 1.0, 0.0)
     mid = (x > 0.0) & (x < 1.0)
-    if np.any(mid):
-        with np.errstate(under="ignore"):
+    if np.any(mid):     # rarely: most flow points are inside r_in, x >= 1
+        # at x = 5e-324, -1 / x overflows to -inf, whose exp is the exact 0
+        with np.errstate(under="ignore", over="ignore"):
             a = np.exp(-1.0 / x[mid])
             b = np.exp(-1.0 / (1.0 - x[mid]))
         out[mid] = a / (a + b)

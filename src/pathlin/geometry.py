@@ -154,32 +154,27 @@ def require_independent_columns(cols: np.ndarray) -> None:
 class ChartSpec:
     """One coordinate chart: identity, domain classifier, and sampling data.
 
-    domain_test maps coordinates (m,) to INSIDE / MARGIN / OUTSIDE.  MARGIN
-    means the coordinates are still valid but continuation should switch
-    charts.  domain_test_many, its array form for the batched cores, maps
-    (K, m) coordinates to an array of K statuses.  It must agree with
-    domain_test on every row bit for bit, since one flipped status moves a
-    chart switch; by default it applies domain_test row by row.  `center`
-    is the chart's own origin in its coordinates; `sample_box` is a box
-    strictly inside the interior used for seeded probing.
+    domain_test_many maps (K, m) coordinates to an array of K statuses,
+    INSIDE / MARGIN / OUTSIDE; MARGIN means the coordinates are still valid
+    but continuation should switch charts.  domain_test is its K = 1 case,
+    for one point (m,).  `center` is the chart's own origin in its
+    coordinates; `sample_box` is a box strictly inside the interior used
+    for seeded probing.
     """
 
     chart_id: str
-    domain_test: Callable[[np.ndarray], str]
+    domain_test_many: Callable[[np.ndarray], np.ndarray]
     center: np.ndarray
     sample_box: tuple[np.ndarray, np.ndarray]
     description: str = ""
-    domain_test_many: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "center", _freeze(self.center))
         lo, hi = self.sample_box
         object.__setattr__(self, "sample_box", (_freeze(lo), _freeze(hi)))
-        if self.domain_test_many is None:
-            test = self.domain_test
-            object.__setattr__(
-                self, "domain_test_many",
-                lambda coords: np.array([test(x) for x in coords], dtype=str))
+
+    def domain_test(self, coords: np.ndarray) -> str:
+        return str(self.domain_test_many(np.asarray(coords, float)[None])[0])
 
 
 class TransitionMap:
@@ -245,7 +240,7 @@ class ManifoldModel:
     christoffel_action_batch, M[l, j] = Gamma^l_{kj} r^k at (K, m) points,
     which transport, covariant derivatives and the batched inverse call, and
     christoffel_action_floats, its form on Python floats for the
-    single-curve inverse stepper, whose m rows of m floats may be tuples.
+    single-curve inverse at m = 2, whose rows of floats may be tuples.
     metric_many, the metric at (K, m) points of one chart as (K, m, m) for
     g_norms, must agree with metric bit for bit.  The hooks default to
     christoffel (through christoffel_batch and christoffel_action) and to
@@ -364,14 +359,11 @@ class ManifoldModel:
 
     def christoffel_action_floats(self, chart_id: str, coords: list[float],
                                   r: list[float]) -> list[list[float]]:
-        """christoffel_action on Python floats: coords and r are length-m
-        sequences (the 2-D stepper passes tuples), the result is M as m rows
-        of m floats, each row a tuple or a list.
-
-        This is the hook of the single-curve inverse stepper, which keeps its
-        state in floats because numpy's per-call overhead dominates at m = 2.
-        The default round-trips through christoffel_action, so any model
-        works; models override it with a closed form where speed matters.
+        """christoffel_action on Python floats, the hook of the single-curve
+        inverse at m = 2: coords and r are pairs of floats, the result is M
+        as two rows of two floats, each row a tuple or a list.  The default
+        round-trips through christoffel_action; models override it with a
+        closed form where speed matters.
         """
         return self.christoffel_action(chart_id, np.array(coords),
                                        np.array(r)).tolist()
@@ -479,7 +471,7 @@ class ManifoldModel:
             lo, hi = spec.sample_box
             probes = [spec.center, lo, hi, 0.5 * (lo + hi)]
             for coords in probes:
-                if spec.domain_test(np.asarray(coords, float)) == OUTSIDE:
+                if spec.domain_test(coords) == OUTSIDE:
                     continue
                 res = metric_compatibility_residual(self, spec.chart_id,
                                                     coords, step)

@@ -21,24 +21,20 @@ neither builds a Point or a Frame per node: each returns the frame
 transported along the curve as one transport.FrameField.  The forward
 core transports the frame with the batched transport core,
 transport._transport_columns, as a batch of one, and solves all nodes at
-once for the components.  The inverse
-core integrates a single curve with RK4 on a flat state of m + m^2 Python
-floats (position, then the frame row by row), its connection from the
-model's christoffel_action_floats: at m = 2 numpy's per-call overhead, not
-the arithmetic, is the cost.  _stepper picks the interval stepper: for
-m = 2, the dimension of every built-in model, _step_interval_2d on six
-unpacked floats, bit-equal to the generic _step_interval it stands for.
-Batches of curves on one grid go through _solve_inverse_batch, the same
-scheme on (B, ...) numpy arrays; the two agree to rounding, with the same
-charts and switch logs.
+once for the components.  At m = 2, the dimension of every built-in
+model, the inverse core integrates a single curve with _step_interval_2d,
+RK4 on six Python floats with the connection from the model's
+christoffel_action_floats, since numpy's per-call overhead, not the
+arithmetic, is the cost there; it classifies its nodes _BLOCK at a time.
+Batches of curves on one grid, and single curves of any other dimension,
+go through _solve_inverse_batch, the same scheme on (B, ...) numpy
+arrays; the two agree to rounding, with the same charts and switch logs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
-from operator import mul
 
 import numpy as np
 
@@ -161,50 +157,12 @@ def _switch_state(model, chart, x, cols, node, switch_log):
     return moved.chart_id, moved.coords, jac @ cols
 
 
-def _stepper(action, chart: str, m: int):
-    """The interval stepper in a chart: _step_interval, written out at m = 2."""
-    if m == 2:
-        return _step_interval_2d(action, chart)
-    return partial(_step_interval, _frame_rhs_generic(action, chart, m))
-
-
-def _frame_rhs_generic(action, chart: str, m: int):
-    """f(y, v): dx/dt = r = E v, dE/dt = -M(x, r) E.  Sums start at -0.0,
-    which adds exactly, so zeros keep their sign as in a * b + c * d."""
-    row_starts = range(m, m + m * m, m)
-    col_starts = range(m, 2 * m)
-
-    def rhs(y, v):
-        r = [sum(map(mul, y[k:k + m], v), -0.0) for k in row_starts]
-        cols = [y[k::m] for k in col_starts]
-        return r + [-sum(map(mul, mrow, col), -0.0)
-                    for mrow in action(chart, y[:m], r) for col in cols]
-    return rhs
-
-
-def _step_interval(rhs, y, stages, hsub):
-    """One grid interval of the coupled position+frame system: classic RK4
-    with len(stages) // 2 substeps, in Python floats.  y is the flat state
-    (entry m + l*m + i holds e_i^l), stages the component vectors v at the
-    2 * substeps + 1 stage times in the direction of travel, hsub the signed
-    substep and rhs from _frame_rhs_generic.  Returns the new state."""
-    half = 0.5 * hsub
-    sixth = hsub / 6.0
-    for s in range(0, len(stages) - 1, 2):
-        va, vb, vc = stages[s], stages[s + 1], stages[s + 2]
-        k1 = rhs(y, va)
-        k2 = rhs([a + half * k for a, k in zip(y, k1)], vb)
-        k3 = rhs([a + half * k for a, k in zip(y, k2)], vb)
-        k4 = rhs([a + hsub * k for a, k in zip(y, k3)], vc)
-        y = [a + sixth * (p + 2.0 * q + 2.0 * r + t)
-             for a, p, q, r, t in zip(y, k1, k2, k3, k4)]
-    return y
-
-
 def _step_interval_2d(action, chart: str):
-    """_step_interval on _frame_rhs_generic written out for m = 2, on six
-    unpacked floats with tuples in and out, where the single-curve inverse
-    spends most of its time; same operations in the same order."""
+    """step(y, stages, hsub): one grid interval in a chart at m = 2, classic
+    RK4 with len(stages) // 2 substeps on Python floats.  y holds x0, x1
+    and the frame by rows (e01 is e_1^0), stages the component vectors at
+    the 2 * substeps + 1 stage times in the direction of travel, hsub the
+    signed substep.  Bit-equal to the generic stepper of the tests."""
     def rhs(x0, x1, e00, e01, e10, e11, v0, v1):
         r0 = e00 * v0 + e01 * v1
         r1 = e10 * v0 + e11 * v1
@@ -239,6 +197,11 @@ def _step_interval_2d(action, chart: str):
     return step
 
 
+# Intervals the single-curve inverse integrates in a chart before one
+# domain_test_many call; a switch in a block drops the nodes after it.
+_BLOCK = 32
+
+
 def p_inverse_detailed(model: ManifoldModel, v: TangentCurve,
                        substeps: int = 2):
     """The inverse core: integrate the coupled position+frame system outward
@@ -250,55 +213,79 @@ def p_inverse_detailed(model: ManifoldModel, v: TangentCurve,
     linearly dependent.
     """
     grid = v.grid
+    if model.dim != 2:
+        (charts,), (coords,), (frames,), (log,) = _solve_inverse_batch(
+            model, [v.base.chart_id], v.base.coords[None],
+            v.frame0.columns[None], grid, np.asarray(v.components)[None],
+            substeps)
+        return FrameField(grid, Samples(charts, coords), frames, log)
     base_node = grid.base_node()
     n = grid.nodes.size
-    m = model.dim
     hsub = grid.h / substeps
     v_stages = _stage_values(np.asarray(v.components), substeps).tolist()
     action = model.christoffel_action_floats
 
-    charts = [None] * n
-    states = [None] * n
+    charts, states = [None] * n, [None] * n
     switch_log: list[tuple[int, str, str]] = []
     y0 = v.base.coords.tolist() + v.frame0.columns.ravel().tolist()
     charts[base_node], states[base_node] = v.base.chart_id, y0
 
     def march(stop: int):
         chart, y = v.base.chart_id, y0
-        step = _stepper(action, chart, m)
-        direction = 1 if stop >= base_node else -1
+        step = _step_interval_2d(action, chart)
+        d = 1 if stop >= base_node else -1
         j = base_node
         while j != stop:
-            if direction > 0:
-                stages, j = v_stages[j], j + 1
-            else:
-                stages, j = v_stages[j - 1][::-1], j - 1
-            try:
-                y = step(y, stages, direction * hsub)
-                finite = all(map(math.isfinite, y))
-            except (ZeroDivisionError, OverflowError):
-                # Python floats raise where numpy would have returned inf
-                finite = False
-            if not finite:
-                raise NonFiniteState(
-                    f"inverse system became non-finite at node {j}")
-            if j != stop:
-                x = np.array(y[:m])
-                if model.chart(chart).domain_test(x) != INSIDE:
-                    cols = np.array(y[m:]).reshape(m, m)
-                    chart, x, cols = _switch_state(model, chart, x, cols, j,
-                                                   switch_log)
-                    y = x.tolist() + cols.ravel().tolist()
-                    step = _stepper(action, chart, m)
-            charts[j], states[j] = chart, y
+            # a failure waits until every node before it is known INSIDE,
+            # since a switch before it would have stopped this chart's steps
+            nodes = range(j + d, j + d * (min(_BLOCK, abs(stop - j)) + 1), d)
+            failure = None
+            for k in nodes:
+                stages = v_stages[k - 1] if d > 0 else v_stages[k][::-1]
+                try:
+                    y = step(y, stages, d * hsub)
+                    finite = all(map(math.isfinite, y))
+                except (ZeroDivisionError, OverflowError):
+                    # Python floats raise where numpy would have returned inf
+                    finite = False
+                except Exception as exc:
+                    failure = exc
+                    break
+                if not finite:
+                    failure = NonFiniteState(
+                        f"inverse system became non-finite at node {k}")
+                    break
+                charts[k], states[k] = chart, y
+            if failure is not None:
+                nodes = nodes[:nodes.index(k)]
+            tested = nodes[:-1] if nodes and nodes[-1] == stop else nodes
+            if tested:
+                xs = np.array([states[k][:2] for k in tested])
+                with np.errstate(over="ignore"):    # past a switch: any size
+                    status = model.chart(chart).domain_test_many(xs)
+                for i in np.flatnonzero(status != INSIDE).tolist():
+                    k = tested[i]
+                    cols = np.array(states[k][2:]).reshape(2, 2)
+                    moved, x, cols = _switch_state(model, chart, xs[i], cols,
+                                                   k, switch_log)
+                    if moved != chart:
+                        chart = charts[k] = moved
+                        states[k] = x.tolist() + cols.ravel().tolist()
+                        step = _step_interval_2d(action, chart)
+                        nodes, failure = nodes[:i + 1], None
+                        break
+            if failure is not None:
+                raise failure
+            j = nodes[-1]
+            y = states[j]
 
     march(n - 1)
     if base_node > 0:
         march(0)
     states = np.array(states)
     switch_log.sort()
-    return FrameField(grid, Samples(charts, states[:, :m]),
-                      states[:, m:].reshape(n, m, m), switch_log)
+    return FrameField(grid, Samples(charts, states[:, :2]),
+                      states[:, 2:].reshape(n, 2, 2), switch_log)
 
 
 def p_inverse(model: ManifoldModel, v: TangentCurve,

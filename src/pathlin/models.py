@@ -127,10 +127,6 @@ class _EuclideanOracle(Oracle):
         return p.coords + vecs
 
 
-def _plane_domain(coords: np.ndarray) -> str:
-    return INSIDE if all(map(math.isfinite, coords)) else OUTSIDE
-
-
 def _plane_domain_many(coords: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(coords).all(axis=1), INSIDE, OUTSIDE)
 
@@ -138,11 +134,10 @@ def _plane_domain_many(coords: np.ndarray) -> np.ndarray:
 def _euclidean2() -> ManifoldModel:
     chart = ChartSpec(
         chart_id="xy",
-        domain_test=_plane_domain,
+        domain_test_many=_plane_domain_many,
         center=np.zeros(2),
         sample_box=(np.array([-3.0, -3.0]), np.array([3.0, 3.0])),
         description="global Cartesian coordinates on the flat plane",
-        domain_test_many=_plane_domain_many,
     )
     return _EuclideanModel(
         name="euclidean2", dim=2, charts=[chart], transitions={},
@@ -157,18 +152,7 @@ _SPHERE_INSIDE_R = 2.0    # coordinate radius: inside up to here
 _SPHERE_OUTSIDE_R = 4.0   # margin band up to here, outside beyond
 
 
-def _sphere_domain(coords: np.ndarray) -> str:
-    r = float(np.linalg.norm(coords))
-    if r <= _SPHERE_INSIDE_R:
-        return INSIDE
-    if r <= _SPHERE_OUTSIDE_R:
-        return MARGIN
-    return OUTSIDE
-
-
 def _sphere_domain_many(coords: np.ndarray) -> np.ndarray:
-    # np.vecdot rounds as the ddot of np.linalg.norm does, bit for bit;
-    # row sums and einsum differ in the last bit on some points
     r = np.sqrt(np.vecdot(coords, coords))
     return np.where(r <= _SPHERE_INSIDE_R, INSIDE,
                     np.where(r <= _SPHERE_OUTSIDE_R, MARGIN, OUTSIDE))
@@ -232,7 +216,7 @@ def sphere_point_from_embedding(xyz: np.ndarray, prefer: str = "north") -> Point
         if denom < 1e-12:
             continue
         coords = np.array([x / denom, y / denom])
-        status = _sphere_domain(coords)
+        status = _sphere_domain_many(coords[None])[0]
         if status == INSIDE:
             return Point(cid, coords)
         if status == MARGIN and fallback is None:
@@ -301,12 +285,12 @@ class _SphereOracle(Oracle):
 def _sphere2() -> ManifoldModel:
     box = (np.array([-1.4, -1.4]), np.array([1.4, 1.4]))
     charts = [
-        ChartSpec("north", _sphere_domain, np.zeros(2), box,
+        ChartSpec("north", _sphere_domain_many, np.zeros(2), box,
                   "stereographic projection from the south pole; "
-                  "(0, 0) is the north pole", _sphere_domain_many),
-        ChartSpec("south", _sphere_domain, np.zeros(2), box,
+                  "(0, 0) is the north pole"),
+        ChartSpec("south", _sphere_domain_many, np.zeros(2), box,
                   "stereographic projection from the north pole; "
-                  "(0, 0) is the south pole", _sphere_domain_many),
+                  "(0, 0) is the south pole"),
     ]
     inv = TransitionMap(_inversion, _inversion_jacobian)
     transitions = {("north", "south"): inv, ("south", "north"): inv}
@@ -319,13 +303,9 @@ def _sphere2() -> ManifoldModel:
 # Poincare disk (curvature -1)
 # ---------------------------------------------------------------------------
 
-def _disk_domain(coords: np.ndarray) -> str:
+def _disk_domain_many(coords: np.ndarray) -> np.ndarray:
     # Single chart: the coordinate boundary is metrically at infinity, so it
     # is never treated as a reachable margin; there is no chart to switch to.
-    return INSIDE if float(coords @ coords) < 1.0 - 1e-12 else OUTSIDE
-
-
-def _disk_domain_many(coords: np.ndarray) -> np.ndarray:
     return np.where(np.vecdot(coords, coords) < 1.0 - 1e-12, INSIDE, OUTSIDE)
 
 
@@ -348,22 +328,27 @@ class _DiskOracle(Oracle):
 
     @staticmethod
     def _mobius_many(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Mobius sums a (+) b[k]: one point a (m,) with points b (..., m),
-        or a (K, m) with b (K, m) by rows."""
-        if a.ndim == 1:
-            ab, a2 = b @ a, a @ a
-        else:
-            ab, a2 = np.sum(a * b, axis=-1), np.sum(a * a, axis=-1)
+        """Mobius sums a (+) b[k] of one point a (m,) with points b (..., m)."""
+        ab, a2 = b @ a, a @ a
         b2 = np.sum(b * b, axis=-1)
-        num = (1.0 + 2.0 * ab + b2)[..., None] * a + (1.0 - a2)[..., None] * b
+        num = (1.0 + 2.0 * ab + b2)[..., None] * a + (1.0 - a2) * b
         return num / (1.0 + 2.0 * ab + a2 * b2)[..., None]
 
+    @staticmethod
+    def _from_p(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """(-p) (+) q for p (m,) or K paired p (K, m), the numerator written
+        as (1 - |p|^2)(q - p) - |q - p|^2 p so that it is 0 at q = p."""
+        dq = q - p
+        p2, pq, q2, d2 = (np.sum(a * b, axis=-1)[..., None]
+                          for a, b in ((p, p), (p, q), (q, q), (dq, dq)))
+        return ((1.0 - p2) * dq - d2 * p) / (1.0 - 2.0 * pq + p2 * q2)
+
     def dist_from(self, model, p, chart_id, coords):
-        n = np.linalg.norm(self._mobius_many(-p.coords, coords), axis=1)
+        n = np.linalg.norm(self._from_p(p.coords, coords), axis=1)
         return 2.0 * np.arctanh(np.minimum(n, 1.0 - 1e-16))
 
     def log_from(self, model, p, chart_id, coords):
-        w = self._mobius_many(-p.coords, coords)
+        w = self._from_p(p.coords, coords)
         n = np.linalg.norm(w, axis=1)
         d = 2.0 * np.arctanh(np.minimum(n, 1.0 - 1e-16))
         lam = 2.0 / (1.0 - float(p.coords @ p.coords))
@@ -381,11 +366,10 @@ class _DiskOracle(Oracle):
 def _hyperbolic2() -> ManifoldModel:
     chart = ChartSpec(
         chart_id="disk",
-        domain_test=_disk_domain,
+        domain_test_many=_disk_domain_many,
         center=np.zeros(2),
         sample_box=(np.array([-0.55, -0.55]), np.array([0.55, 0.55])),
         description="Poincare disk coordinates |x| < 1, curvature -1",
-        domain_test_many=_disk_domain_many,
     )
     return _ConformalModel(
         kappa=-1.0, name="hyperbolic2", dim=2, charts=[chart], transitions={},
@@ -412,19 +396,6 @@ def _torus_wrap(values: np.ndarray, starts: tuple[float, float]) -> np.ndarray:
     return (values - np.asarray(starts)) % TWO_PI + np.asarray(starts)
 
 
-def _torus_domain_for(starts):
-    def test(coords: np.ndarray) -> str:
-        status = INSIDE
-        for i in range(2):
-            u = coords[i] - starts[i]
-            if not 0.0 <= u < TWO_PI:
-                return OUTSIDE
-            if u < _TORUS_EDGE or u > TWO_PI - _TORUS_EDGE:
-                status = MARGIN
-        return status
-    return test
-
-
 def _torus_domain_many_for(starts):
     def test(coords: np.ndarray) -> np.ndarray:
         u = coords - np.asarray(starts)
@@ -446,7 +417,7 @@ def torus_point_from_angles(angles: np.ndarray, prefer: str = "a") -> Point:
     for cid in order:
         starts = _torus_window_starts(cid)
         coords = _torus_wrap(np.asarray(angles, dtype=float), starts)
-        status = _torus_domain_for(starts)(coords)
+        status = _torus_domain_many_for(starts)(coords[None])[0]
         if status == INSIDE:
             return Point(cid, coords)
         if status == MARGIN and fallback is None:
@@ -483,12 +454,11 @@ def _torus2() -> ManifoldModel:
         box = (center - math.pi / 2.0, center + math.pi / 2.0)
         charts.append(ChartSpec(
             chart_id=cid,
-            domain_test=_torus_domain_for(starts),
+            domain_test_many=_torus_domain_many_for(starts),
             center=center,
             sample_box=box,
             description=(f"angles with x in [{starts[0]:.6g}, {starts[0] + TWO_PI:.6g}), "
                          f"y in [{starts[1]:.6g}, {starts[1] + TWO_PI:.6g})"),
-            domain_test_many=_torus_domain_many_for(starts),
         ))
     transitions = {}
     for a in _TORUS_WINDOWS:

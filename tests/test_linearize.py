@@ -1,6 +1,8 @@
 """The forward/inverse linearization pair and its independence properties."""
 
+import dataclasses
 import math
+from operator import mul
 
 import numpy as np
 import pytest
@@ -9,9 +11,9 @@ from pathlin import Frame, Grid, Point, Tangent, get_model
 from pathlin.errors import NonFiniteState, ValidationError
 from pathlin.geometry import INSIDE, ChartSpec, ManifoldModel
 from pathlin import linearize
-from pathlin.linearize import (TangentCurve, _frame_rhs_generic,
-                               _solve_inverse_batch, _step_interval,
-                               _step_interval_2d,
+from pathlin.linearize import (TangentCurve, _solve_inverse_batch,
+                               _stage_values, _step_interval_2d,
+                               _switch_state,
                                basis_independence_check,
                                chart_independence_check, p_forward, p_inverse,
                                p_inverse_detailed, rescale_to_unit,
@@ -252,6 +254,110 @@ def _same_bits(a, b) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+# The generic float stepper that _step_interval_2d writes out at m = 2, for
+# any m, kept as its bit reference.
+
+def _frame_rhs_generic(action, chart: str, m: int):
+    """f(y, v): dx/dt = r = E v, dE/dt = -M(x, r) E.  Sums start at -0.0,
+    which adds exactly, so zeros keep their sign as in a * b + c * d."""
+    row_starts = range(m, m + m * m, m)
+    col_starts = range(m, 2 * m)
+
+    def rhs(y, v):
+        r = [sum(map(mul, y[k:k + m], v), -0.0) for k in row_starts]
+        cols = [y[k::m] for k in col_starts]
+        return r + [-sum(map(mul, mrow, col), -0.0)
+                    for mrow in action(chart, y[:m], r) for col in cols]
+    return rhs
+
+
+def _step_interval(rhs, y, stages, hsub):
+    """One grid interval of the coupled position+frame system: classic RK4
+    with len(stages) // 2 substeps, in Python floats.  y is the flat state
+    (entry m + l*m + i holds e_i^l), stages the component vectors v at the
+    2 * substeps + 1 stage times in the direction of travel, hsub the signed
+    substep and rhs from _frame_rhs_generic.  Returns the new state."""
+    half = 0.5 * hsub
+    sixth = hsub / 6.0
+    for s in range(0, len(stages) - 1, 2):
+        va, vb, vc = stages[s], stages[s + 1], stages[s + 2]
+        k1 = rhs(y, va)
+        k2 = rhs([a + half * k for a, k in zip(y, k1)], vb)
+        k3 = rhs([a + half * k for a, k in zip(y, k2)], vb)
+        k4 = rhs([a + hsub * k for a, k in zip(y, k3)], vc)
+        y = [a + sixth * (p + 2.0 * q + 2.0 * r + t)
+             for a, p, q, r, t in zip(y, k1, k2, k3, k4)]
+    return y
+
+
+def reference_inverse(model, v, substeps=2):
+    """The single-curve inverse node by node, as it stood before it tested
+    its nodes in blocks: one interval, then one domain test, at a time, on
+    the written-out stepper at m = 2 and the generic one otherwise.
+    Returns (charts, coords, columns, sorted switch log)."""
+    grid = v.grid
+    base_node = grid.base_node()
+    n, m = grid.nodes.size, model.dim
+    hsub = grid.h / substeps
+    v_stages = _stage_values(np.asarray(v.components), substeps).tolist()
+    action = model.christoffel_action_floats
+
+    def stepper(chart):
+        if m == 2:
+            return _step_interval_2d(action, chart)
+        rhs = _frame_rhs_generic(action, chart, m)
+        return lambda y, stages, h: _step_interval(rhs, y, stages, h)
+
+    charts, states, switch_log = [None] * n, [None] * n, []
+    y0 = v.base.coords.tolist() + v.frame0.columns.ravel().tolist()
+    charts[base_node], states[base_node] = v.base.chart_id, y0
+
+    def march(stop):
+        chart, y = v.base.chart_id, y0
+        step = stepper(chart)
+        direction = 1 if stop >= base_node else -1
+        j = base_node
+        while j != stop:
+            if direction > 0:
+                stages, j = v_stages[j], j + 1
+            else:
+                stages, j = v_stages[j - 1][::-1], j - 1
+            try:
+                y = step(y, stages, direction * hsub)
+                finite = all(map(math.isfinite, y))
+            except (ZeroDivisionError, OverflowError):
+                finite = False
+            if not finite:
+                raise NonFiniteState(
+                    f"inverse system became non-finite at node {j}")
+            if j != stop:
+                x = np.array(y[:m])
+                if model.chart(chart).domain_test(x) != INSIDE:
+                    cols = np.array(y[m:]).reshape(m, m)
+                    chart, x, cols = _switch_state(model, chart, x, cols, j,
+                                                   switch_log)
+                    y = x.tolist() + cols.ravel().tolist()
+                    step = stepper(chart)
+            charts[j], states[j] = chart, y
+
+    march(n - 1)
+    if base_node > 0:
+        march(0)
+    states = np.array(states)
+    return (tuple(charts), states[:, :m], states[:, m:].reshape(n, m, m),
+            sorted(switch_log))
+
+
+def _assert_matches_reference(model, v):
+    field = p_inverse_detailed(model, v)
+    charts, coords, cols, log = reference_inverse(model, v)
+    assert field.points.charts == charts
+    assert list(field.switch_log) == log
+    assert _same_bits(field.points.coords, coords)
+    assert _same_bits(field.columns, cols)
+    return field
+
+
 def test_unrolled_rhs_matches_generic(monkeypatch):
     # the m = 2 interval against _step_interval on _frame_rhs_generic: whole
     # intervals on every chart of the four models, with signed zeros in the
@@ -300,7 +406,7 @@ def test_unrolled_rhs_matches_generic(monkeypatch):
 
 class _Conformal3(ManifoldModel):
     """A 3-D model outside the built-ins, g = exp(2 a.x) I on one chart: its
-    inverse runs the generic stepper through the default Christoffel hook."""
+    inverse runs the batched solver through the default Christoffel hook."""
 
     a = np.array([0.3, -0.2, 0.1])
     gamma = (np.einsum("lk,j->lkj", np.eye(3), a)
@@ -308,8 +414,8 @@ class _Conformal3(ManifoldModel):
              - np.einsum("kj,l->lkj", np.eye(3), a))
 
     def __init__(self):
-        chart = ChartSpec("xyz", lambda c: INSIDE, np.zeros(3),
-                          (-np.ones(3), np.ones(3)))
+        chart = ChartSpec("xyz", lambda c: np.full(len(c), INSIDE),
+                          np.zeros(3), (-np.ones(3), np.ones(3)))
         super().__init__("conformal3", 3, [chart], {}, r0=lambda p: 1.0)
 
     def christoffel(self, chart_id, coords):
@@ -327,14 +433,19 @@ def test_generic_stepper_matches_batched_in_3d():
     comps = 0.4 * np.stack([np.cos(t), np.sin(2.0 * t), np.ones_like(t)],
                            axis=1)
     v = TangentCurve(p, model.orthonormal_frame(p), grid, comps)
+    # away from m = 2 the single-curve inverse is the batch of one, and the
+    # generic float stepper agrees with it to rounding
     field = p_inverse_detailed(model, v)
     _, coords_b, frames_b, _ = _solve_inverse_batch(
         model, ["xyz"], p.coords[None], v.frame0.columns[None], grid,
         comps[None])
     coords = field.points.coords
-    assert_close(coords, coords_b[0], 1e-12)
-    assert_close(field.columns, frames_b[0], 1e-12)
+    assert _same_bits(coords, coords_b[0])
+    assert _same_bits(field.columns, frames_b[0])
     assert np.max(np.abs(coords[-1] - coords[0])) > 0.1
+    _, coords_g, frames_g, _ = reference_inverse(model, v)
+    assert_close(coords, coords_g, 1e-12)
+    assert_close(field.columns, frames_g, 1e-12)
 
 
 def test_christoffel_action_floats_matches_numpy(model):
@@ -386,3 +497,133 @@ def test_inverse_rejects_linearly_dependent_frames(euclidean, monkeypatch):
     for solve in (p_inverse, p_inverse_detailed):
         with pytest.raises(ValidationError):
             solve(euclidean, v)
+
+
+
+# The single-curve inverse integrates _BLOCK intervals before it classifies
+# their nodes; every case below must give the node-by-node reference's bits.
+
+def _heading_curve(model, grid, speed, angle=0.93, amp=0.3, freqs=(2.0, 3.0)):
+    """A tangent curve from _margin_crossing_curve's base, heading at the
+    given angle and speed with a wiggle of the given amplitude."""
+    t = grid.nodes
+    wiggle = amp * np.stack([np.sin(freqs[0] * t), np.cos(freqs[1] * t)],
+                            axis=1)
+    base = Point("north", [1.7, 0.3]) if model.name == "sphere2" \
+        else Point("a", [5.2, 3.0])
+    heading = speed * np.array([math.cos(angle), math.sin(angle)])
+    return TangentCurve(base, model.orthonormal_frame(base), grid,
+                        heading[None, :] + wiggle)
+
+
+@pytest.mark.parametrize("name", ["sphere2", "torus2"])
+@pytest.mark.parametrize("span", [(0.0, 1.0), (-1.0, 1.0)])
+@pytest.mark.parametrize("n", [400, 800])
+def test_block_march_matches_node_by_node_on_switching_curves(name, span, n):
+    model = get_model(name)
+    grid = Grid.regular(*span, n)
+    rng = np.random.default_rng(41)
+    switches = 0
+    for _ in range(4):
+        v = _heading_curve(model, grid, rng.uniform(1.0, 30.0),
+                           rng.uniform(0.0, 2.0 * math.pi),
+                           rng.uniform(0.0, 0.5), rng.uniform(1.0, 4.0, 2))
+        switches += len(_assert_matches_reference(model, v).switch_log)
+    assert switches >= 8
+    fast = _heading_curve(model, grid, 30.0 if name == "torus2" else 20.0)
+    assert len(_assert_matches_reference(model, fast).switch_log) >= 6
+
+
+def _torus_line(torus, node, n=400):
+    """A straight line on torus2 from (5.2, 3.0) in chart a along x, at the
+    speed that takes it past chart a's margin x = 7 pi / 4 first at node
+    `node` of a one-sided grid of n intervals; and the grid."""
+    grid = Grid.regular(0.0, 1.0, n)
+    speed = (1.75 * math.pi - 5.2) / ((node - 0.5) * grid.h)
+    base = Point("a", [5.2, 3.0])
+    comps = np.tile([speed, 0.0], (n + 1, 1))
+    return TangentCurve(base, Frame(base, np.eye(2)), grid, comps)
+
+
+@pytest.mark.parametrize("where", ["first", "second block's first",
+                                   "first block's last", "second block's last",
+                                   "stop - 1", "stop"])
+def test_block_march_switches_where_the_node_by_node_march_does(torus, where):
+    b = linearize._BLOCK
+    node = {"first": 1, "second block's first": b + 1,
+            "first block's last": b, "second block's last": 2 * b,
+            "stop - 1": 399, "stop": 400}[where]
+    field = _assert_matches_reference(torus, _torus_line(torus, node))
+    if node == 400:
+        # the last node is never tested, so the line ends in chart a
+        assert not field.switch_log and field.points.charts[-1] == "a"
+    else:
+        assert field.switch_log[0] == (node, "a", "b")
+
+
+def _line_x(v, node):
+    """x in chart a of a _torus_line at a fractional node."""
+    return v.base.coords[0] + v.components[0, 0] * node * v.grid.h
+
+
+def _hook_past(threshold, failure):
+    """A flat connection that fails in chart a beyond x = threshold: it
+    returns NaN (failure None) or raises the given exception."""
+    def action(chart_id, coords, r):
+        if chart_id == "a" and coords[0] > threshold:
+            if failure is None:
+                return ((math.nan, 0.0), (0.0, 0.0))
+            raise failure("the connection hook failed")
+        return ((0.0, 0.0), (0.0, 0.0))
+    return action
+
+
+@pytest.mark.parametrize("failure", [None, ValueError])
+def test_failure_past_a_margin_in_the_same_block_does_not_surface(
+        torus, monkeypatch, failure):
+    # the line leaves chart a's interior at a block's middle node, and the
+    # hook fails three quarters into the next interval: the node-by-node
+    # march has switched to chart b by then, so the block march must too
+    node = linearize._BLOCK // 2
+    v = _torus_line(torus, node)
+    monkeypatch.setattr(torus, "christoffel_action_floats", _hook_past(
+        _line_x(v, node + 0.75), failure))
+    field = _assert_matches_reference(torus, v)
+    assert field.switch_log[0] == (node, "a", "b")
+
+
+@pytest.mark.parametrize("failure", [None, ValueError])
+def test_failure_before_a_margin_surfaces_at_its_node(torus, monkeypatch,
+                                                      failure):
+    node = linearize._BLOCK // 2
+    v = _torus_line(torus, node)
+    monkeypatch.setattr(torus, "christoffel_action_floats", _hook_past(
+        _line_x(v, node - 2.25), failure))
+    error = NonFiniteState if failure is None else failure
+    with pytest.raises(error) as expected:
+        reference_inverse(torus, v)
+    with pytest.raises(error) as got:
+        p_inverse_detailed(torus, v)
+    assert str(got.value) == str(expected.value)
+    if failure is None:
+        assert str(got.value).endswith(f"at node {node - 2}")
+
+
+def test_block_march_classifies_a_block_at_a_time(model, monkeypatch):
+    # a one-sided 401-node curve that stays in its chart's interior
+    rng = np.random.default_rng(5)
+    v = random_tangent_curve(model, rng, Grid.regular(0.0, 1.0, 400),
+                             scale=0.2)
+    calls = []
+    spec = model.chart(v.base.chart_id)
+
+    def counted(coords):
+        calls.append(len(coords))
+        return spec.domain_test_many(coords)
+
+    monkeypatch.setitem(model.charts, spec.chart_id,
+                        dataclasses.replace(spec, domain_test_many=counted))
+    field = p_inverse_detailed(model, v)
+    assert not field.switch_log
+    assert len(calls) <= math.ceil(400 / linearize._BLOCK)
+    assert sum(calls) == 399
