@@ -26,8 +26,8 @@ from .bundleflow import (TrivializationChart, arclength_normalize, flow,
                          flow_points, make_carrier, trivialize, untrivialize)
 from .cubemaps import p2_forward, p2_inverse
 from .errors import (ChartContinuationFailure, GridTooCoarse, IllConditioned,
-                     NoOracle, NoOverlap, NonFiniteState, NotImmersed,
-                     OutOfInjectivityRange, PathlinError, ValidationError)
+                     NonFiniteState, NotImmersed, OutOfInjectivityRange,
+                     PathlinError, ValidationError)
 from .geometry import Point
 from .linearize import p_forward, p_inverse, roundtrip_check
 from .models import MODEL_NAMES, get_model, manifest
@@ -35,7 +35,6 @@ from .polycurves import weierstrass_fit
 from .suite import run_model_suite
 from .transport import curve_speeds
 
-_VALIDATION_ERRORS = (ValidationError, NoOverlap, NoOracle)
 _NUMERICAL_ERRORS = (NonFiniteState, ChartContinuationFailure, IllConditioned,
                      OutOfInjectivityRange, NotImmersed, GridTooCoarse)
 
@@ -149,19 +148,16 @@ def _cmd_cube2(args) -> int:
     payload = fileio.load_json(args.input)
     if args.direction == "forward":
         model, cube = fileio.cube_from_json(payload)
-        lin = p2_forward(model, cube, substeps=args.n_substeps)
-        fileio.dump_json(fileio.cube_linearization_to_json(model, lin),
+        out = p2_forward(model, cube, substeps=args.n_substeps)
+        fileio.dump_json(fileio.cube_linearization_to_json(model, out),
                          args.output)
-        metrics = {"grid1_nodes": lin.grid1.nodes.size,
-                   "grid2_nodes": lin.grid2.nodes.size}
     else:
         model, lin = fileio.cube_linearization_from_json(payload)
-        cube = p2_inverse(model, lin, substeps=args.n_substeps)
-        fileio.dump_json(fileio.cube_to_json(model, cube), args.output)
-        metrics = {"grid1_nodes": cube.grid1.nodes.size,
-                   "grid2_nodes": cube.grid2.nodes.size}
+        out = p2_inverse(model, lin, substeps=args.n_substeps)
+        fileio.dump_json(fileio.cube_to_json(model, out), args.output)
     return _finish(args, f"cube2-{args.direction}", tolerances={},
-                   metrics=metrics, passes={})
+                   metrics={"grid1_nodes": out.grid1.nodes.size,
+                            "grid2_nodes": out.grid2.nodes.size}, passes={})
 
 
 def _cmd_polyfit(args) -> int:
@@ -235,9 +231,7 @@ def _cmd_normalize(args) -> int:
 def _cmd_check(args) -> int:
     names = list(MODEL_NAMES) if args.model == "all" else [args.model]
     for name in names:
-        if name not in MODEL_NAMES:
-            raise ValidationError(
-                f"unknown model {name!r}; available: {', '.join(MODEL_NAMES)}")
+        get_model(name)   # ValidationError naming the models, before output
     reports = []
     all_pass = True
     for name in sorted(names):
@@ -361,8 +355,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _validate_args(args) -> None:
-    if getattr(args, "n_substeps", 2) < 1:
+    if args.n_substeps < 1:
         raise ValidationError("--n-substeps must be positive")
+    if args.seed < 0:
+        raise ValidationError("--seed must be at least 0")
     if args.command == "normalize" and \
             not (math.isfinite(args.floor) and args.floor >= 0):
         raise ValidationError("--floor must be a finite number >= 0")
@@ -385,13 +381,10 @@ def run(argv=None) -> int:
     try:
         _validate_args(args)
         return args.handler(args)
-    except _VALIDATION_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except _NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except PathlinError as exc:
+    except PathlinError as exc:   # ValidationError, NoOverlap, NoOracle
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -20,6 +20,7 @@ byte-identical files.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from pathlib import Path
@@ -38,16 +39,26 @@ from .transport import SampledCurve
 SCHEMA_VERSION = 1
 
 
+def _write_text(path, text: str) -> None:
+    try:
+        Path(path).write_text(text, newline="")
+    except OSError as exc:
+        raise ValidationError(f"{path}: cannot write ({exc.strerror or exc})")
+
+
 def dump_json(payload: dict, path) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2)
-    Path(path).write_text(text + "\n")
+    _write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def load_json(path) -> dict:
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: not valid JSON ({exc})")
+    except UnicodeDecodeError:
+        raise ValidationError(f"{path}: not UTF-8 text")
+    except OSError as exc:
+        raise ValidationError(f"{path}: cannot read ({exc.strerror or exc})")
 
 
 def _require(payload: dict, field: str, kind=None):
@@ -390,19 +401,21 @@ def report_to_json(command: str, tolerances: dict, metrics: dict,
     return payload
 
 
+def _write_csv(path, rows) -> None:
+    buffer = io.StringIO()
+    csv.writer(buffer).writerows(rows)
+    _write_text(path, buffer.getvalue())
+
+
 def curve_to_csv(model: ManifoldModel, curve: SampledCurve, path) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["t"] + [f"x{i}" for i in range(model.dim)] + ["chart"])
-        for t, chart, x in zip(curve.grid.nodes, curve.points.charts,
-                               curve.points.coords):
-            writer.writerow([repr(float(t))] + [repr(float(c)) for c in x]
-                            + [chart])
+    _write_csv(path, [["t"] + [f"x{i}" for i in range(model.dim)] + ["chart"]]
+               + [[repr(float(t))] + [repr(float(c)) for c in x] + [chart]
+                  for t, chart, x in zip(curve.grid.nodes,
+                                         curve.points.charts,
+                                         curve.points.coords)])
 
 
 def tangent_curve_to_csv(model: ManifoldModel, v: TangentCurve, path) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["t"] + [f"v{i}" for i in range(model.dim)])
-        for t, row in zip(v.grid.nodes, v.components):
-            writer.writerow([repr(float(t))] + [repr(float(c)) for c in row])
+    _write_csv(path, [["t"] + [f"v{i}" for i in range(model.dim)]]
+               + [[repr(float(t))] + [repr(float(c)) for c in row]
+                  for t, row in zip(v.grid.nodes, v.components)])

@@ -2,8 +2,8 @@
 
 A model is a subclass of ManifoldModel.  It is constructed from explicit
 coordinate charts with transition maps (and their Jacobians), an optional
-closed-form Oracle of exp/log/dist, whose array kernels also serve
-point_distances, and a conservative injectivity floor r0, and it
+closed-form Oracle, three array kernels from which exp/log/dist and
+point_distances follow, and a conservative injectivity floor r0, and it
 implements the Christoffel symbols and the metric as methods.  The
 connection is given as Gamma^l_{kj} directly; it must be compatible with
 the metric but need not be Levi-Civita, and the constructor probes the
@@ -194,17 +194,22 @@ class TransitionMap:
 class Oracle:
     """Closed-form exp/log/dist for a model geometry.
 
-    A model's oracle writes each closed form once: exp, which chooses the
-    chart of its result, and three array kernels in one named chart, which
-    validate nothing.  dist_from pairs p's coordinates, one point (m,) or K
-    points (K, m), with K points (K, m).  log_from returns (dists, logs) of
-    K points from one pass, dists bit-equal to dist_from's; exp_from takes
-    vectors of shape (..., m).  Both take a single p.  dist and log are the
-    kernels' K = 1 case.
+    A model's oracle writes each closed form once, as three array kernels
+    in one named chart, which validate nothing.  dist_from pairs p's
+    coordinates, one point (m,) or K points (K, m), with K points (K, m).
+    log_from returns (dists, logs) of K points from one pass, dists
+    bit-equal to dist_from's; exp_from takes vectors of shape (..., m).
+    Both take a single p.  exp, dist and log are the kernels' K = 1 case;
+    exp returns p for |v| < 1e-300 and places any other result with
+    ManifoldModel.place.
     """
 
     def exp(self, model: "ManifoldModel", p: Point, v: Tangent) -> Point:
-        raise NotImplementedError
+        comps = model.push_tangent(v, p.chart_id).components
+        if np.linalg.norm(comps) < 1e-300:   # a NaN goes on to NoOverlap
+            return p
+        return model.place(lambda c: self.exp_from(model, p, comps, c),
+                           p.chart_id)
 
     def dist_from(self, model: "ManifoldModel", p: Point, chart_id: str,
                   coords: np.ndarray) -> np.ndarray:
@@ -245,7 +250,8 @@ class ManifoldModel:
     g_norms, must agree with metric bit for bit.  The hooks default to
     christoffel (through christoffel_batch and christoffel_action) and to
     metric, so christoffel and metric are all a model must implement; the
-    built-in models override the hooks with closed forms.
+    built-in models override the hooks with closed forms.  place is the one
+    rule that puts a point given in every chart's coordinates into a chart.
     """
 
     def __init__(self, name: str, dim: int, charts: Sequence[ChartSpec],
@@ -335,6 +341,25 @@ class ManifoldModel:
         if best is None:
             raise NoOverlap(f"no chart admits point {point}")
         return best[1]
+
+    def place(self, coords_in: Callable[[str], np.ndarray],
+              prefer: str) -> Point:
+        """The point with coordinates coords_in(c) in chart c, in the first
+        chart, prefer and then the others by id, that holds it INSIDE, else
+        the first at its MARGIN; NoOverlap if none.  Division by zero in
+        coords_in is silent: the result is OUTSIDE."""
+        fallback = None
+        for cid in sorted(self.charts, key=lambda c: (c != prefer, c)):
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                coords = coords_in(cid)
+            status = self.chart(cid).domain_test(coords)
+            if status == INSIDE:
+                return Point(cid, coords)
+            if status == MARGIN and fallback is None:
+                fallback = Point(cid, coords)
+        if fallback is None:
+            raise NoOverlap(f"no chart of {self.name!r} admits the point")
+        return fallback
 
     # -- connection and metric ------------------------------------------------
 

@@ -5,6 +5,9 @@ sphere2      unit sphere, two stereographic charts (north/south), r0 = pi/2
 hyperbolic2  Poincare disk (curvature -1), one chart, cap r0
 torus2       flat square torus of period 2*pi, four shifted charts, r0 = pi/2
 
+Each oracle writes only the array kernels dist_from, log_from and exp_from;
+the helpers that put a point in a chart call ManifoldModel.place.
+
 Coordinate conventions are emitted by `pathlin models --describe <name>`.
 """
 
@@ -15,7 +18,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import NoOverlap, ValidationError
+from .errors import ValidationError
 from .geometry import (INSIDE, MARGIN, OUTSIDE, ChartSpec, ManifoldModel,
                        Oracle, Point, Tangent, TransitionMap)
 
@@ -113,14 +116,15 @@ class _EuclideanModel(_FlatMixin, ManifoldModel):
 
 
 class _EuclideanOracle(Oracle):
-    def exp(self, model, p, v):
-        return Point(p.chart_id, p.coords + v.components)
+    @staticmethod
+    def _shortest_many(diff: np.ndarray) -> np.ndarray:
+        return diff
 
     def dist_from(self, model, p, chart_id, coords):
-        return np.linalg.norm(coords - p.coords, axis=1)
+        return np.linalg.norm(self._shortest_many(coords - p.coords), axis=1)
 
     def log_from(self, model, p, chart_id, coords):
-        logs = coords - p.coords
+        logs = self._shortest_many(coords - p.coords)
         return np.linalg.norm(logs, axis=1), logs
 
     def exp_from(self, model, p, vecs, chart_id):
@@ -202,28 +206,11 @@ def _sphere_embed_jacobian(point: Point) -> np.ndarray:
 
 
 def sphere_point_from_embedding(xyz: np.ndarray, prefer: str = "north") -> Point:
-    """Unit-sphere point in R^3 -> chart point.
-
-    The preferred chart wins while the point is in its interior; otherwise
-    the point goes to whichever chart holds it INSIDE, falling back to a
-    margin position only when no interior admits it.
-    """
-    x, y, z = xyz / np.linalg.norm(xyz)
-    order = (prefer, "south" if prefer == "north" else "north")
-    fallback = None
-    for cid in order:
-        denom = 1.0 + z if cid == "north" else 1.0 - z
-        if denom < 1e-12:
-            continue
-        coords = np.array([x / denom, y / denom])
-        status = _sphere_domain_many(coords[None])[0]
-        if status == INSIDE:
-            return Point(cid, coords)
-        if status == MARGIN and fallback is None:
-            fallback = Point(cid, coords)
-    if fallback is not None:
-        return fallback
-    raise NoOverlap("no sphere chart admits the embedded point")
+    """Unit-sphere point in R^3 -> chart point, placed by the model's
+    place: the preferred chart wins while the point is in its interior."""
+    q = xyz / np.linalg.norm(xyz)
+    return get_model("sphere2").place(
+        lambda c: _SphereOracle._unembed_many(q, c), prefer)
 
 
 def sphere_push_to_embedding(t: Tangent) -> np.ndarray:
@@ -244,15 +231,6 @@ def _sphere_angle(P: np.ndarray, Q: np.ndarray):
 
 
 class _SphereOracle(Oracle):
-    def exp(self, model, p, v):
-        P = sphere_embed(p)
-        W = sphere_push_to_embedding(v)
-        theta = float(np.linalg.norm(W))
-        if theta < 1e-300:
-            return p
-        Q = math.cos(theta) * P + math.sin(theta) * W / theta
-        return sphere_point_from_embedding(Q, prefer=p.chart_id)
-
     @staticmethod
     def _unembed_many(xyz: np.ndarray, chart_id: str) -> np.ndarray:
         denom = 1.0 + xyz[..., 2] if chart_id == "north" else 1.0 - xyz[..., 2]
@@ -309,23 +287,7 @@ def _disk_domain_many(coords: np.ndarray) -> np.ndarray:
     return np.where(np.vecdot(coords, coords) < 1.0 - 1e-12, INSIDE, OUTSIDE)
 
 
-def mobius_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    ab = float(a @ b)
-    a2 = float(a @ a)
-    b2 = float(b @ b)
-    denom = 1.0 + 2.0 * ab + a2 * b2
-    return ((1.0 + 2.0 * ab + b2) * a + (1.0 - a2) * b) / denom
-
-
 class _DiskOracle(Oracle):
-    def exp(self, model, p, v):
-        ve = float(np.linalg.norm(v.components))
-        if ve < 1e-300:
-            return p
-        lam = 2.0 / (1.0 - float(p.coords @ p.coords))
-        scale = math.tanh(0.5 * lam * ve)
-        return Point(p.chart_id, mobius_add(p.coords, scale * v.components / ve))
-
     @staticmethod
     def _mobius_many(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Mobius sums a (+) b[k] of one point a (m,) with points b (..., m)."""
@@ -411,36 +373,17 @@ class _TorusModel(_FlatMixin, ManifoldModel):
 
 
 def torus_point_from_angles(angles: np.ndarray, prefer: str = "a") -> Point:
-    """Angle pair -> chart point, preferring the given chart when valid."""
-    order = [prefer] + [c for c in sorted(_TORUS_WINDOWS) if c != prefer]
-    fallback = None
-    for cid in order:
-        starts = _torus_window_starts(cid)
-        coords = _torus_wrap(np.asarray(angles, dtype=float), starts)
-        status = _torus_domain_many_for(starts)(coords[None])[0]
-        if status == INSIDE:
-            return Point(cid, coords)
-        if status == MARGIN and fallback is None:
-            fallback = Point(cid, coords)
-    if fallback is not None:
-        return fallback
-    raise NoOverlap("no torus chart admits the angle pair")
+    """Angle pair -> chart point, placed by the model's place: the
+    preferred chart wins while the angles are in its interior."""
+    angles = np.asarray(angles, dtype=float)
+    return get_model("torus2").place(
+        lambda c: _torus_wrap(angles, _torus_window_starts(c)), prefer)
 
 
-class _TorusOracle(Oracle):
-    def exp(self, model, p, v):
-        return torus_point_from_angles(p.coords + v.components, prefer=p.chart_id)
-
+class _TorusOracle(_EuclideanOracle):
     @staticmethod
     def _shortest_many(diff: np.ndarray) -> np.ndarray:
         return (diff + math.pi) % TWO_PI - math.pi
-
-    def dist_from(self, model, p, chart_id, coords):
-        return np.linalg.norm(self._shortest_many(coords - p.coords), axis=1)
-
-    def log_from(self, model, p, chart_id, coords):
-        logs = self._shortest_many(coords - p.coords)
-        return np.linalg.norm(logs, axis=1), logs
 
     def exp_from(self, model, p, vecs, chart_id):
         return _torus_wrap(p.coords + vecs, _torus_window_starts(chart_id))

@@ -14,6 +14,7 @@ from pathlin import Frame, Grid, Point, Tangent, cli, get_model
 from pathlin import fileio
 from pathlin.bundleflow import flow, make_carrier
 from pathlin.cli import main
+from pathlin.cubemaps import CubeSample, p2_forward
 from pathlin.linearize import TangentCurve, p_forward
 from pathlin.transport import SampledCurve, curve_velocities
 
@@ -486,6 +487,98 @@ def test_out_of_range_option_exits_2(tmp_path, capsys, sphere_fixture,
     assert named in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+# every command that reads a file, with its arguments; IN names the file it
+# reads (a curve file unless the key says otherwise) and OUT the file it
+# writes
+_FILE_COMMANDS = {
+    "linearize": ["linearize", "IN", "-o", "OUT"],
+    "synthesize": ["synthesize", "IN", "-o", "OUT"],
+    "roundtrip": ["roundtrip", "IN"],
+    "cube2-forward": ["cube2", "forward", "IN", "-o", "OUT"],
+    "cube2-inverse": ["cube2", "inverse", "IN", "-o", "OUT"],
+    "polyfit": ["polyfit", "IN", "--degree", "2", "-o", "OUT"],
+    "flow": ["flow", "sphere2", "--p", "north:0,0", "--q", "north:0.15,0.1",
+             "IN", "-o", "OUT"],
+    "trivialize": ["trivialize", "IN", "--fiber", "north:0.1,0.05",
+                   "-o", "OUT"],
+    "untrivialize": ["trivialize", "IN", "--inverse", "--base", "north:0,0",
+                     "-o", "OUT"],
+    "normalize": ["normalize", "IN", "-o", "OUT"],
+}
+
+
+@pytest.fixture
+def input_files(tmp_path, sphere_fixture):
+    """A valid input file for each command of _FILE_COMMANDS."""
+    sphere, curve, path = sphere_fixture
+    euclid = get_model("euclidean2")
+    g = Grid.regular(0.0, 1.0, 4)
+    cube = CubeSample(g, g, tuple(tuple(Point("xy", [a, b]) for b in g.nodes)
+                                  for a in g.nodes))
+    files = {"curve": path, "tangent": tmp_path / "tangent.json",
+             "cube": tmp_path / "cube.json", "lin": tmp_path / "lin.json",
+             "points": tmp_path / "points.json"}
+    fileio.dump_json(fileio.tangent_curve_to_json(
+        sphere, p_forward(sphere, curve).tangent_curve), files["tangent"])
+    fileio.dump_json(fileio.cube_to_json(euclid, cube), files["cube"])
+    fileio.dump_json(fileio.cube_linearization_to_json(
+        euclid, p2_forward(euclid, cube)), files["lin"])
+    fileio.dump_json(fileio.points_to_json(sphere, [curve.points[3]]),
+                     files["points"])
+    kinds = {"synthesize": "tangent", "cube2-forward": "cube",
+             "cube2-inverse": "lin", "flow": "points"}
+    return {name: files[kinds.get(name, "curve")] for name in _FILE_COMMANDS}
+
+
+def _run_expecting_one_error(argv, capsys, named):
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    assert named in lines[0]
+
+
+@pytest.mark.parametrize("bad", ["missing", "directory", "not_utf8"])
+@pytest.mark.parametrize("command", sorted(_FILE_COMMANDS))
+def test_unreadable_input_exits_2(tmp_path, capsys, command, bad):
+    path = {"missing": tmp_path / "nonexistent.json",
+            "directory": tmp_path,
+            "not_utf8": tmp_path / "latin1.json"}[bad]
+    (tmp_path / "latin1.json").write_bytes(b'{"kind": "caf\xe9"}')
+    out = tmp_path / "out.json"
+    files = {"IN": str(path), "OUT": str(out)}
+    _run_expecting_one_error([files.get(a, a) for a in _FILE_COMMANDS[command]],
+                             capsys, str(path))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,flag", [
+    *[(c, "-o") for c in sorted(_FILE_COMMANDS) if "OUT" in _FILE_COMMANDS[c]],
+    *[(c, "--report") for c in sorted(_FILE_COMMANDS)],
+    ("linearize", "--csv"), ("synthesize", "--csv")])
+def test_unwritable_output_exits_2(tmp_path, capsys, input_files, command,
+                                   flag):
+    unwritable = str(tmp_path / "no_such_dir" / "out")
+    files = {"IN": str(input_files[command]), "OUT": str(tmp_path / "o.json")}
+    argv = [files.get(a, a) for a in _FILE_COMMANDS[command]]
+    if flag == "-o":
+        argv[argv.index("-o") + 1] = unwritable
+    else:
+        argv += [flag, unwritable]
+    _run_expecting_one_error(argv, capsys, unwritable)
+
+
+@pytest.mark.parametrize("command", ["models", "check"] + sorted(_FILE_COMMANDS))
+def test_negative_seed_exits_2(tmp_path, capsys, command):
+    argv = {"models": ["models"], "check": ["check", "euclidean2"]}.get(
+        command, _FILE_COMMANDS.get(command))
+    files = {"IN": str(tmp_path / "in.json"), "OUT": str(tmp_path / "o.json")}
+    _run_expecting_one_error([files.get(a, a) for a in argv]
+                             + ["--seed", "-1"], capsys, "--seed")
 
 
 # Any JSON value, with integers capped at 10**6 and a few extreme floats, so

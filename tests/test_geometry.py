@@ -4,14 +4,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from pathlin import (Frame, NoOverlap, OutOfInjectivityRange, Point, Tangent,
                      ValidationError, get_model)
 from pathlin.geometry import (INSIDE, MARGIN, OUTSIDE, Samples, chart_groups,
                               metric_compatibility_residual)
-from pathlin.models import (manifest, mobius_add, sphere_embed,
-                            sphere_pull_from_embedding)
+from pathlin.models import (manifest, sphere_embed,
+                            sphere_point_from_embedding,
+                            sphere_pull_from_embedding,
+                            sphere_push_to_embedding, torus_point_from_angles)
 from pathlin.suite import random_interior_point, random_tangent
 
 from conftest import MODEL_NAMES, assert_close
@@ -237,6 +239,14 @@ def test_array_g_norms_match_g_norm_bit_for_bit(name, data):
 # The scalar dist and log each oracle wrote out before both became the K = 1
 # case of the array kernels, kept as references for the derived forms.
 
+def _mobius_add(a, b):
+    ab = float(a @ b)
+    a2 = float(a @ a)
+    b2 = float(b @ b)
+    denom = 1.0 + 2.0 * ab + a2 * b2
+    return ((1.0 + 2.0 * ab + b2) * a + (1.0 - a2) * b) / denom
+
+
 def _sphere_angle(P, Q):
     chord = np.linalg.norm(Q - P, axis=-1)
     return float(2.0 * np.arcsin(np.clip(0.5 * chord, 0.0, 1.0)))
@@ -252,7 +262,7 @@ def _reference_dist(model, p, q):
     if model.name == "sphere2":
         return _sphere_angle(sphere_embed(p), sphere_embed(q))
     if model.name == "hyperbolic2":
-        n = float(np.linalg.norm(mobius_add(-p.coords, q.coords)))
+        n = float(np.linalg.norm(_mobius_add(-p.coords, q.coords)))
         return 2.0 * math.atanh(min(n, 1.0 - 1e-16))
     return float(np.linalg.norm(_torus_shortest(q.coords - p.coords)))
 
@@ -269,7 +279,7 @@ def _reference_log(model, p, q):
         w = _sphere_angle(P, Q) * u / n
         return sphere_pull_from_embedding(p, w).components
     if model.name == "hyperbolic2":
-        w = mobius_add(-p.coords, q.coords)
+        w = _mobius_add(-p.coords, q.coords)
         n = float(np.linalg.norm(w))
         if n < 1e-300:
             return np.zeros(2)
@@ -279,10 +289,9 @@ def _reference_log(model, p, q):
 
 
 @st.composite
-def _oracle_pair(draw, model):
-    """A point of a chart's sample box and the oracle exp there of a vector
-    of g-norm below 0.95 min(r0, 2), re-expressed in a drawn chart when it
-    has an image there."""
+def _oracle_vector(draw, model):
+    """A point of a chart's sample box and a vector there of g-norm below
+    0.95 min(r0, 2)."""
     chart = draw(st.sampled_from(sorted(model.charts)))
     lo, hi = model.charts[chart].sample_box
     p = Point(chart, [draw(st.floats(float(a), float(b)))
@@ -290,8 +299,15 @@ def _oracle_pair(draw, model):
     angle = draw(st.floats(0.0, 2.0 * math.pi))
     direction = Tangent(p, [math.cos(angle), math.sin(angle)])
     norm = draw(st.floats(0.0, 0.95)) * min(model.r0(p), 2.0)
-    q = model.exp_oracle(p, Tangent(p, direction.components * norm
-                                    / model.g_norm(direction)))
+    return p, Tangent(p, direction.components * norm / model.g_norm(direction))
+
+
+@st.composite
+def _oracle_pair(draw, model):
+    """A drawn _oracle_vector's p and the oracle exp there, re-expressed in
+    a drawn chart when it has an image there."""
+    p, v = draw(_oracle_vector(model))
+    q = model.exp_oracle(p, v)
     try:
         q = model.transition(q, draw(st.sampled_from(sorted(model.charts))))
     except NoOverlap:
@@ -383,6 +399,170 @@ def test_exp_from_on_a_stack_is_two_calls(model, k):
     for half, v in zip(stacked, vecs):
         assert half.tobytes() == \
             oracle.exp_from(model, p, v, p.chart_id).tobytes()
+
+
+# The exp each oracle wrote out, and the chart placement loops of the two
+# helpers, before exp became the K = 1 case of exp_from placed by the one
+# rule ManifoldModel.place; kept as references.
+
+def _pre_change_sphere_place(xyz, prefer="north"):
+    x, y, z = xyz / np.linalg.norm(xyz)
+    order = (prefer, "south" if prefer == "north" else "north")
+    fallback = None
+    for cid in order:
+        denom = 1.0 + z if cid == "north" else 1.0 - z
+        if denom < 1e-12:
+            continue
+        coords = np.array([x / denom, y / denom])
+        status = get_model("sphere2").chart(cid).domain_test(coords)
+        if status == INSIDE:
+            return Point(cid, coords)
+        if status == MARGIN and fallback is None:
+            fallback = Point(cid, coords)
+    if fallback is not None:
+        return fallback
+    raise NoOverlap("no sphere chart admits the embedded point")
+
+
+def _pre_change_torus_place(angles, prefer="a"):
+    torus = get_model("torus2")
+    order = [prefer] + [c for c in sorted(torus.charts) if c != prefer]
+    fallback = None
+    for cid in order:
+        starts = (0.0 if cid in "ac" else -math.pi,
+                  0.0 if cid in "ab" else -math.pi)
+        coords = (np.asarray(angles, dtype=float) - starts) % (2.0 * math.pi) \
+            + starts
+        status = torus.chart(cid).domain_test(coords)
+        if status == INSIDE:
+            return Point(cid, coords)
+        if status == MARGIN and fallback is None:
+            fallback = Point(cid, coords)
+    if fallback is not None:
+        return fallback
+    raise NoOverlap("no torus chart admits the angle pair")
+
+
+def _pre_change_exp(model, p, v):
+    if model.name == "euclidean2":
+        return Point(p.chart_id, p.coords + v.components)
+    if model.name == "sphere2":
+        P = sphere_embed(p)
+        W = sphere_push_to_embedding(v)
+        theta = float(np.linalg.norm(W))
+        if theta < 1e-300:
+            return p
+        Q = math.cos(theta) * P + math.sin(theta) * W / theta
+        return _pre_change_sphere_place(Q, prefer=p.chart_id)
+    if model.name == "hyperbolic2":
+        ve = float(np.linalg.norm(v.components))
+        if ve < 1e-300:
+            return p
+        lam = 2.0 / (1.0 - float(p.coords @ p.coords))
+        scale = math.tanh(0.5 * lam * ve)
+        return Point(p.chart_id,
+                     _mobius_add(p.coords, scale * v.components / ve))
+    return _pre_change_torus_place(p.coords + v.components, prefer=p.chart_id)
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+@given(data=st.data())
+def test_exp_matches_the_pre_change_exp(name, data):
+    # the result lands in the chart the written-out exp chose; over 20,000
+    # seeded pairs with |v| up to 1.2 min(r0, 3) the coordinates were
+    # bit-equal on the flat models and within 2.1e-15 (hyperbolic2) and
+    # 1.6e-15 (sphere2) of them, 6e-16 and 1e-15 at these draws' norms
+    model = get_model(name)
+    p, v = data.draw(_oracle_vector(model))
+    assume(np.linalg.norm(v.components) >= 1e-300)
+    got, ref = model.exp_oracle(p, v), _pre_change_exp(model, p, v)
+    assert got.chart_id == ref.chart_id
+    if name in ("euclidean2", "torus2"):
+        assert got.coords.tobytes() == ref.coords.tobytes()
+    else:
+        assert_close(got.coords, ref.coords,
+                     2e-15 * max(1.0, float(np.max(np.abs(ref.coords)))),
+                     name)
+
+
+def _same_point(got, ref):
+    return got.chart_id == ref.chart_id and \
+        got.coords.tobytes() == ref.coords.tobytes()
+
+
+def test_exp_of_zero_is_p(model):
+    # the torus placed p + 0 anew: a point on a chart's margin moved to
+    # another chart, and a re-wrapped angle could lose its last bit
+    rng = np.random.default_rng(8)
+    points = [random_interior_point(model, rng) for _ in range(200)]
+    margin = {"sphere2": Point("south", [2.5, 0.0]),
+              "torus2": Point("a", [0.1, 3.0])}.get(model.name)
+    if margin is not None:
+        assert model.domain_status(margin) == MARGIN
+        points.append(margin)
+    for p in points:
+        assert _same_point(model.exp_oracle(p, Tangent(p, [0.0, -0.0])), p)
+
+
+@pytest.mark.parametrize("name,v", [
+    *[pytest.param(n, [math.nan, 0.1], id=f"nan-{n}") for n in MODEL_NAMES],
+    pytest.param("hyperbolic2", [40.0, 0.0], id="far-hyperbolic2"),
+])
+def test_exp_with_no_chart_raises_no_overlap(name, v):
+    # a NaN component, and a disk vector that tanh rounds onto the boundary,
+    # give no chart's point: the written-out exps returned NaN and boundary
+    # coordinates on euclidean2 and hyperbolic2
+    model = get_model(name)
+    p = Point("disk", [0.3, 0.1]) if name == "hyperbolic2" else \
+        Point(sorted(model.charts)[0], [0.3, 0.1])
+    with pytest.raises(NoOverlap):
+        model.exp_oracle(p, Tangent(p, v))
+
+
+def test_sphere_exp_takes_a_tangent_stored_in_the_other_chart(sphere):
+    rng = np.random.default_rng(9)
+    for _ in range(100):
+        p = Point("north", rng.uniform(0.2, 1.4, 2) * rng.choice([-1, 1], 2))
+        v = random_tangent(sphere, rng, p, norm=float(rng.uniform(0.1, 1.4)))
+        moved = sphere.push_tangent(v, "south")
+        assert moved.base.chart_id == "south"
+        assert_close(sphere_embed(sphere.exp_oracle(p, moved)),
+                     sphere_embed(sphere.exp_oracle(p, v)), 1e-15)
+        assert_close(sphere_embed(sphere.exp_oracle(p, moved)),
+                     sphere_embed(_pre_change_exp(sphere, p, moved)), 1e-15)
+
+
+def test_sphere_point_from_embedding_is_the_pre_change_loop():
+    rng = np.random.default_rng(12)
+    xyz = rng.normal(size=(1000, 3)) * rng.uniform(0.1, 10.0, (1000, 1))
+    near_poles = np.column_stack([rng.normal(scale=1e-7, size=(200, 2)),
+                                  rng.choice([-1.0, 1.0], 200)])
+    # the chart edges r = 2 and r = 4 of the north chart and their images
+    edges = [[4.0 * r, 0.0, 1.0 - r * r] for r in (0.25, 0.5, 2.0, 4.0)]
+    poles = [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [0.0, -0.0, -1.0]]
+    for row in [*xyz, *near_poles, *edges, *poles]:
+        row = np.asarray(row, dtype=float)
+        for prefer in ("north", "south"):
+            assert _same_point(sphere_point_from_embedding(row, prefer),
+                               _pre_change_sphere_place(row, prefer))
+
+
+def test_torus_point_from_angles_is_the_pre_change_loop():
+    rng = np.random.default_rng(13)
+    angles = rng.uniform(-3.0 * math.pi, 5.0 * math.pi, (1000, 2))
+    q = math.pi / 4.0
+    edges = [0.0, -0.0, q, -q, math.pi, -math.pi, 2.0 * math.pi - q,
+             math.pi - q, math.pi + q, -math.pi + q, 2.0 * math.pi,
+             np.nextafter(q, 0.0), np.nextafter(2.0 * math.pi, 0.0)]
+    grid = [[a, b] for a in edges for b in edges]
+    for row in [*angles, *grid]:
+        for prefer in "abcd":
+            assert _same_point(torus_point_from_angles(row, prefer),
+                               _pre_change_torus_place(row, prefer))
+    for prefer in "abcd":
+        for helper in (torus_point_from_angles, _pre_change_torus_place):
+            with pytest.raises(NoOverlap):
+                helper([math.nan, 1.0], prefer)
 
 
 def _meridian(charts, offset=0.0):
