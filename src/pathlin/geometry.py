@@ -4,10 +4,11 @@ A model is a subclass of ManifoldModel.  It is constructed from explicit
 coordinate charts with transition maps (and their Jacobians), an optional
 closed-form Oracle, three array kernels from which exp/log/dist and
 point_distances follow, and a conservative injectivity floor r0, and it
-implements the Christoffel symbols and the metric as methods.  The
-connection is given as Gamma^l_{kj} directly; it must be compatible with
-the metric but need not be Levi-Civita, and the constructor probes the
-compatibility residual.
+writes its geometry as two array hooks: metric_many, the metric at many
+points of a chart, and christoffel_action_batch, the connection acting on
+frame columns there.  The connection must be the Levi-Civita connection of
+the metric, the one whose parallel transport the metric's oracles assume,
+and the constructor probes that it is.
 
 All values are immutable after construction and every operation is a pure
 function, so concurrent use needs no synchronization.
@@ -236,22 +237,20 @@ class Oracle:
 
 
 class ManifoldModel:
-    """A chart atlas with connection, metric, and optional closed-form oracle.
+    """A chart atlas with metric, connection, and optional closed-form oracle.
 
-    A model is a subclass that implements christoffel and metric.
-    christoffel returns Gamma[l, k, j] = Gamma^l_{kj}; the frame equation
-    contracts the k slot with the velocity and the j slot with the frame
-    component.  The library reads the connection through two hooks:
-    christoffel_action_batch, M[l, j] = Gamma^l_{kj} r^k at (K, m) points,
-    which transport, covariant derivatives and the batched inverse call, and
-    christoffel_action_floats, its form on Python floats for the
-    single-curve inverse at m = 2, whose rows of floats may be tuples.
-    metric_many, the metric at (K, m) points of one chart as (K, m, m) for
-    g_norms, must agree with metric bit for bit.  The hooks default to
-    christoffel (through christoffel_batch and christoffel_action) and to
-    metric, so christoffel and metric are all a model must implement; the
-    built-in models override the hooks with closed forms.  place is the one
-    rule that puts a point given in every chart's coordinates into a chart.
+    A model is a subclass that writes two hooks.  metric_many returns the
+    metric g_ij at (K, m) points of one chart as (K, m, m).
+    christoffel_action_batch returns M[s, l, j] = Gamma^l_{kj} r[s, k] at
+    (K, m) points: the frame equation contracts the k slot of Gamma with
+    the velocity and the j slot with the frame component.  Transport,
+    covariant derivatives and the batched inverse call the action; metric,
+    christoffel (Gamma[l, k, j] = Gamma^l_{kj}) and christoffel_action_floats
+    derive from the two hooks.  christoffel_action_floats is the
+    single-curve inverse's hook at m = 2, which the built-in models override
+    with closed forms on Python floats.  The constructor probes that Gamma
+    is the Levi-Civita connection of g.  place is the one rule that puts a
+    point given in every chart's coordinates into a chart.
     """
 
     def __init__(self, name: str, dim: int, charts: Sequence[ChartSpec],
@@ -363,38 +362,44 @@ class ManifoldModel:
 
     # -- connection and metric ------------------------------------------------
 
-    def christoffel(self, chart_id: str, coords: np.ndarray) -> np.ndarray:
+    def metric_many(self, chart_id: str, coords: np.ndarray) -> np.ndarray:
+        """The metric g_ij at (K, m) points of one chart, as (K, m, m)."""
         raise NotImplementedError
-
-    def christoffel_batch(self, chart_id: str, coords: np.ndarray) -> np.ndarray:
-        coords = np.asarray(coords, dtype=float)
-        return np.stack([self.christoffel(chart_id, c) for c in coords])
-
-    def christoffel_action(self, chart_id: str, coords: np.ndarray,
-                           r: np.ndarray) -> np.ndarray:
-        """M[l, j] = Gamma^l_{kj} r^k, the matrix acting on frame columns."""
-        gamma = self.christoffel(chart_id, coords)
-        return np.tensordot(gamma, r, axes=([1], [0]))
 
     def christoffel_action_batch(self, chart_id: str, coords: np.ndarray,
                                  r: np.ndarray) -> np.ndarray:
-        """Batched christoffel_action over a leading axis of points."""
-        gamma = self.christoffel_batch(chart_id, coords)
-        return np.einsum("slkj,sk->slj", gamma, r)
+        """M[s, l, j] = Gamma^l_{kj}(coords[s]) r[s, k] at (K, m) points of
+        one chart: the matrix that acts on frame columns."""
+        raise NotImplementedError
 
     def christoffel_action_floats(self, chart_id: str, coords: list[float],
                                   r: list[float]) -> list[list[float]]:
-        """christoffel_action on Python floats, the hook of the single-curve
-        inverse at m = 2: coords and r are pairs of floats, the result is M
-        as two rows of two floats, each row a tuple or a list.  The default
-        round-trips through christoffel_action; models override it with a
-        closed form where speed matters.
-        """
-        return self.christoffel_action(chart_id, np.array(coords),
-                                       np.array(r)).tolist()
+        """christoffel_action_batch on Python floats, the hook of the
+        single-curve inverse at m = 2: coords and r are pairs of floats, M
+        two rows of two floats, each row a tuple or a list.  The default is
+        the batch form at K = 1; models override it with a closed form."""
+        return self.christoffel_action_batch(
+            chart_id, np.array([coords]), np.array([r]))[0].tolist()
 
     def metric(self, chart_id: str, coords: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        return self.metric_many(chart_id, np.array([coords], float))[0]
+
+    def christoffel(self, chart_id: str, coords: np.ndarray) -> np.ndarray:
+        """Gamma[l, k, j] = Gamma^l_{kj}: the action on the m coordinate
+        basis vectors e_k, at one point (m,)."""
+        x = np.asarray(coords, dtype=float)
+        return self.christoffel_action_batch(
+            chart_id, np.tile(x, (x.size, 1)), np.eye(x.size)).transpose(1, 0, 2)
+
+    # christoffel_batch and christoffel_action are derived only because the
+    # benchmark's tracer wraps every Christoffel method by name.
+    def christoffel_batch(self, chart_id: str, coords: np.ndarray) -> np.ndarray:
+        return np.stack([self.christoffel(chart_id, x) for x in coords])
+
+    def christoffel_action(self, chart_id: str, coords: np.ndarray,
+                           r: np.ndarray) -> np.ndarray:
+        return self.christoffel_action_batch(
+            chart_id, np.array([coords], float), np.array([r], float))[0]
 
     def inner(self, u: Tangent, v: Tangent) -> float:
         if u.base.chart_id != v.base.chart_id:
@@ -404,10 +409,6 @@ class ManifoldModel:
 
     def g_norm(self, t: Tangent) -> float:
         return float(np.sqrt(max(self.inner(t, t), 0.0)))
-
-    def metric_many(self, chart_id: str, coords: np.ndarray) -> np.ndarray:
-        """metric at (K, m) points of one chart, as a (K, m, m) array."""
-        return np.stack([self.metric(chart_id, x) for x in coords])
 
     def g_norms(self, charts, coords, vectors) -> np.ndarray:
         """g_norm of vectors[j] at the point (charts[j], coords[j]) for every
@@ -492,35 +493,53 @@ class ManifoldModel:
     # -- construction-time validation ------------------------------------------
 
     def _validate_compatibility(self, step: float = 1e-5, tol: float = 1e-6):
+        """Probe that Gamma is the Levi-Civita connection of g, within tol,
+        at each chart's center, sample-box corners and box middle."""
         for spec in self.charts.values():
             lo, hi = spec.sample_box
-            probes = [spec.center, lo, hi, 0.5 * (lo + hi)]
-            for coords in probes:
+            for coords in (spec.center, lo, hi, 0.5 * (lo + hi)):
                 if spec.domain_test(coords) == OUTSIDE:
                     continue
-                res = metric_compatibility_residual(self, spec.chart_id,
-                                                    coords, step)
-                if res > tol:
+                g, gamma, nabla_g = _connection_probe(self, spec.chart_id,
+                                                      coords, step)
+                residuals = {
+                    "metric asymmetry": np.max(np.abs(g - g.T)),
+                    "metric compatibility residual": np.max(np.abs(nabla_g)),
+                    "torsion": np.max(np.abs(gamma - gamma.transpose(0, 2, 1))),
+                }
+                for what, res in residuals.items():
+                    if not res <= tol:
+                        raise ValidationError(
+                            f"connection is not Levi-Civita on chart "
+                            f"{spec.chart_id!r}: {what} {res:.3e}")
+                # Sylvester's criterion, on the det that frames already use
+                if not all(np.linalg.det(g[:k, :k]) > 0.0
+                           for k in range(1, self.dim + 1)):
                     raise ValidationError(
-                        f"connection incompatible with metric on chart "
-                        f"{spec.chart_id!r}: residual {res:.3e}")
+                        f"metric is not positive definite on chart "
+                        f"{spec.chart_id!r}")
+
+
+def _connection_probe(model: ManifoldModel, chart_id: str, coords: np.ndarray,
+                      step: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(g, Gamma, nabla g) at one point: g and its central differences from
+    one metric_many call on x and x +- step e_k, Gamma[l, k, j] from one
+    action call, and nabla_g[k, i, j] = d_k g_ij - Gamma^l_{ki} g_lj -
+    Gamma^l_{kj} g_il."""
+    x = np.asarray(coords, dtype=float)
+    shifts = step * np.eye(x.size)
+    gs = model.metric_many(chart_id, np.concatenate([x[None], x + shifts,
+                                                     x - shifts]))
+    g, plus, minus = gs[0], gs[1:x.size + 1], gs[x.size + 1:]
+    gamma = model.christoffel(chart_id, x)
+    nabla_g = (plus - minus) / (2.0 * step) \
+        - np.einsum("lki,lj->kij", gamma, g) - np.einsum("lkj,il->kij", gamma, g)
+    return g, gamma, nabla_g
 
 
 def metric_compatibility_residual(model: ManifoldModel, chart_id: str,
                                   coords: np.ndarray, step: float = 1e-5) -> float:
-    """Max |d_k g_ij - Gamma^l_{ki} g_lj - Gamma^l_{kj} g_il| with central
-    differences for the metric derivative."""
-    coords = np.asarray(coords, dtype=float)
-    m = coords.size
-    g = model.metric(chart_id, coords)
-    gamma = model.christoffel(chart_id, coords)
-    worst = 0.0
-    for k in range(m):
-        delta = np.zeros(m)
-        delta[k] = step
-        dg = (model.metric(chart_id, coords + delta)
-              - model.metric(chart_id, coords - delta)) / (2.0 * step)
-        term = dg - np.einsum("li,lj->ij", gamma[:, k, :], g) \
-                  - np.einsum("lj,il->ij", gamma[:, k, :], g)
-        worst = max(worst, float(np.max(np.abs(term))))
-    return worst
+    """Max |d_k g_ij - Gamma^l_{ki} g_lj - Gamma^l_{kj} g_il| over i, j, k,
+    with d_k g from central differences; NaN if any term is NaN."""
+    return float(np.max(np.abs(_connection_probe(model, chart_id, coords,
+                                                 step)[2])))

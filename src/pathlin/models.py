@@ -43,19 +43,9 @@ class _ConformalModel(ManifoldModel):
         self._grad_scale = -2.0 * kappa
         super().__init__(**kwargs)
 
-    def _lam(self, coords):
-        return 2.0 / (1.0 + self._kappa * np.sum(coords * coords, axis=-1))
-
     def _phi_grad(self, coords):
         r2 = np.sum(coords * coords, axis=-1, keepdims=True)
         return self._grad_scale * coords / (1.0 + self._kappa * r2)
-
-    def christoffel(self, chart_id, coords):
-        # Gamma^l_{kj} = d_lk phi_j + d_lj phi_k - d_kj phi_l
-        phi = self._phi_grad(np.asarray(coords, float))
-        eye = np.eye(self.dim)
-        return (np.einsum("lk,j->lkj", eye, phi) + np.einsum("lj,k->lkj", eye, phi)
-                - np.einsum("kj,l->lkj", eye, phi))
 
     def christoffel_action_batch(self, chart_id, coords, r):
         # M[l, j] = Gamma^l_{kj} r^k expanded for a conformal metric
@@ -76,12 +66,9 @@ class _ConformalModel(ManifoldModel):
         return ((r0 * p0 + pr - p0 * r0, r0 * p1 - p0 * r1),
                 (r1 * p0 - p1 * r0, r1 * p1 + pr - p1 * r1))
 
-    def metric(self, chart_id, coords):
-        lam = self._lam(np.asarray(coords, float))
-        return (lam * lam) * np.eye(self.dim)
-
     def metric_many(self, chart_id, coords):
-        lam = self._lam(np.asarray(coords, float))
+        coords = np.asarray(coords, float)
+        lam = 2.0 / (1.0 + self._kappa * np.sum(coords * coords, axis=-1))
         return (lam * lam)[:, None, None] * np.eye(self.dim)
 
 
@@ -90,9 +77,6 @@ class _ConformalModel(ManifoldModel):
 # ---------------------------------------------------------------------------
 
 class _FlatMixin:
-    def christoffel(self, chart_id, coords):
-        return np.zeros((self.dim,) * 3)
-
     def christoffel_action_batch(self, chart_id, coords, r):
         coords = np.asarray(coords, dtype=float)
         return np.zeros((coords.shape[0], self.dim, self.dim))
@@ -103,9 +87,6 @@ class _FlatMixin:
 
     def christoffel_action_floats(self, chart_id, coords, r):
         return self._zero_action
-
-    def metric(self, chart_id, coords):
-        return np.eye(self.dim)
 
     def metric_many(self, chart_id, coords):
         return np.broadcast_to(np.eye(self.dim), (len(coords), self.dim, self.dim))

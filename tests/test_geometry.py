@@ -8,13 +8,16 @@ from hypothesis import assume, given, strategies as st
 
 from pathlin import (Frame, NoOverlap, OutOfInjectivityRange, Point, Tangent,
                      ValidationError, get_model)
-from pathlin.geometry import (INSIDE, MARGIN, OUTSIDE, Samples, chart_groups,
+from pathlin.geometry import (INSIDE, MARGIN, OUTSIDE, ChartSpec,
+                              ManifoldModel, Samples, chart_groups,
                               metric_compatibility_residual)
+from pathlin.linearize import TangentCurve, p_forward, p_inverse
 from pathlin.models import (manifest, sphere_embed,
                             sphere_point_from_embedding,
                             sphere_pull_from_embedding,
                             sphere_push_to_embedding, torus_point_from_angles)
-from pathlin.suite import random_interior_point, random_tangent
+from pathlin.numerics import Grid
+from pathlin.suite import geometry_checks, random_interior_point, random_tangent
 
 from conftest import MODEL_NAMES, assert_close
 from test_linearize import _Conformal3
@@ -104,15 +107,137 @@ def test_metric_compatibility_seeded(model):
     assert worst < 1e-6
 
 
+class _PlaneModel(ManifoldModel):
+    """g and Gamma constant on one chart of the plane, written as the two
+    hooks alone; the subclasses below break one Levi-Civita property each."""
+
+    g = np.eye(2)
+    gamma = np.zeros((2, 2, 2))
+
+    def __init__(self):
+        chart = ChartSpec("xy", lambda c: np.full(len(c), INSIDE),
+                          np.zeros(2), (-np.ones(2), np.ones(2)))
+        super().__init__("plane", 2, [chart], {}, r0=lambda p: 1.0)
+
+    def metric_many(self, chart_id, coords):
+        return np.broadcast_to(self.g, (len(coords), 2, 2))
+
+    def christoffel_action_batch(self, chart_id, coords, r):
+        return np.einsum("lkj,sk->slj", self.gamma, r)
+
+
+class _Torsion(_PlaneModel):
+    # Gamma^l_{kj} = c_k eps_{lj} keeps g = I parallel, with torsion 0.3
+    gamma = np.einsum("k,lj->lkj", [0.3, -0.2], [[0.0, 1.0], [-1.0, 0.0]])
+
+
+class _AsymmetricMetric(_PlaneModel):
+    g = np.array([[1.0, 0.1], [0.0, 1.0]])
+
+
+class _IndefiniteMetric(_PlaneModel):
+    g = np.diag([1.0, -1.0])
+
+
+class _NanConnection(_PlaneModel):
+    gamma = np.full((2, 2, 2), np.nan)
+
+
+class _Conformal2(_PlaneModel):
+    """g = exp(2 a.x) I, whose Levi-Civita connection is constant."""
+
+    a = np.array([0.3, -0.2])
+    gamma = (np.einsum("lk,j->lkj", np.eye(2), a)
+             + np.einsum("lj,k->lkj", np.eye(2), a)
+             - np.einsum("kj,l->lkj", np.eye(2), a))
+
+    def metric_many(self, chart_id, coords):
+        return np.exp(2.0 * coords @ self.a)[:, None, None] * np.eye(2)
+
+
+class _FlippedConformal2(_Conformal2):
+    gamma = -_Conformal2.gamma
+
+
+@pytest.mark.parametrize("mutant, defect", [
+    (_Torsion, "torsion 3.000e-01"),
+    (_AsymmetricMetric, "metric asymmetry 1.000e-01"),
+    (_IndefiniteMetric, "not positive definite"),
+    (_NanConnection, "compatibility residual nan"),
+    (_FlippedConformal2, "compatibility residual"),
+], ids=["torsion", "asymmetric", "indefinite", "nan", "flipped-conformal"])
+def test_construction_rejects_a_connection_that_is_not_levi_civita(
+        mutant, defect):
+    with pytest.raises(ValidationError, match=defect):
+        mutant()
+
+
+def test_models_of_the_two_hooks_construct_and_linearize():
+    # the built-ins constructed at import; these write only the two hooks
+    _PlaneModel(), _Conformal3()
+    model = _Conformal2()
+    grid = Grid.regular(-1.0, 1.0, 100)
+    p = Point("xy", [0.1, -0.2])
+    comps = 0.3 * np.stack([np.cos(grid.nodes), np.sin(2.0 * grid.nodes)],
+                           axis=1)
+    v = TangentCurve(p, model.orthonormal_frame(p), grid, comps)
+    curve = p_inverse(model, v)
+    back = p_forward(model, curve, v.frame0).tangent_curve.components
+    assert np.max(np.abs(curve.points.coords[-1] - p.coords)) > 0.1
+    assert_close(back, comps, 1e-6)
+
+
+def test_a_nan_connection_fails_the_compatibility_check(euclidean,
+                                                        monkeypatch):
+    # max(0.0, nan) is 0.0, so a running max() would pass it
+    monkeypatch.setattr(euclidean, "christoffel_action_batch",
+                        lambda cid, x, r: np.full((len(x), 2, 2), np.nan))
+    assert np.isnan(metric_compatibility_residual(euclidean, "xy",
+                                                  np.zeros(2)))
+    check = geometry_checks(euclidean, 0)[0]
+    assert check.name == "geometry.metric_compatibility"
+    assert np.isnan(check.value) and not check.passed
+
+
+# The closed forms of Gamma and g each built-in wrote out before both
+# became derived from the two hooks, kept as references for the derived
+# forms.
+_KAPPA = {"sphere2": 1.0, "hyperbolic2": -1.0}
+
+
+def _reference_christoffel(name, coords):
+    if name not in _KAPPA:
+        return np.zeros((2, 2, 2))
+    # Gamma^l_{kj} = d_lk phi_j + d_lj phi_k - d_kj phi_l
+    kappa = _KAPPA[name]
+    r2 = np.sum(coords * coords, axis=-1, keepdims=True)
+    phi = -2.0 * kappa * coords / (1.0 + kappa * r2)
+    eye = np.eye(2)
+    return (np.einsum("lk,j->lkj", eye, phi) + np.einsum("lj,k->lkj", eye, phi)
+            - np.einsum("kj,l->lkj", eye, phi))
+
+
+def _reference_metric(name, coords):
+    if name not in _KAPPA:
+        return np.eye(2)
+    lam = 2.0 / (1.0 + _KAPPA[name] * np.sum(coords * coords, axis=-1))
+    return (lam * lam) * np.eye(2)
+
+
 def test_connection_hooks_match_christoffel(model):
-    # every connection hook, closed form or default, is Gamma^l_{kj} r^k
+    # the derived christoffel and metric are the closed forms bit for bit,
+    # and every connection hook is the closed form's Gamma^l_{kj} r^k
     rng = np.random.default_rng(41)
     for cid in sorted(model.charts):
         lo, hi = model.chart(cid).sample_box
-        x = rng.uniform(lo, hi, size=(8, model.dim))
-        r = rng.normal(size=(8, model.dim))
-        expected = np.stack([np.einsum("lkj,k->lj", model.christoffel(cid, xi),
-                                       ri) for xi, ri in zip(x, r)])
+        x = rng.uniform(lo, hi, size=(200, model.dim))
+        r = rng.normal(size=(200, model.dim))
+        gamma = np.stack([_reference_christoffel(model.name, xi) for xi in x])
+        for xi, gi in zip(x, gamma):
+            assert model.christoffel(cid, xi).tobytes() == gi.tobytes()
+            assert model.metric(cid, xi).tobytes() == \
+                _reference_metric(model.name, xi).tobytes()
+        expected = np.einsum("slkj,sk->slj", gamma, r)
         tol = 1e-15 * (1.0 + np.abs(expected).max())
         hooks = {
             "christoffel_batch": np.einsum(
@@ -215,8 +340,8 @@ def test_g_norms_equal_g_norm_per_node(model):
 @pytest.mark.parametrize("name", MODEL_NAMES + ("conformal3",))
 @given(data=st.data())
 def test_array_g_norms_match_g_norm_bit_for_bit(name, data):
-    # every chart of the built-ins, through their metric_many, and a model
-    # that defines only metric, through the default; the directions take
+    # every chart of the built-ins, and a model outside them, whose g_norm
+    # reads the metric derived from its metric_many; the directions take
     # signed zeros too, and the vectors span the scales 1e-8 to 1e3
     model = _Conformal3() if name == "conformal3" else get_model(name)
     m = model.dim

@@ -405,8 +405,8 @@ def test_unrolled_rhs_matches_generic(monkeypatch):
 
 
 class _Conformal3(ManifoldModel):
-    """A 3-D model outside the built-ins, g = exp(2 a.x) I on one chart: its
-    inverse runs the batched solver through the default Christoffel hook."""
+    """A 3-D model outside the built-ins, g = exp(2 a.x) I on one chart,
+    written as the two hooks alone: its inverse runs the batched solver."""
 
     a = np.array([0.3, -0.2, 0.1])
     gamma = (np.einsum("lk,j->lkj", np.eye(3), a)
@@ -418,11 +418,12 @@ class _Conformal3(ManifoldModel):
                           np.zeros(3), (-np.ones(3), np.ones(3)))
         super().__init__("conformal3", 3, [chart], {}, r0=lambda p: 1.0)
 
-    def christoffel(self, chart_id, coords):
-        return self.gamma
+    def metric_many(self, chart_id, coords):
+        return np.exp(2.0 * np.sum(coords * self.a, axis=-1))[:, None, None] \
+            * np.eye(3)
 
-    def metric(self, chart_id, coords):
-        return np.exp(2.0 * self.a @ coords) * np.eye(3)
+    def christoffel_action_batch(self, chart_id, coords, r):
+        return np.einsum("lkj,sk->slj", self.gamma, r)
 
 
 def test_generic_stepper_matches_batched_in_3d():
@@ -455,7 +456,7 @@ def test_christoffel_action_floats_matches_numpy(model):
     for _ in range(5):
         x = rng.uniform(lo, hi)
         r = rng.normal(size=2)
-        expected = model.christoffel_action(cid, x, r)
+        expected = model.christoffel_action_batch(cid, x[None], r[None])[0]
         closed = model.christoffel_action_floats(cid, x.tolist(), r.tolist())
         assert_close(closed, expected, 1e-15 * (1.0 + np.abs(expected).max()))
 

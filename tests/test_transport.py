@@ -350,7 +350,8 @@ def reference_covariant_derivative(model, curve, field):
         window = np.stack([model.push_tangent(field[i], p.chart_id).components
                            for i in nodes])
         dx = _ROWS[k] @ (window - window[k]) / (12.0 * h)
-        mat = model.christoffel_action(p.chart_id, p.coords, vel[j])
+        mat = model.christoffel_action_batch(p.chart_id, p.coords[None],
+                                             vel[j][None])[0]
         out.append(dx + mat @ window[k])
     return np.array(out)
 
