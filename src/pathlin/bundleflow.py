@@ -219,11 +219,12 @@ def mapping_chart_in(model: ManifoldModel, gamma_ref: SampledCurve,
         raise ValidationError("curves must share their grid")
     model._require_oracle()
     dists = model.point_distances(gamma_ref.points, f.points)
-    for j, ref in enumerate(gamma_ref.points):
-        if dists[j] >= model.r0(ref):
-            raise OutOfInjectivityRange(
-                f"node {j}: d = {dists[j]:.6f} exceeds r0 = "
-                f"{model.r0(ref):.6f}", node=j)
+    far = np.flatnonzero(dists >= model.r0()).tolist()
+    if far:
+        j = far[0]
+        raise OutOfInjectivityRange(
+            f"node {j}: d = {dists[j]:.6f} exceeds r0 = {model.r0():.6f}",
+            node=j)
     return tuple(map(model.log_oracle, gamma_ref.points, f.points))
 
 

@@ -12,9 +12,17 @@ All files carry "schema_version" and a "kind" discriminator:
 Loaders validate before anything is computed and raise ValidationError
 naming the offending field.  Curve and cube samples are read into, and
 written from, arrays (geometry.Samples), with a point's checks and a
-samples[j] message per sample.  Writers emit canonical JSON (sorted keys,
-two-space indent, trailing newline), so identical inputs produce
-byte-identical files.
+samples[j] message per sample: one array pass reads a well-formed sample
+list, and any other list goes entry by entry, so the first faulty entry is
+the one named.  A JSON boolean is never read as a number.
+
+dump_json is the one writer.  Its text is byte-identical to
+json.dumps(payload, sort_keys=True, indent=2) plus a newline, and a test
+pins it there; so identical inputs produce byte-identical files.  Lists of
+finite floats, of equal-length float rows and of {"chart", "coords"}
+samples are formatted in bulk with float.__repr__, the formatter json
+itself uses.  Strings are escaped by json's own ensure_ascii escaper, and
+every other value is formatted by json.dumps.
 """
 
 from __future__ import annotations
@@ -23,6 +31,8 @@ import csv
 import io
 import json
 import math
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +57,76 @@ def _write_text(path, text: str) -> None:
 
 
 def dump_json(payload: dict, path) -> None:
-    _write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _write_text(path, _json_text(payload, "\n") + "\n")
+
+
+def _json_text(value, nl: str) -> str:
+    """value as json.dumps(value, sort_keys=True, indent=2) writes it; nl is
+    a newline and the indentation of the line value starts on."""
+    inner = nl + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        return ("{" + inner + ("," + inner).join(
+            _key_text(k) + ": " + _json_text(v, inner)
+            for k, v in sorted(value.items())) + nl + "}")
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        body = _bulk_items_text(value, inner)
+        if body is None:
+            body = ("," + inner).join(_json_text(v, inner) for v in value)
+        return "[" + inner + body + nl + "]"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    return json.dumps(value)
+
+
+def _key_text(key) -> str:
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    # json's own conversion of an int, float, bool or None key (and its
+    # TypeError for any other)
+    return json.dumps({key: 0})[1:-4]
+
+
+def _bulk_items_text(items, inner: str) -> str | None:
+    """The items of a list of finite floats, of equal-length rows of finite
+    floats or of {"chart": str, "coords": finite floats} samples of one
+    length, joined as json lays them out at indentation inner, by one
+    %-template; None for any other list."""
+    kinds = set(map(type, items))
+    if kinds == {float}:
+        template, floats, values = "%r", items, items
+    elif kinds == {list} and len(set(map(len, items))) == 1:
+        floats = values = list(chain.from_iterable(items))
+        template = _floats_template(len(items[0]), inner)
+    elif kinds == {dict} and set(map(len, items)) == {2}:
+        # two keys, and a str chart and a list coords: no other keys
+        charts = [s.get("chart") for s in items]
+        coords = [s.get("coords") for s in items]
+        if (set(map(type, charts)) != {str} or set(map(type, coords)) != {list}
+                or len(set(map(len, coords))) != 1):
+            return None
+        floats = list(chain.from_iterable(coords))
+        texts = {c: encode_basestring_ascii(c) for c in set(charts)}
+        values = list(chain.from_iterable(zip(map(texts.get, charts),
+                                              *zip(*coords))))
+        inner2 = inner + "  "
+        template = ("{" + inner2 + '"chart": %s,' + inner2 + '"coords": '
+                    + _floats_template(len(coords[0]), inner2) + inner + "}")
+    else:
+        return None
+    # an overflowing sum of finite floats only sends the list to the slow path
+    if not floats or set(map(type, floats)) != {float} or \
+            not math.isfinite(sum(floats)):
+        return None
+    return ("," + inner).join([template] * len(items)) % tuple(values)
+
+
+def _floats_template(k: int, nl: str) -> str:
+    inner = nl + "  "
+    return "[" + inner + ("," + inner).join(["%r"] * k) + nl + "]"
 
 
 def load_json(path) -> dict:
@@ -91,6 +170,9 @@ def _numeric(value, field: str, integer: bool = False, minimum: int = 0,
         arr = None
     if arr is None or arr.dtype.kind not in "iuf":
         raise ValidationError(f"field {field!r} must hold numbers only")
+    if arr.ndim and bool in set(map(type, _leaves(value, arr.ndim))):
+        # numpy reads [true, 1.5] as [1.0, 1.5]
+        raise ValidationError(f"field {field!r} must hold numbers only")
     arr = arr.astype(float, copy=False)
     if not np.isfinite(arr).all():
         raise ValidationError(f"field {field!r} must be finite")
@@ -103,6 +185,13 @@ def _numeric(value, field: str, integer: bool = False, minimum: int = 0,
                   else f"in [{minimum}, {maximum}]")
         raise ValidationError(f"field {field!r} must be an integer {bounds}")
     return int(arr)
+
+
+def _leaves(value, depth: int):
+    """The scalars of a nested list of the given depth."""
+    for _ in range(depth - 1):
+        value = chain.from_iterable(value)
+    return value
 
 
 def _check_header(payload: dict, kind: str):
@@ -171,21 +260,46 @@ def point_from_json(model: ManifoldModel, payload: dict, where: str) -> Point:
     return Point(chart, coords)
 
 
+def _well_formed_samples(model: ManifoldModel, entries: list):
+    """(charts, (n, m) coords) of a list of well-formed samples, read in one
+    array pass: each entry a dict with a known chart and a list of m finite
+    floats as coords.  None for any other list."""
+    if set(map(type, entries)) != {dict}:
+        return None
+    charts = [s.get("chart") for s in entries]
+    coords = [s.get("coords") for s in entries]
+    try:
+        known = set(charts) <= model.charts.keys()
+    except TypeError:            # an unhashable chart
+        return None
+    if not known or set(map(type, coords)) != {list} or \
+            set(map(len, coords)) != {model.dim} or \
+            set(map(type, chain.from_iterable(coords))) != {float}:
+        return None
+    coords = np.array(coords)
+    return (charts, coords) if np.isfinite(coords).all() else None
+
+
 def _samples_from_json(model: ManifoldModel, entries: list,
                        where: str) -> Samples:
     """A list of samples; entry j is checked as {where}[j], and the first
-    faulty entry is reported.  Fields are read up to the first malformed
-    entry; the entries before it are then placed in their charts by one
+    faulty entry is reported.  A well-formed list is read in one array
+    pass.  Otherwise fields are read entry by entry up to the first
+    malformed one.  The entries read are then placed in their charts by one
     domain_test_many call per chart."""
-    charts, coords, malformed = [], [], None
-    try:
-        for j, s in enumerate(entries):
-            chart, x = _sample_from_json(model, s, f"{where}[{j}]")
-            charts.append(chart)
-            coords.append(x)
-    except ValidationError as exc:
-        malformed = exc
-    coords = np.reshape(coords, (len(charts), model.dim))
+    malformed = None
+    parsed = _well_formed_samples(model, entries)
+    if parsed is None:
+        charts, coords = [], []
+        try:
+            for j, s in enumerate(entries):
+                chart, x = _sample_from_json(model, s, f"{where}[{j}]")
+                charts.append(chart)
+                coords.append(x)
+        except ValidationError as exc:
+            malformed = exc
+        parsed = charts, np.reshape(coords, (len(charts), model.dim))
+    charts, coords = parsed
     outside = [idx[model.chart(cid).domain_test_many(coords[idx]) == OUTSIDE]
                for cid, idx in chart_groups(charts).items()]
     j = min((int(idx[0]) for idx in outside if idx.size), default=None)
@@ -259,8 +373,7 @@ def validate_curve(model: ManifoldModel, curve: SampledCurve) -> None:
     far = np.zeros(len(switch), dtype=bool)
     if model.oracle is not None:
         dists = model.point_distances(pts[:-1], pts[1:])
-        r0 = np.array([model.r0(pt) for pt in pts])
-        far = dists >= np.minimum(r0[:-1], r0[1:])
+        far = dists >= model.r0()
     for j in np.flatnonzero(np.logical_or(switch, far)).tolist():
         if switch[j]:
             try:

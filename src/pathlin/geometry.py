@@ -250,17 +250,22 @@ class ManifoldModel:
     single-curve inverse's hook at m = 2, which the built-in models override
     with closed forms on Python floats.  The constructor probes that Gamma
     is the Levi-Civita connection of g.  place is the one rule that puts a
-    point given in every chart's coordinates into a chart.
+    point given in every chart's coordinates into a chart.  r0, the
+    conservative injectivity floor, is one positive number per model.
     """
 
     def __init__(self, name: str, dim: int, charts: Sequence[ChartSpec],
                  transitions: Mapping[tuple[str, str], TransitionMap],
-                 r0, oracle: Oracle | None = None):
+                 r0: float, oracle: Oracle | None = None):
+        if isinstance(r0, bool) or not isinstance(r0, (int, float)) or \
+                not 0.0 < r0 < np.inf:
+            raise ValidationError(
+                f"r0 must be a positive finite number, not {r0!r}")
         self.name = name
         self.dim = dim
         self.charts = {c.chart_id: c for c in charts}
         self.transitions = dict(transitions)
-        self._r0 = r0
+        self._r0 = float(r0)
         self.oracle = oracle
         self._validate_compatibility()
 
@@ -421,8 +426,9 @@ class ManifoldModel:
         # np.where, not np.maximum: max(q, 0.0) keeps q unless 0.0 > q
         return np.sqrt(np.where(sq < 0.0, 0.0, sq))
 
-    def r0(self, point: Point) -> float:
-        return float(self._r0(point))
+    def r0(self, point: Point | None = None) -> float:
+        """The injectivity floor, the same at every point."""
+        return self._r0
 
     # -- frames ---------------------------------------------------------------
 

@@ -126,7 +126,7 @@ def _euclidean2() -> ManifoldModel:
     )
     return _EuclideanModel(
         name="euclidean2", dim=2, charts=[chart], transitions={},
-        r0=lambda p: R0_CAP, oracle=_EuclideanOracle())
+        r0=R0_CAP, oracle=_EuclideanOracle())
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +255,7 @@ def _sphere2() -> ManifoldModel:
     transitions = {("north", "south"): inv, ("south", "north"): inv}
     return _ConformalModel(
         kappa=1.0, name="sphere2", dim=2, charts=charts, transitions=transitions,
-        r0=lambda p: math.pi / 2.0, oracle=_SphereOracle())
+        r0=math.pi / 2.0, oracle=_SphereOracle())
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +316,7 @@ def _hyperbolic2() -> ManifoldModel:
     )
     return _ConformalModel(
         kappa=-1.0, name="hyperbolic2", dim=2, charts=[chart], transitions={},
-        r0=lambda p: R0_CAP, oracle=_DiskOracle())
+        r0=R0_CAP, oracle=_DiskOracle())
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +395,7 @@ def _torus2() -> ManifoldModel:
                 jacobian=lambda c: np.eye(2))
     return _TorusModel(
         name="torus2", dim=2, charts=charts, transitions=transitions,
-        r0=lambda p: math.pi / 2.0, oracle=_TorusOracle())
+        r0=math.pi / 2.0, oracle=_TorusOracle())
 
 
 # ---------------------------------------------------------------------------

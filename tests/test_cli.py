@@ -388,6 +388,11 @@ _MALFORMED = {
     "three_intervals": ("roundtrip", "curve", ("grid", "n"), 3, "grid.n"),
     "four_nodes": ("roundtrip", "curve", ("grid",),
                    {"nodes": [0.0, 0.25, 0.5, 1.0]}, "grid.nodes"),
+    # numpy alone would read a JSON boolean among numbers as 1.0 or 0.0
+    "boolean_coords": ("roundtrip", "curve", ("samples", 5, "coords"),
+                       [True, 0.015], "samples[5].coords"),
+    "boolean_component": ("synthesize", "tangent", ("components", 7),
+                          [0.5, False], "components"),
 }
 
 
@@ -629,3 +634,72 @@ def test_fuzzed_curve_field_exits_cleanly(tmp_path, sphere_fixture, command,
     if code == 0:
         metrics = json.loads(report.read_text())["metrics"]
         assert all(math.isfinite(v) for v in metrics.values())
+
+
+_TANGENT_FIELDS = [("components",), ("components", 7), ("frame0",),
+                   ("base", "coords"), ("grid", "n")]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(keys=st.sampled_from(_TANGENT_FIELDS), value=_JSON_VALUES)
+def test_fuzzed_tangent_field_exits_cleanly(tmp_path, input_files, keys,
+                                            value):
+    # one field of a valid tangent_curve file replaced by any JSON value:
+    # synthesize exits 0, 2 or 3 without an exception, and exits 0 only with
+    # finite metrics
+    payload = json.loads(input_files["synthesize"].read_text())
+    target = payload
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    bad = tmp_path / "fuzzed_tangent.json"
+    bad.write_text(json.dumps(payload))
+    report = tmp_path / "fuzzed_report.json"
+    report.unlink(missing_ok=True)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = main(["synthesize", str(bad), "-o", str(tmp_path / "out.json"),
+                     "--report", str(report)])
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        metrics = json.loads(report.read_text())["metrics"]
+        assert all(math.isfinite(v) for v in metrics.values())
+
+
+def test_every_written_file_is_canonical(tmp_path, capsys, input_files):
+    # every file a command writes is the text json.dumps(sort_keys=True,
+    # indent=2) gives for its own content, plus a newline
+    out = tmp_path / "out"
+    out.mkdir()
+
+    def run(*argv, report=True):
+        name = f"{len(list(out.iterdir()))}_{argv[0]}"
+        argv = [str(a) for a in argv]
+        if report:
+            argv += ["--report", str(out / f"{name}_report.json")]
+        assert main(argv) == 0, argv
+        capsys.readouterr()
+
+    sigma = out / "sigma.json"
+    lin = out / "lin.json"
+    run("linearize", input_files["linearize"], "-o", out / "tangent.json")
+    run("synthesize", out / "tangent.json", "-o", out / "synth.json")
+    run("normalize", input_files["normalize"], "-o", out / "unit.json")
+    run("trivialize", input_files["trivialize"], "--fiber", "north:0.1,0.05",
+        "-o", sigma)
+    run("trivialize", sigma, "--inverse", "--base", "north:0,0",
+        "-o", out / "back.json")
+    run("cube2", "forward", input_files["cube2-forward"], "-o", lin)
+    run("cube2", "inverse", lin, "-o", out / "cube.json")
+    run("flow", "sphere2", "--p", "north:0,0", "--q", "north:0.15,0.1",
+        input_files["flow"], "-o", out / "flowed.json")
+    run("check", "euclidean2", "--cube-n", "8")
+    written = sorted(out.iterdir())
+    assert len(written) == 17
+    for path in written:
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), sort_keys=True,
+                                  indent=2) + "\n", path.name

@@ -1,11 +1,13 @@
 """JSON schemas: save/load roundtrips and validation messages."""
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from pathlin import Frame, Grid, Point, ValidationError
+from pathlin import Frame, Grid, Point, Samples, ValidationError, get_model
 from pathlin import fileio
 from pathlin.cubemaps import CubeLinearization, CubeSample
 from pathlin.suite import random_curve, random_tangent_curve
@@ -120,13 +122,24 @@ def _reference_samples_error(model, entries):
 
 
 def test_sample_messages_match_the_sample_by_sample_reader(sphere, torus):
+    # a well-formed list is read in one array pass and any other entry by
+    # entry: the message, and for valid lists the samples to the bit, are
+    # those of the sample-by-sample reader
     rng = np.random.default_rng(19)
     faults = ({"chart": "nope", "coords": [0.0, 0.0]}, {"coords": [0.0, 0.0]},
               {"chart": "a", "coords": "x"}, {"chart": "a", "coords": [0.0]},
               {"chart": "north", "coords": [9.0, 0.0]},
               {"chart": "south", "coords": [0.0, 3.0]},
               {"chart": "a", "coords": [-1.0, 1.0]},
-              {"chart": "b", "coords": [1.0, 4.0]})
+              {"chart": "b", "coords": [1.0, 4.0]},
+              {"chart": "north", "coords": [True, 0.5]},
+              {"chart": "a", "coords": [0.5, False]},
+              {"chart": "north", "coords": [1, 0]},
+              {"chart": "a", "coords": [1, 2]},
+              {"chart": "south", "coords": [[0.1], [0.2]]},
+              [0.5, 0.5], "north",
+              {"chart": "a", "coords": 0.5},
+              json.loads('{"chart": "north", "coords": [1e400, 0.0]}'))
     for model in (sphere, torus):
         charts = sorted(model.charts)
         for _ in range(60):
@@ -137,11 +150,57 @@ def test_sample_messages_match_the_sample_by_sample_reader(sphere, torus):
                 entries[j] = faults[rng.integers(len(faults))]
             expected = _reference_samples_error(model, entries)
             try:
-                fileio._samples_from_json(model, entries, "samples")
-                got = None
+                got = fileio._samples_from_json(model, entries, "samples")
             except ValidationError as exc:
-                got = str(exc)
-            assert got == expected
+                assert str(exc) == expected
+                continue
+            assert expected is None
+            points = [fileio.point_from_json(model, s, "s") for s in entries]
+            assert got.charts == tuple(p.chart_id for p in points)
+            assert got.coords.tobytes() == np.stack(
+                [p.coords for p in points]).tobytes()
+
+
+@pytest.mark.parametrize("field", ["samples", "nodes", "components",
+                                   "frame0", "v1", "v2"])
+def test_a_boolean_is_not_read_as_a_number(euclidean, field):
+    # numpy reads [true, 0.5] as [1.0, 0.5]; a JSON boolean in a numeric
+    # field is refused however it is mixed with numbers
+    grid = Grid.regular(0.0, 1.0, 4)
+    p = Point("xy", [0.0, 0.0])
+    if field in ("samples", "nodes"):
+        curve = SampledCurve(grid, tuple(Point("xy", [0.01 * t, 0.0])
+                                         for t in grid.nodes))
+        payload = json.loads(json.dumps(fileio.curve_to_json(euclidean,
+                                                             curve)))
+        read = fileio.curve_from_json
+        if field == "samples":
+            payload["samples"][3]["coords"][0] = True
+            name = "samples[3].coords"
+        else:
+            payload["grid"] = {"nodes": [0.0, 0.25, 0.5, 0.75, True]}
+            name = "grid.nodes"
+    elif field in ("components", "frame0"):
+        v = random_tangent_curve(euclidean, np.random.default_rng(2), grid)
+        payload = json.loads(json.dumps(fileio.tangent_curve_to_json(
+            euclidean, v)))
+        read = fileio.tangent_curve_from_json
+        payload[field][1][1] = field == "components"
+        name = field
+    else:
+        lin = CubeLinearization(p, Frame(p, np.eye(2)), grid, grid,
+                                np.zeros((5, 2)), np.zeros((5, 5, 2)))
+        payload = json.loads(json.dumps(
+            fileio.cube_linearization_to_json(euclidean, lin)))
+        read = fileio.cube_linearization_from_json
+        if field == "v1":
+            payload["v1"][2][0] = True
+        else:
+            payload["v2"][1][2][0] = False
+        name = field
+    with pytest.raises(ValidationError) as exc:
+        read(payload)
+    assert str(exc.value) == f"field {name!r} must hold numbers only"
 
 
 def test_consecutive_sample_invariant(euclidean):
@@ -217,3 +276,103 @@ def test_dump_json_is_canonical(tmp_path):
     fileio.dump_json({"b": 1.5, "a": [2, 3]}, path_a)
     fileio.dump_json({"a": [2, 3], "b": 1.5}, path_b)
     assert path_a.read_bytes() == path_b.read_bytes()
+
+
+# Floats the writer must format as json does, extremes and subnormals
+# among them, and strings that json escapes.
+_EXTREMES = [-0.0, 0.0, 5e-324, 2.225073858507201e-308, 1e-7, 1e16, 1e300,
+             -1e300, 0.1, 1.0 / 3.0]
+_FLOATS = st.floats() | st.sampled_from(_EXTREMES + [math.inf, math.nan])
+_FINITE = st.floats(allow_nan=False, allow_infinity=False) | \
+    st.sampled_from(_EXTREMES)
+_STRINGS = st.text(max_size=5) | st.sampled_from(
+    ['"', "\\", "a\"b\\c", "\x00\x1f\x7f", "\n\t", "caf\xe9",
+     "\u2603", "\U0001f600", "north", "%r", "%s"])
+_SCALARS = (st.none() | st.booleans() | st.integers()
+            | st.integers(-2**80, 2**80) | _FLOATS | _STRINGS)
+
+
+def _rows(k, values):
+    return st.lists(st.lists(values, min_size=k, max_size=k), min_size=1,
+                    max_size=4)
+
+
+def _sample_lists(k, values):
+    return st.lists(st.fixed_dictionaries(
+        {"chart": _STRINGS, "coords": st.lists(values, min_size=k,
+                                               max_size=k)}),
+        min_size=1, max_size=4)
+
+
+# The bulk lists of the writer, and near misses that must fall back: a
+# non-finite, boolean, integer or string value among the floats, rows of
+# two lengths, a sample with a third key or a chart that is not a string.
+_BULK = st.one_of(
+    st.lists(_FINITE, min_size=1, max_size=6),
+    st.integers(0, 3).flatmap(lambda k: _rows(k, _FINITE)),
+    st.integers(0, 3).flatmap(lambda k: _sample_lists(k, _FINITE)),
+    st.lists(_SCALARS, min_size=1, max_size=6),
+    st.integers(1, 3).flatmap(lambda k: _rows(k, _SCALARS)),
+    st.integers(1, 3).flatmap(lambda k: _sample_lists(k, _SCALARS)),
+    st.lists(st.lists(_FINITE, min_size=1, max_size=3), min_size=2,
+             max_size=4),
+    st.lists(st.dictionaries(st.sampled_from(["chart", "coords", "x"]),
+                             _SCALARS | st.lists(_FINITE, max_size=2)),
+             min_size=1, max_size=3))
+
+_PAYLOADS = st.recursive(
+    _SCALARS | _BULK,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_STRINGS, inner, max_size=4),
+    max_leaves=12)
+
+
+@settings(max_examples=200,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(payload=_PAYLOADS)
+def test_dump_json_is_json_dumps_with_indent(tmp_path, payload):
+    path = tmp_path / "out.json"
+    fileio.dump_json(payload, path)
+    assert path.read_bytes() == (json.dumps(payload, sort_keys=True, indent=2)
+                                 + "\n").encode()
+
+
+def _writer_payload(kind, rng):
+    """A payload of the given kind at the sizes the CLI writes."""
+    sphere = get_model("sphere2")
+    grid = Grid.regular(0.0, 1.0, 200)
+    if kind == "curve":
+        return fileio.curve_to_json(sphere, random_curve(sphere, rng, grid))
+    if kind == "tangent_curve":
+        return fileio.tangent_curve_to_json(
+            sphere, random_tangent_curve(sphere, rng, grid))
+    square = Grid.regular(-1.0, 1.0, 100)
+    if kind == "cube":
+        charts = rng.choice(["north", "south"], (101, 101)).tolist()
+        return fileio.cube_to_json(sphere, CubeSample(
+            square, square, Samples(charts, rng.normal(size=(101, 101, 2)))))
+    base = Point("north", rng.normal(size=2))
+    if kind == "cube_linearization":
+        return fileio.cube_linearization_to_json(sphere, CubeLinearization(
+            base, sphere.orthonormal_frame(base), square, square,
+            rng.normal(size=(101, 2)), rng.normal(size=(101, 101, 2))))
+    if kind == "points":
+        return fileio.points_to_json(sphere, [Point("south", x) for x in
+                                              rng.normal(size=(20, 2))])
+    return fileio.report_to_json(
+        "linearize", {"roundtrip": 1e-5},
+        {"max_distance": np.float64(rng.random()), "nodes": 201,
+         "chart": "north"},
+        {"roundtrip": True, "unit_speed": False},
+        {"switch_log": [{"node": 12, "from": "north", "to": "south"}],
+         "argv": ["linearize", "in.json", "-o", "out.json"]})
+
+
+@pytest.mark.parametrize("kind", ["curve", "tangent_curve", "cube",
+                                  "cube_linearization", "points", "report"])
+def test_each_writer_kind_is_json_dumps_with_indent(tmp_path, kind):
+    payload = _writer_payload(kind, np.random.default_rng(11))
+    path = tmp_path / "out.json"
+    fileio.dump_json(payload, path)
+    assert path.read_bytes() == (json.dumps(payload, sort_keys=True, indent=2)
+                                 + "\n").encode()

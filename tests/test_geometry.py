@@ -114,10 +114,10 @@ class _PlaneModel(ManifoldModel):
     g = np.eye(2)
     gamma = np.zeros((2, 2, 2))
 
-    def __init__(self):
+    def __init__(self, r0=1.0):
         chart = ChartSpec("xy", lambda c: np.full(len(c), INSIDE),
                           np.zeros(2), (-np.ones(2), np.ones(2)))
-        super().__init__("plane", 2, [chart], {}, r0=lambda p: 1.0)
+        super().__init__("plane", 2, [chart], {}, r0=r0)
 
     def metric_many(self, chart_id, coords):
         return np.broadcast_to(self.g, (len(coords), 2, 2))
@@ -170,6 +170,21 @@ def test_construction_rejects_a_connection_that_is_not_levi_civita(
         mutant, defect):
     with pytest.raises(ValidationError, match=defect):
         mutant()
+
+
+@pytest.mark.parametrize("r0", [lambda p: 1.0, 0.0, -1.0, math.inf, math.nan,
+                                True, "1.0", None],
+                         ids=["callable", "zero", "negative", "inf", "nan",
+                              "bool", "str", "none"])
+def test_construction_rejects_an_r0_that_is_not_a_positive_number(r0):
+    with pytest.raises(ValidationError, match="r0 must be a positive finite"):
+        _PlaneModel(r0)
+
+
+def test_r0_is_one_number_per_model():
+    model = _PlaneModel(2)
+    assert model.r0() == model.r0(Point("xy", [0.5, 0.5])) == 2.0
+    assert type(model.r0()) is float
 
 
 def test_models_of_the_two_hooks_construct_and_linearize():

@@ -416,7 +416,7 @@ class _Conformal3(ManifoldModel):
     def __init__(self):
         chart = ChartSpec("xyz", lambda c: np.full(len(c), INSIDE),
                           np.zeros(3), (-np.ones(3), np.ones(3)))
-        super().__init__("conformal3", 3, [chart], {}, r0=lambda p: 1.0)
+        super().__init__("conformal3", 3, [chart], {}, r0=1.0)
 
     def metric_many(self, chart_id, coords):
         return np.exp(2.0 * np.sum(coords * self.a, axis=-1))[:, None, None] \
