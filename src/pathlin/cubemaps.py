@@ -21,6 +21,13 @@ Because parallel transport is linear, v2's coefficients in the basepoint
 basis are also its coefficients in the transported frame at (s1, 0), so the
 per-line solves can reuse v2 directly.
 
+Both maps pay numpy's per-call cost per grid node, not per line: the
+batched solve steps the s2 > 0 and s2 < 0 halves of every line together as
+one batch of 2 (N1+1) rows, and the batched transport classifies all lines
+in one call per start chart and sweep, building the chart runs of the
+lines that never leave their start chart's interior from the arrays
+together.
+
 A CubeSample stores its samples as 2-D arrays (geometry.Samples), which
 both maps read and write directly; a row is the s2-line's 1-D Samples.
 

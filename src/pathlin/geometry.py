@@ -135,6 +135,9 @@ class Frame:
 def chart_groups(charts) -> dict[str, np.ndarray]:
     """The positions of each chart id in a sequence of chart ids, as index
     arrays keyed by chart in order of first appearance."""
+    charts = charts if isinstance(charts, (list, tuple)) else list(charts)
+    if charts and charts.count(charts[0]) == len(charts):
+        return {charts[0]: np.arange(len(charts))}
     groups: dict[str, list[int]] = {}
     for i, chart in enumerate(charts):
         groups.setdefault(chart, []).append(i)

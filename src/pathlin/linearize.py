@@ -25,10 +25,14 @@ once for the components.  At m = 2, the dimension of every built-in
 model, the inverse core integrates a single curve with _step_interval_2d,
 RK4 on six Python floats with the connection from the model's
 christoffel_action_floats, since numpy's per-call overhead, not the
-arithmetic, is the cost there; it classifies its nodes _BLOCK at a time.
+arithmetic, is the cost there; it classifies its nodes _BLOCK at a time,
+in shorter blocks right after a chart switch.
 Batches of curves on one grid, and single curves of any other dimension,
 go through _solve_inverse_batch, the same scheme on (B, ...) numpy
 arrays; the two agree to rounding, with the same charts and switch logs.
+On a two-sided grid it marches both directions at once, as one batch of
+2B rows with a signed substep per row, and gives the bits of the two
+sweeps run one after the other.
 """
 
 from __future__ import annotations
@@ -198,8 +202,10 @@ def _step_interval_2d(action, chart: str):
 
 
 # Intervals the single-curve inverse integrates in a chart before one
-# domain_test_many call; a switch in a block drops the nodes after it.
+# domain_test_many call; a switch in a block drops the nodes after it, and
+# the block after a switch starts at _RESTART intervals and doubles back.
 _BLOCK = 32
+_RESTART = 4
 
 
 def p_inverse_detailed(model: ManifoldModel, v: TangentCurve,
@@ -234,11 +240,12 @@ def p_inverse_detailed(model: ManifoldModel, v: TangentCurve,
         chart, y = v.base.chart_id, y0
         step = _step_interval_2d(action, chart)
         d = 1 if stop >= base_node else -1
-        j = base_node
+        j, block = base_node, _BLOCK
         while j != stop:
             # a failure waits until every node before it is known INSIDE,
             # since a switch before it would have stopped this chart's steps
-            nodes = range(j + d, j + d * (min(_BLOCK, abs(stop - j)) + 1), d)
+            nodes = range(j + d, j + d * (min(block, abs(stop - j)) + 1), d)
+            block = min(2 * block, _BLOCK)
             failure = None
             for k in nodes:
                 stages = v_stages[k - 1] if d > 0 else v_stages[k][::-1]
@@ -272,7 +279,7 @@ def p_inverse_detailed(model: ManifoldModel, v: TangentCurve,
                         chart = charts[k] = moved
                         states[k] = x.tolist() + cols.ravel().tolist()
                         step = _step_interval_2d(action, chart)
-                        nodes, failure = nodes[:i + 1], None
+                        nodes, failure, block = nodes[:i + 1], None, _RESTART
                         break
             if failure is not None:
                 raise failure
@@ -307,91 +314,146 @@ def _solve_inverse_batch(model: ManifoldModel, charts0, coords0: np.ndarray,
     components: (B, n, m) coefficients in each element's initial frame.
     Returns (charts, coords, frames, switch_logs) with per-node data.
 
-    Elements in the same chart advance together through vectorized RK4
-    stages.  At each node boundary every chart classifies its elements in
-    one call, and the elements it flags switch one by one, in order.
+    On a two-sided grid the forward and the backward sweep march together
+    as one batch of 2B rows, forward rows first, each row with its signed
+    substep; when the shorter sweep reaches its end node the longer one
+    goes on alone on its rows.  Rows in the same chart advance together
+    through vectorized RK4 stages.  At each node boundary every chart
+    classifies its rows in one call, and the rows it flags switch one by
+    one, in order.  The result is the two sweeps run one after the other,
+    bit for bit: if a joint step fails, the sweeps are stepped again from
+    there one at a time, so an error of the forward sweep is the one raised.
     """
     b, n, m = components.shape
     base_node = grid.base_node()
-    h = grid.h
     flat = np.ascontiguousarray(components.transpose(1, 0, 2)).reshape(n, b * m)
-    v_stages = _stage_values(flat, substeps)          # (n-1, S, b*m)
-    v_stages = v_stages.reshape(n - 1, -1, b, m).transpose(2, 0, 1, 3)
+    v_stages = _stage_values(flat, substeps).reshape(n - 1, -1, b, m)
 
-    charts_out = [[None] * n for _ in range(b)]
+    charts_out = np.empty((b, n), dtype=object)
     coords_out = np.empty((b, n, m))
     frames_out = np.empty((b, n, m, m))
     logs = [[] for _ in range(b)]
+    charts_out[:, base_node] = charts0
+    coords_out[:, base_node] = coords0
+    frames_out[:, base_node] = frames0
 
-    def record(j, charts, x, e):
-        for i in range(b):
-            charts_out[i][j] = charts[i]
-        coords_out[:, j] = x
-        frames_out[:, j] = e
-
-    record(base_node, list(charts0), coords0, frames0)
-
-    def march(stop: int):
-        charts = list(charts0)
-        x = coords0.copy()
-        e = frames0.copy()
-        direction = 1 if stop >= base_node else -1
-        j = base_node
-
-        groups = chart_groups(charts)
+    def advance(nodes, going, charts, groups, x, e, coef):
+        """One step of the sweeps whose states are stacked b rows each in
+        charts, x and e, to the nodes `nodes`; `going` lists the sweeps
+        that go on past them and coef holds the RK4 factors of each row's
+        signed substep.  Returns the new state and the switches made, each
+        as (element, log entry), and leaves the old state as it was."""
+        # (S, rows, m) stage values in the direction of travel
+        stages = [v_stages[j - 1] if j > base_node else v_stages[j, ::-1]
+                  for j in nodes]
+        stages = stages[0] if len(stages) == 1 else np.concatenate(stages, 1)
+        full, half, sixth = coef
+        full_x, half_x, sixth_x = full[:, 0], half[:, 0], sixth[:, 0]
 
         def rhs(xs, es, vs):
             r = np.einsum("bki,bi->bk", es, vs)
             if len(groups) == 1:
-                cid = next(iter(groups))
-                mm = model.christoffel_action_batch(cid, xs, r)
+                mm = model.christoffel_action_batch(next(iter(groups)), xs, r)
             else:
-                mm = np.empty((b, m, m))
+                mm = np.empty((len(xs), m, m))
                 for cid, idx in groups.items():
-                    mm[idx] = model.christoffel_action_batch(cid, xs[idx], r[idx])
+                    mm[idx] = model.christoffel_action_batch(cid, xs[idx],
+                                                             r[idx])
             return r, -np.matmul(mm, es)
 
-        while j != stop:
-            interval = j if direction > 0 else j - 1
-            hsub = (direction * h) / substeps
-            for s in range(substeps):
-                if direction > 0:
-                    ia, ib, ic = 2 * s, 2 * s + 1, 2 * s + 2
-                else:
-                    top = v_stages.shape[2] - 1
-                    ia, ib, ic = top - 2 * s, top - 2 * s - 1, top - 2 * s - 2
-                va = v_stages[:, interval, ia]
-                vb = v_stages[:, interval, ib]
-                vc = v_stages[:, interval, ic]
-                # RK4 written out on the two arrays: one (B, m + 1, m) state
-                # through numerics.rk4_step gives the same bits but runs up
-                # to 20% slower (output assembly, strided operands)
-                k1x, k1e = rhs(x, e, va)
-                k2x, k2e = rhs(x + 0.5 * hsub * k1x, e + 0.5 * hsub * k1e, vb)
-                k3x, k3e = rhs(x + 0.5 * hsub * k2x, e + 0.5 * hsub * k2e, vb)
-                k4x, k4e = rhs(x + hsub * k3x, e + hsub * k3e, vc)
-                x = x + (hsub / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
-                e = e + (hsub / 6.0) * (k1e + 2 * k2e + 2 * k3e + k4e)
-            j += direction
-            if not (np.all(np.isfinite(x)) and np.all(np.isfinite(e))):
-                raise NonFiniteState(
-                    f"inverse system became non-finite at node {j}")
-            if j != stop:
-                switched = False
-                for i in model.off_interior(groups, x):
-                    chart, xi, ei = _switch_state(model, charts[i], x[i],
-                                                  e[i], j, logs[i])
-                    if chart != charts[i]:
-                        charts[i], x[i], e[i] = chart, xi, ei
-                        switched = True
-                if switched:
-                    groups = chart_groups(charts)
-            record(j, charts, x, e)
+        for s in range(substeps):
+            va, vb, vc = stages[2 * s:2 * s + 3]
+            # RK4 written out on the two arrays: one (B, m + 1, m) state
+            # through numerics.rk4_step gives the same bits but runs up
+            # to 20% slower (output assembly, strided operands)
+            k1x, k1e = rhs(x, e, va)
+            k2x, k2e = rhs(x + half_x * k1x, e + half * k1e, vb)
+            k3x, k3e = rhs(x + half_x * k2x, e + half * k2e, vb)
+            k4x, k4e = rhs(x + full_x * k3x, e + full * k3e, vc)
+            x = x + sixth_x * (k1x + 2 * k2x + 2 * k3x + k4x)
+            e = e + sixth * (k1e + 2 * k2e + 2 * k3e + k4e)
+        if not (np.isfinite(x).all() and np.isfinite(e).all()):
+            bad = ~(np.isfinite(x).all(1) & np.isfinite(e).all((1, 2)))
+            raise NonFiniteState("inverse system became non-finite at node "
+                                 f"{nodes[int(np.argmax(bad)) // b]}")
+        # a sweep's last node is not classified
+        if len(going) == len(nodes):
+            flagged = model.off_interior(groups, x)
+        elif going:
+            (k,) = going
+            rows = slice(k * b, (k + 1) * b)
+            flagged = k * b + model.off_interior(chart_groups(charts[rows]),
+                                                 x[rows])
+        else:
+            flagged = ()
+        switches = []
+        for i in flagged:
+            log = []
+            chart, xi, ei = _switch_state(model, charts[i], x[i], e[i],
+                                          nodes[i // b], log)
+            if chart != charts[i]:
+                if not switches:
+                    charts = list(charts)
+                charts[i], x[i], e[i] = chart, xi, ei
+                switches.append((i % b, log[0]))
+        if switches:
+            groups = chart_groups(charts)
+        return charts, groups, x, e, switches
 
-    march(n - 1)
-    if base_node > 0:
-        march(0)
-    return charts_out, coords_out, frames_out, [sorted(l) for l in logs]
+    def march(sweeps, t, charts, x, e):
+        """Step the sweeps, (direction, stop) pairs, together from step t
+        until each has reached its stop; the first to reach it drops out,
+        and the other ends alone on a view of its rows.  A failed joint
+        step returns its step and the state before it; a sweep alone
+        raises."""
+        groups = chart_groups(charts)
+        hsub = np.repeat([(d * grid.h) / substeps for d, _ in sweeps],
+                         b)[:, None, None]
+        # per row, the factors of x + 0.5 * hsub * k with a scalar hsub
+        coef = hsub, 0.5 * hsub, hsub / 6.0
+        while True:
+            nodes = [base_node + d * t for d, _ in sweeps]
+            going = [k for k, (_, stop) in enumerate(sweeps)
+                     if nodes[k] != stop]
+            try:
+                charts1, groups1, x1, e1, switches = advance(
+                    nodes, going, charts, groups, x, e, coef)
+            except Exception:
+                # any error: the sweeps run alone from here raise it again
+                if len(sweeps) == 1:
+                    raise
+                return t, charts, x, e
+            charts, groups, x, e = charts1, groups1, x1, e1
+            for i, entry in switches:
+                logs[i].append(entry)
+            for k, j in enumerate(nodes):
+                rows = slice(k * b, (k + 1) * b)
+                charts_out[:, j] = charts[rows]
+                coords_out[:, j] = x[rows]
+                frames_out[:, j] = e[rows]
+            if not going:
+                return None
+            if len(going) < len(sweeps):
+                (k,) = going
+                rows = slice(k * b, (k + 1) * b)
+                sweeps, charts, x, e = [sweeps[k]], charts[rows], x[rows], e[rows]
+                groups = chart_groups(charts)
+                coef = tuple(c[rows] for c in coef)
+            t += 1
+
+    sweeps = [(d, stop) for d, stop in ((1, n - 1), (-1, 0))
+              if stop != base_node]
+    failed = march(sweeps, 1, list(charts0) * len(sweeps),
+                   np.concatenate([coords0] * len(sweeps)),
+                   np.concatenate([frames0] * len(sweeps)))
+    if failed is not None:
+        # one sweep at a time from the failed step: the first one's error wins
+        t, charts, x, e = failed
+        for k, sweep in enumerate(sweeps):
+            rows = slice(k * b, (k + 1) * b)
+            march([sweep], t, charts[rows], x[rows], e[rows])
+    return (charts_out.tolist(), coords_out, frames_out,
+            [sorted(l) for l in logs])
 
 
 # ---------------------------------------------------------------------------

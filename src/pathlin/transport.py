@@ -23,9 +23,13 @@ transition at that node only, never mid-interval, and the switch is logged.
 
 One array core, _transport_columns, transports a batch of B curves on one
 grid: transport_frame and the forward core of linearize call it with B = 1,
-the square-map forward with one element per s2-line.  Elements whose runs
-cover the same nodes in the same chart build their propagators together,
-and the frames of the whole batch advance node by node as (B, m, m) stacks.
+the square-map forward with one element per s2-line.  Each sweep
+classifies the whole batch once, in one domain_test_many call per start
+chart; the curves that stay stored in and INSIDE their start chart form
+their single run straight from the arrays, and only the others are split
+into runs curve by curve.  Elements whose runs cover the same nodes in the
+same chart build their propagators together, and the frames of the whole
+batch advance node by node as (B, m, m) stacks.
 """
 
 from __future__ import annotations
@@ -187,7 +191,8 @@ class _Run:
 
 
 def _build_runs(model: ManifoldModel, charts: np.ndarray, coords: np.ndarray,
-                origin: int, stop: int, start_chart: str) -> list[_Run]:
+                origin: int, stop: int, start_chart: str,
+                inside: np.ndarray | None = None) -> list[_Run]:
     """Split one curve's node range between origin and stop (inclusive,
     either direction) into chart runs following the margin-switch rule,
     listed in the order of travel.  charts, an object array, and coords
@@ -196,7 +201,9 @@ def _build_runs(model: ManifoldModel, charts: np.ndarray, coords: np.ndarray,
     One domain_test_many call classifies the remaining nodes stored in the
     working chart; the run takes them as one slice up to the next node that
     is stored in another chart or is not INSIDE, and only that node goes
-    through the single-point rule.
+    through the single-point rule.  `inside`, when given, is the first
+    such classification, made by the caller: per node of the range in the
+    order of travel, whether it is stored in start_chart and INSIDE it.
     """
     step = 1 if stop >= origin else -1
     nodes = np.arange(origin, stop + step, step)
@@ -212,11 +219,13 @@ def _build_runs(model: ManifoldModel, charts: np.ndarray, coords: np.ndarray,
                          coords=block if step > 0 else block[::-1]))
 
     while True:
-        rest = nodes[pos:]
-        inside = charts[rest] == chart
-        inside[inside] = model.chart(chart).domain_test_many(
-            coords[rest[inside]]) == INSIDE
-        for k in (pos + np.flatnonzero(~inside)).tolist():
+        if inside is None:
+            rest = nodes[pos:]
+            inside = charts[rest] == chart
+            inside[inside] = model.chart(chart).domain_test_many(
+                coords[rest[inside]]) == INSIDE
+        flagged, inside = pos + np.flatnonzero(~inside), None
+        for k in flagged.tolist():
             pieces.append(coords[nodes[pos:k]])
             pos = k + 1
             j = int(nodes[k])
@@ -300,31 +309,32 @@ def _interval_propagators(m_stages: np.ndarray, h: float, substeps: int) -> np.n
 def _batch_propagators(model: ManifoldModel, groups, phis: np.ndarray,
                        h: float, substeps: int) -> None:
     """Write into phis (B, n - 1, m, m) the propagators of the intervals a
-    batch's runs cover.  groups maps (chart, lo, hi) to the (element, run)
-    pairs with those nodes and chart; their stage values, Christoffel
-    evaluation and RK4 sweep are shared, in blocks of at most
-    _STAGE_POINTS_PER_BLOCK stage points."""
+    batch's runs cover.  groups maps (chart, lo, hi) to the elements whose
+    runs have those nodes and chart, as a list of pieces (elements (G,),
+    coordinates (G, hi - lo + 1, m), velocities of the same shape); their
+    stage values, Christoffel evaluation and RK4 sweep are shared, in
+    blocks of at most _STAGE_POINTS_PER_BLOCK stage points."""
     m = phis.shape[-1]
     stages = 2 * substeps + 1
-    for (chart, lo, hi), members in groups.items():
+    for (chart, lo, hi), pieces in groups.items():
         n_int = hi - lo
+        members, coords, vel = (np.concatenate(p) if len(p) > 1 else p[0]
+                                for p in zip(*pieces))
         per_block = max(1, _STAGE_POINTS_PER_BLOCK // (n_int * stages))
         for k in range(0, len(members), per_block):
-            block = members[k:k + per_block]
-            g = len(block)
+            block = slice(k, k + per_block)
+            g = len(members[block])
 
             def stage_points(values):
-                # (n_int + 1, G, m) node values -> (G * n_int * S, m)
-                flat = _stage_values(values.reshape(n_int + 1, g * m),
-                                     substeps)
+                # (G, n_int + 1, m) node values -> (g * n_int * S, m)
+                flat = _stage_values(values[block].transpose(1, 0, 2)
+                                     .reshape(n_int + 1, g * m), substeps)
                 return flat.reshape(n_int, stages, g, m) \
                     .transpose(2, 0, 1, 3).reshape(-1, m)
 
             action = model.christoffel_action_batch(
-                chart,
-                stage_points(np.stack([run.coords for _, run in block], 1)),
-                stage_points(np.stack([run.vel for _, run in block], 1)))
-            phis[[i for i, _ in block], lo:hi] = _interval_propagators(
+                chart, stage_points(coords), stage_points(vel))
+            phis[members[block], lo:hi] = _interval_propagators(
                 action.reshape(g * n_int, stages, m, m), h, substeps
             ).reshape(g, n_int, m, m)
 
@@ -373,27 +383,51 @@ def _transport_columns(model: ManifoldModel, grid: Grid, charts,
     log.  The columns are not checked for independence; FrameField does
     that, and require_independent_columns on other arrays.
 
-    Each element's chart runs follow the margin rule.  Frames then advance
-    node by node for the whole batch, one (B, m, m) product per node
-    forward and one batched solve per node backward, and an element's
-    transition Jacobian is applied at the node where its next run begins.
+    Each sweep classifies the nodes of every element in one
+    domain_test_many call per start chart.  The elements whose nodes are
+    all stored in their start chart and INSIDE it make one chart run each,
+    taken from the arrays together; only the others go through _build_runs,
+    which is handed that classification.  Frames then advance node by node
+    for the whole batch, one (B, m, m) product per node forward and one
+    batched solve per node backward, and an element's transition Jacobian
+    is applied at the node where its next run begins.
     """
     b, n, m = coords.shape
-    out_charts = [[None] * n for _ in range(b)]
+    out_charts = np.empty((b, n), dtype=object)
     out_coords = np.empty((b, n, m))
     out_vel = np.empty((b, n, m))
     cols = np.empty((b, n, m, m))
     logs: list[list[tuple[int, str, str]]] = [[] for _ in range(b)]
     phis = np.empty((b, n - 1, m, m))    # the two sweeps cover disjoint intervals
-    stored = [np.array(row, dtype=object) for row in charts]
+    stored = np.array(charts, dtype=object).reshape(b, n)
+    starts = chart_groups(charts0)
     for stop in ((n - 1, 0) if start > 0 else (n - 1,)):
         step = 1 if stop >= start else -1
+        lo, hi = sorted((start, stop))
+        nodes = slice(lo, hi + 1)
         switches: dict[int, list[tuple[int, np.ndarray]]] = {}
-        groups: dict[tuple[str, int, int], list[tuple[int, _Run]]] = {}
-        for i in range(b):
+        groups: dict[tuple[str, int, int], list[tuple]] = {}
+        others = []
+        for chart, idx in starts.items():
+            inside = stored[idx, nodes] == chart
+            pts = coords[idx, nodes]
+            inside[inside] = model.chart(chart).domain_test_many(
+                pts[inside]) == INSIDE
+            whole = inside.all(axis=1)
+            one = idx[whole]
+            if one.size:
+                run_coords, vel = pts[whole], velocities[one, nodes]
+                out_charts[one, nodes] = chart
+                out_coords[one, nodes] = run_coords
+                out_vel[one, nodes] = vel
+                if hi > lo:
+                    groups.setdefault((chart, lo, hi), []).append(
+                        (one, run_coords, vel))
+            others += zip(idx[~whole].tolist(), inside[~whole, ::step])
+        for i, inside in sorted(others, key=lambda o: o[0]):
             chart, prev = charts0[i], None
             for run in _build_runs(model, stored[i], coords[i], start, stop,
-                                   chart):
+                                   chart, inside):
                 if run.chart_id != chart:
                     entry = run.hi if step < 0 else run.lo
                     switches.setdefault(entry, []).append(
@@ -401,19 +435,19 @@ def _transport_columns(model: ManifoldModel, grid: Grid, charts,
                                                       run.chart_id)))
                     logs[i].append((entry, chart, run.chart_id))
                     chart = run.chart_id
-                nodes = slice(run.lo, run.hi + 1)
-                run.vel = velocities[i, nodes].copy()
-                for k in np.flatnonzero(stored[i][nodes] != chart):
+                run_nodes = slice(run.lo, run.hi + 1)
+                run.vel = velocities[i, run_nodes].copy()
+                for k in np.flatnonzero(stored[i, run_nodes] != chart):
                     run.vel[k] = model.transition_jacobian(
-                        Point(charts[i][run.lo + k], coords[i, run.lo + k]),
+                        Point(stored[i, run.lo + k], coords[i, run.lo + k]),
                         chart) @ run.vel[k]
-                out_charts[i][nodes] = [chart] * len(run.vel)
-                out_coords[i, nodes] = run.coords
-                out_vel[i, nodes] = run.vel
+                out_charts[i, run_nodes] = chart
+                out_coords[i, run_nodes] = run.coords
+                out_vel[i, run_nodes] = run.vel
                 prev = run.coords[0 if step < 0 else -1]
                 if run.hi > run.lo:
                     groups.setdefault((chart, run.lo, run.hi), []).append(
-                        (i, run))
+                        (np.array([i]), run.coords[None], run.vel[None]))
         _batch_propagators(model, groups, phis, grid.h, substeps)
 
         current = frames0.copy()
@@ -430,7 +464,7 @@ def _transport_columns(model: ManifoldModel, grid: Grid, charts,
             cols[:, j] = current
     for log in logs:
         log.sort()
-    return out_charts, out_coords, cols, out_vel, logs
+    return out_charts.tolist(), out_coords, cols, out_vel, logs
 
 
 def _frame_at(model: ManifoldModel, field: FrameField, t: float) -> Frame:

@@ -905,3 +905,23 @@ def test_non_finite_coordinates_are_outside(name, point):
     assert model.domain_status(point) == OUTSIDE
     with pytest.raises(NoOverlap):
         model.select_chart(point)
+
+
+def _chart_groups_loop(charts):
+    # chart_groups as it stood before its one-chart shortcut
+    groups = {}
+    for i, chart in enumerate(charts):
+        groups.setdefault(chart, []).append(i)
+    return {chart: np.asarray(idx) for chart, idx in groups.items()}
+
+
+@pytest.mark.parametrize("charts", [
+    ["north"] * 201, ("a",), ["north", "south", "north", "north"],
+    ("b", "a", "a", "c", "b"), [("a", "b"), ("a", "b"), ("b", "a")],
+    np.array(["north"] * 5, dtype=object), [], ()])
+def test_chart_groups_matches_the_loop(charts):
+    got, want = chart_groups(charts), _chart_groups_loop(charts)
+    assert list(got) == list(want)
+    for chart in want:
+        assert got[chart].dtype == want[chart].dtype
+        assert got[chart].tolist() == want[chart].tolist()

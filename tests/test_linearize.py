@@ -9,7 +9,7 @@ import pytest
 
 from pathlin import Frame, Grid, Point, Tangent, get_model
 from pathlin.errors import NonFiniteState, ValidationError
-from pathlin.geometry import INSIDE, ChartSpec, ManifoldModel
+from pathlin.geometry import INSIDE, ChartSpec, ManifoldModel, chart_groups
 from pathlin import linearize
 from pathlin.linearize import (TangentCurve, _solve_inverse_batch,
                                _stage_values, _step_interval_2d,
@@ -562,6 +562,25 @@ def test_block_march_switches_where_the_node_by_node_march_does(torus, where):
         assert field.switch_log[0] == (node, "a", "b")
 
 
+def test_block_march_restarts_short_after_a_switch(torus, monkeypatch):
+    # after the switch to chart b at node 16, the blocks classified in b
+    # grow from _RESTART back to _BLOCK intervals
+    sizes = []
+    spec = torus.chart("b")
+
+    def counted(coords):
+        if len(coords) > 1:
+            sizes.append(len(coords))
+        return spec.domain_test_many(coords)
+
+    monkeypatch.setitem(torus.charts, "b",
+                        dataclasses.replace(spec, domain_test_many=counted))
+    field = _assert_matches_reference(torus, _torus_line(torus, 16))
+    assert field.switch_log[0] == (16, "a", "b")
+    r = linearize._RESTART
+    assert sizes[:4] == [r, 2 * r, 4 * r, linearize._BLOCK]
+
+
 def _line_x(v, node):
     """x in chart a of a _torus_line at a fractional node."""
     return v.base.coords[0] + v.components[0, 0] * node * v.grid.h
@@ -628,3 +647,199 @@ def test_block_march_classifies_a_block_at_a_time(model, monkeypatch):
     assert not field.switch_log
     assert len(calls) <= math.ceil(400 / linearize._BLOCK)
     assert sum(calls) == 399
+
+
+# _solve_inverse_batch as it stood before the two sweeps of a two-sided grid
+# marched together as one batch: the forward sweep, then the backward one,
+# each on B rows.  The one-march solver must give its bits.
+
+def reference_inverse_batch(model, charts0, coords0, frames0, grid,
+                            components, substeps=2):
+    b, n, m = components.shape
+    base_node = grid.base_node()
+    h = grid.h
+    flat = np.ascontiguousarray(components.transpose(1, 0, 2)).reshape(n, b * m)
+    v_stages = _stage_values(flat, substeps)
+    v_stages = v_stages.reshape(n - 1, -1, b, m).transpose(2, 0, 1, 3)
+
+    charts_out = [[None] * n for _ in range(b)]
+    coords_out = np.empty((b, n, m))
+    frames_out = np.empty((b, n, m, m))
+    logs = [[] for _ in range(b)]
+
+    def record(j, charts, x, e):
+        for i in range(b):
+            charts_out[i][j] = charts[i]
+        coords_out[:, j] = x
+        frames_out[:, j] = e
+
+    record(base_node, list(charts0), coords0, frames0)
+
+    def march(stop):
+        charts = list(charts0)
+        x = coords0.copy()
+        e = frames0.copy()
+        direction = 1 if stop >= base_node else -1
+        j = base_node
+        groups = chart_groups(charts)
+
+        def rhs(xs, es, vs):
+            r = np.einsum("bki,bi->bk", es, vs)
+            if len(groups) == 1:
+                cid = next(iter(groups))
+                mm = model.christoffel_action_batch(cid, xs, r)
+            else:
+                mm = np.empty((b, m, m))
+                for cid, idx in groups.items():
+                    mm[idx] = model.christoffel_action_batch(cid, xs[idx], r[idx])
+            return r, -np.matmul(mm, es)
+
+        while j != stop:
+            interval = j if direction > 0 else j - 1
+            hsub = (direction * h) / substeps
+            for s in range(substeps):
+                if direction > 0:
+                    ia, ib, ic = 2 * s, 2 * s + 1, 2 * s + 2
+                else:
+                    top = v_stages.shape[2] - 1
+                    ia, ib, ic = top - 2 * s, top - 2 * s - 1, top - 2 * s - 2
+                va = v_stages[:, interval, ia]
+                vb = v_stages[:, interval, ib]
+                vc = v_stages[:, interval, ic]
+                k1x, k1e = rhs(x, e, va)
+                k2x, k2e = rhs(x + 0.5 * hsub * k1x, e + 0.5 * hsub * k1e, vb)
+                k3x, k3e = rhs(x + 0.5 * hsub * k2x, e + 0.5 * hsub * k2e, vb)
+                k4x, k4e = rhs(x + hsub * k3x, e + hsub * k3e, vc)
+                x = x + (hsub / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
+                e = e + (hsub / 6.0) * (k1e + 2 * k2e + 2 * k3e + k4e)
+            j += direction
+            if not (np.all(np.isfinite(x)) and np.all(np.isfinite(e))):
+                raise NonFiniteState(
+                    f"inverse system became non-finite at node {j}")
+            if j != stop:
+                switched = False
+                for i in model.off_interior(groups, x):
+                    chart, xi, ei = _switch_state(model, charts[i], x[i],
+                                                  e[i], j, logs[i])
+                    if chart != charts[i]:
+                        charts[i], x[i], e[i] = chart, xi, ei
+                        switched = True
+                if switched:
+                    groups = chart_groups(charts)
+            record(j, charts, x, e)
+
+    march(n - 1)
+    if base_node > 0:
+        march(0)
+    return charts_out, coords_out, frames_out, [sorted(l) for l in logs]
+
+
+def _assert_batch_matches_reference(model, *args):
+    got = _solve_inverse_batch(model, *args)
+    ref = reference_inverse_batch(model, *args)
+    assert got[0] == ref[0]
+    assert _same_bits(got[1], ref[1])
+    assert _same_bits(got[2], ref[2])
+    assert got[3] == ref[3]
+    return ref
+
+
+def _batch_from_axis(model, rng, grid, lines=9):
+    """Start states along a realized random curve, as p2_inverse takes
+    them, and smooth seeded components for every line on the grid."""
+    axis = p_inverse_detailed(model, random_tangent_curve(
+        model, rng, Grid.regular(-1.0, 1.0, lines - 1)))
+    t = grid.nodes[None, :, None]
+    a, c, w = (rng.uniform(-0.4, 0.4, size=(lines, 1, model.dim))
+               for _ in range(3))
+    comps = a + c * t + 0.2 * np.sin(3.0 * t + w)
+    return (axis.points.charts, axis.points.coords, axis.columns, grid,
+            comps)
+
+
+@pytest.mark.parametrize("span,n", [((-1.0, 1.0), 60), ((-0.4, 1.0), 70),
+                                    ((-1.0, 0.3), 65), ((0.0, 1.0), 50)],
+                         ids=["symmetric", "forward longer",
+                              "backward longer", "one-sided"])
+def test_one_march_inverse_matches_the_two_marches(model, span, n):
+    grid = Grid.regular(*span, n)
+    args = _batch_from_axis(model, np.random.default_rng(18), grid)
+    _assert_batch_matches_reference(model, *args)
+
+
+def _symmetric_crossing_batch(model, grid):
+    """Lines from the centres of two charts whose forward and backward
+    halves leave the chart's interior at the same step: straight lines on
+    torus2 from (pi, y) in chart a and (0, y) in chart b, great circles on
+    sphere2 through both poles; half the rows start in each chart."""
+    if model.name == "torus2":
+        starts = [Point("a", [math.pi, 1.5 + 0.4 * k]) for k in range(4)] \
+            + [Point("b", [0.0, 2.0 + 0.4 * k]) for k in range(4)]
+    else:
+        starts = [Point(c, [0.01 * k, 0.0]) for c in ("north", "south")
+                  for k in range(4)]
+    frames = np.stack([model.orthonormal_frame(p).columns for p in starts])
+    speeds = np.linspace(4.6, 5.2, len(starts))
+    comps = np.zeros((len(starts), grid.nodes.size, 2))
+    comps[:, :, 0] = speeds[:, None]
+    return ([p.chart_id for p in starts], np.stack([p.coords for p in starts]),
+            frames, grid, comps)
+
+
+@pytest.mark.parametrize("name", ["sphere2", "torus2"])
+def test_one_march_inverse_switches_both_ways_at_one_step(name):
+    model = get_model(name)
+    grid = Grid.regular(-1.0, 1.0, 80)
+    base = grid.base_node()
+    args = _symmetric_crossing_batch(model, grid)
+    assert len(set(args[0])) == 2
+    logs = _assert_batch_matches_reference(model, *args)[3]
+    # lines that switch at nodes base + k and base - k, in the same step
+    switched = [{j for j, _, _ in log} for log in logs]
+    assert sum(any(2 * base - j in nodes for j in nodes if j > base)
+               for nodes in switched) >= 4
+
+
+def _failing_hook(model, forward_past, backward_past, failure):
+    """The euclidean connection, failing beyond x = forward_past or below
+    x = backward_past (None: never): NaN entries or a raised exception."""
+    zero = model.christoffel_action_batch
+
+    def action(chart_id, coords, r):
+        out = zero(chart_id, coords, r)
+        bad = np.zeros(len(coords), bool)
+        if forward_past is not None:
+            bad |= coords[:, 0] > forward_past
+        if backward_past is not None:
+            bad |= coords[:, 0] < backward_past
+        if bad.any():
+            if failure is not None:
+                raise failure("the connection hook failed")
+            out = out.copy()
+            out[bad] = np.nan
+        return out
+    return action
+
+
+@pytest.mark.parametrize("failure", [None, ValueError])
+@pytest.mark.parametrize("forward_past", [0.575, None])
+def test_one_march_inverse_raises_the_forward_error_first(
+        euclidean, monkeypatch, failure, forward_past):
+    # the backward half fails first, at x < -0.225 (node -5 from the base);
+    # the forward half, if at all, later, at x > 0.575 (node 12): the error
+    # raised is the one the forward sweep raises when it runs first
+    monkeypatch.setattr(euclidean, "christoffel_action_batch", _failing_hook(
+        euclidean, forward_past, -0.225, failure))
+    grid = Grid.regular(-1.0, 1.0, 40)
+    comps = np.tile([1.0, 0.0], (3, grid.nodes.size, 1))
+    args = (["xy"] * 3, np.zeros((3, 2)), np.tile(np.eye(2), (3, 1, 1)),
+            grid, comps)
+    error = NonFiniteState if failure is None else failure
+    with pytest.raises(error) as expected:
+        reference_inverse_batch(euclidean, *args)
+    with pytest.raises(error) as got:
+        _solve_inverse_batch(euclidean, *args)
+    assert str(got.value) == str(expected.value)
+    if failure is None:
+        node = grid.base_node() + (12 if forward_past is not None else -5)
+        assert str(got.value).endswith(f"at node {node}")

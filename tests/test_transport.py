@@ -12,12 +12,14 @@ from pathlin import Frame, Grid, Point, Tangent, get_model
 from pathlin.geometry import MARGIN, OUTSIDE, Samples
 from pathlin.errors import ChartContinuationFailure, ValidationError
 from pathlin.linearize import TangentCurve, p_inverse
-from pathlin.models import (sphere_pull_from_embedding,
+from pathlin.models import (_torus_window_starts, _torus_wrap,
+                            sphere_pull_from_embedding,
                             sphere_push_to_embedding, torus_point_from_angles)
 from pathlin.suite import random_curve, random_tangent
 from pathlin.numerics import lagrange_weights
 from pathlin.transport import (FrameField, SampledCurve, _build_runs,
-                               _coords_in, _frame_at, covariant_derivative,
+                               _coords_in, _frame_at, _transport_columns,
+                               _velocities, covariant_derivative,
                                curve_velocities, transport_frame,
                                transport_vector)
 
@@ -546,3 +548,58 @@ def test_build_runs_fails_where_the_per_node_rule_fails(name, chart, jump):
             reference_runs(model, samples.charts, coords, origin, stop, chart)
         assert str(fast.value) == str(ref.value)
         assert fast.value.node == ref.value.node == node
+
+
+def _mixed_torus_batch(torus, grid):
+    """Lines on one grid of every kind _transport_columns tells apart:
+    lines all INSIDE their start chart (a or b), a line stored partly in
+    chart b while it runs in chart a's interior, and lines that cross
+    chart a's margin forward and backward."""
+    t = grid.nodes
+    wave = 0.3 * np.sin(2.0 * t)
+    angles = [np.stack([math.pi + 0.5 * t + 0.1 * k, math.pi + wave], 1)
+              for k in range(3)]                              # in a
+    angles += [np.stack([0.3 * t - 0.2 * k, math.pi - wave], 1)
+               for k in range(2)]                             # in b
+    angles += [angles[0] + 0.05]                              # foreign
+    angles += [np.stack([math.pi + s * t + 0.4, 3.0 + wave], 1)
+               for s in (2.6, -2.8)]                          # switching
+    charts0 = ["a"] * 3 + ["b"] * 2 + ["a"] * 3
+    charts = [[c] * t.size for c in charts0]
+    charts[5][::3] = ["b"] * len(charts[5][::3])
+    coords = np.stack([_torus_wrap(x, _torus_window_starts(c))
+                       for x, c in zip(angles, charts0)])
+    coords[5, ::3] = _torus_wrap(angles[5][::3], _torus_window_starts("b"))
+    return charts, coords, charts0
+
+
+@pytest.mark.parametrize("span", [(-1.0, 1.0), (0.0, 2.0)])
+def test_runs_on_arrays_match_per_line_transport(torus, span):
+    grid = Grid.regular(*span, 60)
+    charts, coords, charts0 = _mixed_torus_batch(torus, grid)
+    start = grid.base_node()
+    vel = _velocities(torus, grid, charts, coords)
+    rng = np.random.default_rng(18)
+    frames0 = np.eye(2) + 0.2 * rng.uniform(-1.0, 1.0, (len(charts0), 2, 2))
+    batch = _transport_columns(torus, grid, charts, coords, vel, charts0,
+                               frames0, start, 2)
+    assert sum(map(bool, batch[4])) >= 2, "some lines must switch charts"
+    for i in range(len(charts0)):
+        # the runs _build_runs finds when it classifies the line itself;
+        # a switch node ends one run and starts the next
+        stored = np.array(charts[i], dtype=object)
+        want_charts, want_coords = stored.copy(), coords[i].copy()
+        for stop in (len(grid.nodes) - 1, 0)[:1 + (start > 0)]:
+            for run in _build_runs(torus, stored, coords[i], start, stop,
+                                   charts0[i]):
+                want_charts[run.lo:run.hi + 1] = run.chart_id
+                want_coords[run.lo:run.hi + 1] = run.coords
+        assert batch[0][i] == want_charts.tolist()
+        assert batch[1][i].tobytes() == want_coords.tobytes()
+        line = _transport_columns(torus, grid, charts[i:i + 1],
+                                  coords[i:i + 1], vel[i:i + 1],
+                                  charts0[i:i + 1], frames0[i:i + 1], start, 2)
+        assert batch[0][i] == line[0][0]
+        for got, want in zip(batch[1:4], line[1:4]):
+            assert got[i].tobytes() == want[0].tobytes()
+        assert batch[4][i] == line[4][0]
