@@ -146,10 +146,11 @@ def chart_groups(charts) -> dict[str, np.ndarray]:
 
 def require_independent_columns(cols: np.ndarray) -> None:
     """The frame column check, for one (m, m) matrix of frame columns or a
-    stack of them (..., m, m): raise ValidationError unless every matrix has
-    no zero column and |det| >= 1e-10 * (product of the column norms)."""
+    stack of them (..., m, m): raise ValidationError unless, for every
+    matrix, the product of the column norms is finite and not zero and
+    |det| >= 1e-10 * (that product)."""
     scale = np.linalg.norm(cols, axis=-2).prod(axis=-1)
-    if not (scale > 0).all() or \
+    if not ((scale > 0) & np.isfinite(scale)).all() or \
             (np.abs(np.linalg.det(cols)) < _FRAME_DET_FLOOR * scale).any():
         raise ValidationError("frame columns are (numerically) linearly dependent")
 

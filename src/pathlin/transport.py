@@ -28,14 +28,17 @@ classifies the whole batch once, in one domain_test_many call per start
 chart; the curves that stay stored in and INSIDE their start chart form
 their single run straight from the arrays, and only the others are split
 into runs curve by curve.  Elements whose runs cover the same nodes in the
-same chart build their propagators together, and the frames of the whole
-batch advance node by node as (B, m, m) stacks.
+same chart build their propagators together.  A sweep's frames are the
+running products of its interval propagators (their inverses backward),
+chained for the whole batch in chunks of about sqrt(L) intervals: no
+per-node loop and no per-node solve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import isqrt
 from operator import mul
 
 import numpy as np
@@ -387,10 +390,10 @@ def _transport_columns(model: ManifoldModel, grid: Grid, charts,
     domain_test_many call per start chart.  The elements whose nodes are
     all stored in their start chart and INSIDE it make one chart run each,
     taken from the arrays together; only the others go through _build_runs,
-    which is handed that classification.  Frames then advance node by node
-    for the whole batch, one (B, m, m) product per node forward and one
-    batched solve per node backward, and an element's transition Jacobian
-    is applied at the node where its next run begins.
+    which is handed that classification.  The frames of the whole batch
+    are then chained by _sweep_frames, in O(sqrt(L)) array calls for a
+    sweep of L intervals, with an element's transition Jacobian applied at
+    the node where its next run begins.
     """
     b, n, m = coords.shape
     out_charts = np.empty((b, n), dtype=object)
@@ -449,22 +452,85 @@ def _transport_columns(model: ManifoldModel, grid: Grid, charts,
                     groups.setdefault((chart, run.lo, run.hi), []).append(
                         (np.array([i]), run.coords[None], run.vel[None]))
         _batch_propagators(model, groups, phis, grid.h, substeps)
-
-        current = frames0.copy()
-        for j in range(start, stop + step, step):
-            if j != start:
-                if step > 0:
-                    current = phis[:, j - 1] @ current
-                else:
-                    current = np.linalg.solve(phis[:, j], current)
-                if not np.isfinite(current).all():
-                    raise NonFiniteState(f"frame became non-finite at node {j}")
-            for i, jac in switches.get(j, ()):
-                current[i] = jac @ current[i]
-            cols[:, j] = current
+        cols[:, start::step] = _sweep_frames(phis, frames0, switches, start,
+                                             stop)
     for log in logs:
         log.sort()
     return out_charts.tolist(), out_coords, cols, out_vel, logs
+
+
+def _chain(mats: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Running products of a chain of (B, L, m, m) step matrices from (B, m,
+    m) start frames: out (B, L + 1, m, m) with out[:, 0] = start and
+    out[:, k + 1] = mats[:, k] @ out[:, k].
+
+    The L steps are cut into chunks of about sqrt(L), padded with
+    identities.  The running products within every chunk advance together,
+    then each chunk is applied to the last frame of the chunk before it:
+    about 2L products in about 2 sqrt(L) array calls (a Hillis-Steele scan
+    needs L log L products and measured slower).
+    """
+    b, length, m, _ = mats.shape
+    size = max(1, isqrt(length))
+    chunks = -(-length // size)
+    run = np.empty((b, chunks * size, m, m))
+    run[:, :length] = mats
+    run[:, length:] = np.eye(m)
+    run = run.reshape(b, chunks, size, m, m)
+    for t in range(1, size):
+        run[:, :, t] = run[:, :, t] @ run[:, :, t - 1]
+    out = np.empty((b, 1 + chunks * size, m, m))
+    out[:, 0] = start
+    for g in range(chunks):
+        np.matmul(run[:, g], out[:, g * size, None],
+                  out=out[:, 1 + g * size:1 + (g + 1) * size])
+    return out[:, :length + 1]
+
+
+def _sweep_frames(phis: np.ndarray, frames0: np.ndarray, switches,
+                  start: int, stop: int) -> np.ndarray:
+    """The frames of one sweep, at nodes start, start +- 1, ..., stop: the
+    (B, |stop - start| + 1, m, m) chain of frames0 through the sweep's step
+    matrices.
+
+    Forward the step matrices are the propagators phis[:, start:stop];
+    backward, one batched inverse of phis[:, stop:start], reversed, and NaN
+    for a non-finite propagator.  switches maps a node to its (element,
+    transition Jacobian) pairs; a Jacobian is folded into the step matrix
+    of the interval that enters its node, or onto the start frame at the
+    start node.  Finiteness is checked once, and NonFiniteState names the
+    first bad node in sweep order.
+    """
+    step = 1 if stop >= start else -1
+    if step > 0:
+        mats = phis[:, start:stop].copy()
+    else:
+        # the inverse of a non-finite matrix can be finite, or raise
+        # LinAlgError: such a step is NaN, so its node is named
+        steps, bad = phis[:, stop:start], None
+        if not np.isfinite(steps).all():
+            bad = ~np.isfinite(steps).all(axis=(-2, -1))
+            steps = np.where(bad[..., None, None], np.eye(steps.shape[-1]),
+                             steps)
+        mats = np.linalg.inv(steps)
+        if bad is not None:
+            mats[bad] = np.nan
+        mats = mats[:, ::-1]
+    first = frames0.copy()
+    for j, entries in switches.items():
+        k = (j - start) * step - 1
+        for i, jac in entries:
+            if k < 0:
+                first[i] = jac @ first[i]
+            else:
+                mats[i, k] = jac @ mats[i, k]
+    with np.errstate(over="ignore", invalid="ignore"):
+        frames = _chain(mats, first)
+    finite = np.isfinite(frames[:, 1:])
+    if not finite.all():
+        j = start + step * (1 + int(finite.all(axis=(0, 2, 3)).argmin()))
+        raise NonFiniteState(f"frame became non-finite at node {j}")
+    return frames
 
 
 def _frame_at(model: ManifoldModel, field: FrameField, t: float) -> Frame:

@@ -10,7 +10,8 @@ from pathlin import (Frame, NoOverlap, OutOfInjectivityRange, Point, Tangent,
                      ValidationError, get_model)
 from pathlin.geometry import (INSIDE, MARGIN, OUTSIDE, ChartSpec,
                               ManifoldModel, Samples, chart_groups,
-                              metric_compatibility_residual)
+                              metric_compatibility_residual,
+                              require_independent_columns)
 from pathlin.linearize import TangentCurve, p_forward, p_inverse
 from pathlin.models import (manifest, sphere_embed,
                             sphere_point_from_embedding,
@@ -18,6 +19,7 @@ from pathlin.models import (manifest, sphere_embed,
                             sphere_push_to_embedding, torus_point_from_angles)
 from pathlin.numerics import Grid
 from pathlin.suite import geometry_checks, random_interior_point, random_tangent
+from pathlin.transport import FrameField
 
 from conftest import MODEL_NAMES, assert_close
 from test_linearize import _Conformal3
@@ -314,6 +316,25 @@ def test_frame_rejects_dependent_columns(euclidean):
     p = Point("xy", [0.0, 0.0])
     with pytest.raises(ValidationError):
         Frame(p, np.array([[1.0, 2.0], [2.0, 4.0]]))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_columns_are_rejected(bad):
+    # an infinite column norm once passed both tests: inf > 0, and
+    # |det| < 1e-10 * inf is False
+    one = np.eye(2)
+    one[0, 0] = bad
+    stack = np.tile(np.eye(2), (5, 1, 1))
+    stack[3, 1, 0] = bad
+    dependent = "linearly dependent"
+    for cols in (one, stack):
+        with pytest.raises(ValidationError, match=dependent):
+            require_independent_columns(cols)
+    with pytest.raises(ValidationError, match=dependent):
+        Frame(Point("xy", [0.0, 0.0]), one)
+    with pytest.raises(ValidationError, match=dependent):
+        FrameField(Grid.regular(0.0, 1.0, 4),
+                   Samples(["xy"] * 5, np.zeros((5, 2))), stack)
 
 
 def test_orthonormal_frame_gram_identity(model):

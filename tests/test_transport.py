@@ -8,9 +8,10 @@ import pickle
 import numpy as np
 import pytest
 
-from pathlin import Frame, Grid, Point, Tangent, get_model
+from pathlin import Frame, Grid, Point, Tangent, get_model, transport
 from pathlin.geometry import MARGIN, OUTSIDE, Samples
-from pathlin.errors import ChartContinuationFailure, ValidationError
+from pathlin.errors import (ChartContinuationFailure, NonFiniteState,
+                            ValidationError)
 from pathlin.linearize import TangentCurve, p_inverse
 from pathlin.models import (_torus_window_starts, _torus_wrap,
                             sphere_pull_from_embedding,
@@ -18,12 +19,13 @@ from pathlin.models import (_torus_window_starts, _torus_wrap,
 from pathlin.suite import random_curve, random_tangent
 from pathlin.numerics import lagrange_weights
 from pathlin.transport import (FrameField, SampledCurve, _build_runs,
-                               _coords_in, _frame_at, _transport_columns,
-                               _velocities, covariant_derivative,
-                               curve_velocities, transport_frame,
-                               transport_vector)
+                               _chain, _coords_in, _frame_at, _sweep_frames,
+                               _transport_columns, _velocities,
+                               covariant_derivative, curve_velocities,
+                               transport_frame, transport_vector)
 
 from conftest import assert_close
+from test_linearize import _Conformal3
 
 
 def great_circle_curve(sphere, n=400, speed=1.0):
@@ -603,3 +605,188 @@ def test_runs_on_arrays_match_per_line_transport(torus, span):
         for got, want in zip(batch[1:4], line[1:4]):
             assert got[i].tobytes() == want[0].tobytes()
         assert batch[4][i] == line[4][0]
+
+
+# The node-by-node loop that _sweep_frames replaced with one chunked chain
+# per sweep: one (B, m, m) product per node forward, one batched solve per
+# node backward, and an element's transition Jacobian applied to its frame
+# after the step into the switch node.
+def reference_chain(phis, frames0, switches, start, stop):
+    step = 1 if stop >= start else -1
+    current, frames = frames0.copy(), []
+    for j in range(start, stop + step, step):
+        if j != start:
+            if step > 0:
+                current = phis[:, j - 1] @ current
+            else:
+                current = np.linalg.solve(phis[:, j], current)
+            if not np.isfinite(current).all():
+                raise NonFiniteState(f"frame became non-finite at node {j}")
+        for i, jac in switches.get(j, ()):
+            current[i] = jac @ current[i]
+        frames.append(current)
+    return np.stack(frames, axis=1)
+
+
+# Regrouping the products of a chain moves its frames at rounding level
+# only; this bounds the gap relative to the largest column entry.
+CHAIN_RTOL = 1e-13
+
+
+def assert_chain_close(got, want, label=""):
+    assert got.shape == want.shape
+    assert_close(got / np.abs(want).max(), want / np.abs(want).max(),
+                 CHAIN_RTOL, label)
+
+
+def _near_identity(rng, shape, m):
+    return np.eye(m) + 0.2 * rng.uniform(-1.0, 1.0, shape + (m, m))
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_chain_is_the_running_product(m):
+    rng = np.random.default_rng(19)
+    for length in [*range(19), 24, 25, 26, 399, 400]:
+        mats = _near_identity(rng, (3, length), m)
+        start = _near_identity(rng, (3,), m)
+        want = [start]
+        for k in range(length):
+            want.append(mats[:, k] @ want[-1])
+        got = _chain(mats, start)
+        assert np.array_equal(got[:, 0], start)
+        assert_chain_close(got, np.stack(want, axis=1), f"L = {length}")
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_sweep_frames_match_the_node_by_node_loop(m):
+    # switch Jacobians at the start node, at chunk edges and at the last
+    # node, in sweeps of every length up to 17 both ways
+    rng = np.random.default_rng(m)
+    n = 18
+    phis = _near_identity(rng, (4, n - 1), m)
+    frames0 = _near_identity(rng, (4,), m)
+    kept = frames0.copy()
+    for start in range(n):
+        for stop in (n - 1, 0):
+            lo, hi = sorted((start, stop))
+            switches = {}
+            for j in {start, lo + 1, (lo + hi) // 2, hi}:
+                if lo <= j <= hi:
+                    switches[j] = [(i, _near_identity(rng, (), m))
+                                   for i in rng.choice(4, 2, replace=False)]
+            got = _sweep_frames(phis, frames0, switches, start, stop)
+            want = reference_chain(phis, frames0, switches, start, stop)
+            assert_chain_close(got, want, f"start {start}, stop {stop}")
+    assert np.array_equal(frames0, kept)
+
+
+def _columns_both_ways(monkeypatch, model, grid, charts, coords, charts0,
+                       frames0, start):
+    vel = _velocities(model, grid, charts, coords)
+    args = (model, grid, charts, coords, vel, charts0, frames0, start, 2)
+    got = _transport_columns(*args)
+    with monkeypatch.context() as patch:
+        patch.setattr(transport, "_sweep_frames", reference_chain)
+        want = _transport_columns(*args)
+    assert got[0] == want[0] and got[4] == want[4]
+    for a, b in ((got[1], want[1]), (got[3], want[3])):
+        assert a.tobytes() == b.tobytes()
+    assert_chain_close(got[2], want[2], "frame columns")
+    return got
+
+
+@pytest.mark.parametrize("span,start", [((-1.0, 1.0), 30), ((0.0, 2.0), 0),
+                                        ((-2.0, 0.0), 60)])
+def test_transport_columns_match_the_node_by_node_chain(torus, monkeypatch,
+                                                        span, start):
+    grid = Grid.regular(*span, 60)
+    charts, coords, charts0 = _mixed_torus_batch(torus, grid)
+    assert grid.base_node() == start
+    frames0 = _near_identity(np.random.default_rng(19), (len(charts0),), 2)
+    got = _columns_both_ways(monkeypatch, torus, grid, charts, coords,
+                             charts0, frames0, start)
+    assert sum(map(bool, got[4])) >= 2, "some lines must switch charts"
+
+
+def test_transport_columns_match_the_chain_for_every_sweep_length(
+        torus, monkeypatch):
+    # 17 intervals from every start node: both sweeps take each length
+    # 0, ..., 17, so every chunk padding is met
+    grid = Grid.regular(0.0, 2.0, 17)
+    charts, coords, charts0 = _mixed_torus_batch(torus, grid)
+    frames0 = _near_identity(np.random.default_rng(17), (len(charts0),), 2)
+    switched = 0
+    for start in range(len(grid.nodes)):
+        got = _columns_both_ways(monkeypatch, torus, grid, charts, coords,
+                                 charts0, frames0, start)
+        switched += sum(map(bool, got[4]))
+    assert switched > 0
+
+
+def test_transport_columns_match_the_chain_on_the_sphere(sphere, monkeypatch):
+    # propagators and transition Jacobians that are not the identity, as
+    # they are on the flat torus: a curve across the north chart's margin
+    # and one stored in alternating charts
+    logs = []
+    for curve in (margin_crossing_sphere_curve(sphere, 200),
+                  alternating_band_curve(sphere)[0]):
+        pts, start = curve.points, curve.grid.base_node()
+        frames0 = _near_identity(np.random.default_rng(2), (1,), 2)
+        logs += _columns_both_ways(monkeypatch, sphere, curve.grid,
+                                   [pts.charts], pts.coords[None],
+                                   [pts.charts[start]], frames0, start)[4]
+    assert logs[0] == [(136, "north", "south")]
+
+
+def test_transport_columns_match_the_chain_in_3d(monkeypatch):
+    model = _Conformal3()
+    grid = Grid.regular(-1.0, 1.0, 40)
+    t = grid.nodes[:, None]
+    coords = np.stack([0.5 * np.sin(t + k) * np.array([1.0, 0.5, -0.8])
+                       + 0.1 * k * t for k in range(3)])
+    frames0 = _near_identity(np.random.default_rng(3), (3,), 3)
+    _columns_both_ways(monkeypatch, model, grid, [["xyz"] * t.size] * 3,
+                       coords, ["xyz"] * 3, frames0, grid.base_node())
+
+
+@pytest.mark.parametrize("bad,entry", [(np.nan, (0, 0)), (np.nan, (0, 1)),
+                                       (np.inf, (0, 0)), (np.inf, (0, 1)),
+                                       (-np.inf, (1, 0))])
+@pytest.mark.parametrize("interval,node", [(33, 34), (41, 42), (59, 60),
+                                           (29, 29), (17, 17), (0, 0)])
+def test_a_non_finite_propagator_names_the_node_the_loop_named(
+        torus, monkeypatch, bad, entry, interval, node):
+    # one switching line of the batch gets one bad propagator entry, in the
+    # forward sweep (intervals 30 and up, node = interval + 1) or in the
+    # backward one (node = interval); no RuntimeWarning may escape
+    grid = Grid.regular(-1.0, 1.0, 60)
+    charts, coords, charts0 = _mixed_torus_batch(torus, grid)
+    vel = _velocities(torus, grid, charts, coords)
+    frames0 = _near_identity(np.random.default_rng(5), (len(charts0),), 2)
+    build = transport._batch_propagators
+
+    def spoiled(model, groups, phis, h, substeps):
+        build(model, groups, phis, h, substeps)
+        phis[6, interval][entry] = bad
+
+    monkeypatch.setattr(transport, "_batch_propagators", spoiled)
+    args = (torus, grid, charts, coords, vel, charts0, frames0, 30, 2)
+    with pytest.raises(NonFiniteState) as fast:
+        _transport_columns(*args)
+    assert str(fast.value) == f"frame became non-finite at node {node}"
+    monkeypatch.setattr(transport, "_sweep_frames", reference_chain)
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            _transport_columns(*args)
+            loop = "finite"
+        except NonFiniteState as exc:
+            loop = str(exc)
+        except np.linalg.LinAlgError:
+            loop = "singular"
+    # backward, the loop's solve with an inf pivot returned finite,
+    # singular frames, and it raised LinAlgError for a -inf below the
+    # diagonal; the chain names those nodes too
+    backward = interval < 30
+    assert loop == {(np.inf, (0, 0), True): "finite",
+                    (-np.inf, (1, 0), True): "singular"}.get(
+        (bad, entry, backward), str(fast.value))
