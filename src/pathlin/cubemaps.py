@@ -46,7 +46,7 @@ from .geometry import (Frame, ManifoldModel, Point, Samples,
                        require_independent_columns)
 from .linearize import (TangentCurve, _p_forward_detailed, _solve_inverse_batch,
                         p_inverse_detailed)
-from .numerics import Grid
+from .numerics import Grid, solve
 from .transport import SampledCurve, _transport_columns, _velocities
 
 
@@ -142,7 +142,7 @@ def p2_forward(model: ManifoldModel, alpha: CubeSample,
         _velocities(model, alpha.grid2, lines.charts, lines.coords),
         starts, frames, j0, substeps)
     require_independent_columns(line_cols)
-    v2 = np.linalg.solve(line_cols, vel[..., None])[..., 0]
+    v2 = solve(line_cols, vel)
 
     return CubeLinearization(base=frame0.base, frame0=frame0,
                              grid1=alpha.grid1, grid2=alpha.grid2,

@@ -23,6 +23,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import NoOracle, NoOverlap, OutOfInjectivityRange, ValidationError
+from .numerics import column_scale, det
 
 INSIDE = "inside"
 MARGIN = "margin"
@@ -149,9 +150,9 @@ def require_independent_columns(cols: np.ndarray) -> None:
     stack of them (..., m, m): raise ValidationError unless, for every
     matrix, the product of the column norms is finite and not zero and
     |det| >= 1e-10 * (that product)."""
-    scale = np.linalg.norm(cols, axis=-2).prod(axis=-1)
+    scale = column_scale(cols)
     if not ((scale > 0) & np.isfinite(scale)).all() or \
-            (np.abs(np.linalg.det(cols)) < _FRAME_DET_FLOOR * scale).any():
+            (np.abs(det(cols)) < _FRAME_DET_FLOOR * scale).any():
         raise ValidationError("frame columns are (numerically) linearly dependent")
 
 
@@ -247,12 +248,13 @@ class ManifoldModel:
     metric g_ij at (K, m) points of one chart as (K, m, m).
     christoffel_action_batch returns M[s, l, j] = Gamma^l_{kj} r[s, k] at
     (K, m) points: the frame equation contracts the k slot of Gamma with
-    the velocity and the j slot with the frame component.  Transport,
-    covariant derivatives and the batched inverse call the action; metric,
-    christoffel (Gamma[l, k, j] = Gamma^l_{kj}) and christoffel_action_floats
-    derive from the two hooks.  christoffel_action_floats is the
-    single-curve inverse's hook at m = 2, which the built-in models override
-    with closed forms on Python floats.  The constructor probes that Gamma
+    the velocity and the j slot with the frame component.  Transport and
+    covariant derivatives call the action; metric, christoffel
+    (Gamma[l, k, j] = Gamma^l_{kj}) and christoffel_action_floats derive
+    from the two hooks.  christoffel_action_floats is the hook of both
+    inverse solvers: the action entry by entry, on Python floats or on
+    equal-shape arrays, elementwise.  The built-in models override it with
+    closed forms that serve both.  The constructor probes that Gamma
     is the Levi-Civita connection of g.  place is the one rule that puts a
     point given in every chart's coordinates into a chart.  r0, the
     conservative injectivity floor, is one positive number per model.
@@ -381,14 +383,20 @@ class ManifoldModel:
         one chart: the matrix that acts on frame columns."""
         raise NotImplementedError
 
-    def christoffel_action_floats(self, chart_id: str, coords: list[float],
-                                  r: list[float]) -> list[list[float]]:
-        """christoffel_action_batch on Python floats, the hook of the
-        single-curve inverse at m = 2: coords and r are pairs of floats, M
-        two rows of two floats, each row a tuple or a list.  The default is
-        the batch form at K = 1; models override it with a closed form."""
-        return self.christoffel_action_batch(
-            chart_id, np.array([coords]), np.array([r]))[0].tolist()
+    def christoffel_action_floats(self, chart_id: str, coords, r):
+        """christoffel_action_batch entry by entry, the hook of both
+        inverse solvers.  coords and r are m entries each, Python floats or
+        equal-shape arrays; M is m rows of m entries, M[l][j] =
+        Gamma^l_{kj}(coords) r^k elementwise: all floats, or all arrays of
+        that shape, or both given as one (m, m, ...) array.  The
+        single-curve inverse at m = 2 passes floats, the batched one the
+        arrays of a chart's rows.  The default is the batch form, at K = 1
+        for floats; models override it with a closed form."""
+        x = np.asarray(coords, dtype=float)
+        action = self.christoffel_action_batch(
+            chart_id, x.reshape(self.dim, -1).T,
+            np.asarray(r, dtype=float).reshape(self.dim, -1).T)
+        return action[0].tolist() if x.ndim == 1 else action.transpose(1, 2, 0)
 
     def metric(self, chart_id: str, coords: np.ndarray) -> np.ndarray:
         return self.metric_many(chart_id, np.array([coords], float))[0]

@@ -21,16 +21,18 @@ neither builds a Point or a Frame per node: each returns the frame
 transported along the curve as one transport.FrameField.  The forward
 core transports the frame with the batched transport core,
 transport._transport_columns, as a batch of one, and solves all nodes at
-once for the components.  At m = 2, the dimension of every built-in
-model, the inverse core integrates a single curve with _step_interval_2d,
-RK4 on six Python floats with the connection from the model's
-christoffel_action_floats, since numpy's per-call overhead, not the
-arithmetic, is the cost there; it classifies its nodes _BLOCK at a time,
-in shorter blocks right after a chart switch.
+once for the components with numerics.solve.  At m = 2, the dimension of
+every built-in model, the inverse core integrates a single curve with
+_step_interval_2d, RK4 on six Python floats with the connection from the
+model's christoffel_action_floats, since numpy's per-call overhead, not
+the arithmetic, is the cost there; it classifies its nodes _BLOCK at a
+time, in shorter blocks right after a chart switch.
 Batches of curves on one grid, and single curves of any other dimension,
-go through _solve_inverse_batch, the same scheme on (B, ...) numpy
-arrays; the two agree to rounding, with the same charts and switch logs.
-On a two-sided grid it marches both directions at once, as one batch of
+go through _solve_inverse_batch, the same scheme on component arrays: one
+(m + m^2, rows) state stack, the same hook called on the arrays of each
+chart's rows, and every sum in the float stepper's order.  At m = 2 the
+two agree bit for bit, charts, coordinates, frames and switch logs.  On a
+two-sided grid the batch marches both directions at once, as one batch of
 2B rows with a signed substep per row, and gives the bits of the two
 sweeps run one after the other.
 """
@@ -44,7 +46,7 @@ import numpy as np
 
 from .errors import ChartContinuationFailure, NoOverlap, NonFiniteState, ValidationError
 from .geometry import INSIDE, Frame, ManifoldModel, Point, Samples, chart_groups
-from .numerics import Grid
+from .numerics import Grid, rk4_step, solve
 from .transport import (FrameField, SampledCurve, _check_frame_base,
                         _stage_values, _transport_columns, _velocities)
 
@@ -120,7 +122,7 @@ def _p_forward_detailed(model: ManifoldModel, curve: SampledCurve,
         substeps)
     field = FrameField(curve.grid, Samples(charts[0], coords[0]), cols[0],
                        logs[0])
-    comps = np.linalg.solve(field.columns, vel[0][:, :, None])[:, :, 0]
+    comps = solve(field.columns, vel[0])
     return frame0, comps, field, velocities[0]
 
 
@@ -314,69 +316,78 @@ def _solve_inverse_batch(model: ManifoldModel, charts0, coords0: np.ndarray,
     components: (B, n, m) coefficients in each element's initial frame.
     Returns (charts, coords, frames, switch_logs) with per-node data.
 
+    The state is one (m + m^2, rows) stack of components, one column per
+    row: the position, then the frame by rows, as _step_interval_2d holds
+    it in floats.  The connection comes from christoffel_action_floats,
+    called once per chart on the arrays of its rows, and each product is
+    summed in the float stepper's order, so at m = 2 a row's charts,
+    coordinates, frames and switches are the bits of p_inverse_detailed
+    on its line.  At each node boundary every chart classifies its rows
+    in one call, and the rows it flags switch one by one, in order.
+
     On a two-sided grid the forward and the backward sweep march together
     as one batch of 2B rows, forward rows first, each row with its signed
     substep; when the shorter sweep reaches its end node the longer one
-    goes on alone on its rows.  Rows in the same chart advance together
-    through vectorized RK4 stages.  At each node boundary every chart
-    classifies its rows in one call, and the rows it flags switch one by
-    one, in order.  The result is the two sweeps run one after the other,
-    bit for bit: if a joint step fails, the sweeps are stepped again from
-    there one at a time, so an error of the forward sweep is the one raised.
+    goes on alone on its rows.  The result is the two sweeps run one after
+    the other, bit for bit: if a joint step fails, the sweeps are stepped
+    again from there one at a time, so an error of the forward sweep is the
+    one raised.
     """
     b, n, m = components.shape
     base_node = grid.base_node()
-    flat = np.ascontiguousarray(components.transpose(1, 0, 2)).reshape(n, b * m)
-    v_stages = _stage_values(flat, substeps).reshape(n - 1, -1, b, m)
+    # (n - 1, S, m, B): the stage values of each component, a column a line
+    flat = np.ascontiguousarray(components.transpose(1, 2, 0))
+    v_stages = _stage_values(flat.reshape(n, m * b), substeps).reshape(
+        n - 1, -1, m, b)
+    action = model.christoffel_action_floats
 
     charts_out = np.empty((b, n), dtype=object)
-    coords_out = np.empty((b, n, m))
-    frames_out = np.empty((b, n, m, m))
+    states_out = np.empty((n, m + m * m, b))
     logs = [[] for _ in range(b)]
+    y0 = np.concatenate([coords0.T, frames0.reshape(b, m * m).T])
     charts_out[:, base_node] = charts0
-    coords_out[:, base_node] = coords0
-    frames_out[:, base_node] = frames0
+    states_out[base_node] = y0
 
-    def advance(nodes, going, charts, groups, x, e, coef):
+    def advance(nodes, going, charts, groups, y, hsub):
         """One step of the sweeps whose states are stacked b rows each in
-        charts, x and e, to the nodes `nodes`; `going` lists the sweeps
-        that go on past them and coef holds the RK4 factors of each row's
-        signed substep.  Returns the new state and the switches made, each
-        as (element, log entry), and leaves the old state as it was."""
-        # (S, rows, m) stage values in the direction of travel
+        charts and y, to the nodes `nodes`; `going` lists the sweeps that
+        go on past them and hsub holds each row's signed substep.  Returns
+        the new state and the switches made, each as (element, log entry),
+        and leaves the old state as it was."""
+        def rhs(v, y):
+            """dy/dt at the states y for the components v (m, rows): r = E v
+            and -M(x, r) E.  Each sum starts at -0.0, which adds exactly,
+            so it rounds as the float stepper's a * b + c * d, signed zeros
+            too."""
+            e = y[m:].reshape(m, m, -1)
+            dy = np.empty_like(y)
+            r = np.add.reduce(e * v, axis=1, out=dy[:m], initial=-0.0)
+            if len(groups) == 1:
+                (chart,) = groups
+                mm = np.asarray(action(chart, y[:m], r)).reshape(m, m, -1)
+            else:
+                mm = np.empty((m, m, y.shape[1]))
+                for chart, idx in groups.items():
+                    mm[:, :, idx] = np.asarray(
+                        action(chart, y[:m, idx], r[:, idx])).reshape(m, m, -1)
+            de = np.add.reduce(mm[:, :, None] * e, axis=1, initial=-0.0)
+            np.negative(de.reshape(m * m, -1), out=dy[m:])
+            return dy
+
+        # (S, m, rows) stage values in the direction of travel
         stages = [v_stages[j - 1] if j > base_node else v_stages[j, ::-1]
                   for j in nodes]
-        stages = stages[0] if len(stages) == 1 else np.concatenate(stages, 1)
-        full, half, sixth = coef
-        full_x, half_x, sixth_x = full[:, 0], half[:, 0], sixth[:, 0]
-
-        def rhs(xs, es, vs):
-            r = np.einsum("bki,bi->bk", es, vs)
-            if len(groups) == 1:
-                mm = model.christoffel_action_batch(next(iter(groups)), xs, r)
-            else:
-                mm = np.empty((len(xs), m, m))
-                for cid, idx in groups.items():
-                    mm[idx] = model.christoffel_action_batch(cid, xs[idx],
-                                                             r[idx])
-            return r, -np.matmul(mm, es)
-
-        for s in range(substeps):
-            va, vb, vc = stages[2 * s:2 * s + 3]
-            # RK4 written out on the two arrays: one (B, m + 1, m) state
-            # through numerics.rk4_step gives the same bits but runs up
-            # to 20% slower (output assembly, strided operands)
-            k1x, k1e = rhs(x, e, va)
-            k2x, k2e = rhs(x + half_x * k1x, e + half * k1e, vb)
-            k3x, k3e = rhs(x + half_x * k2x, e + half * k2e, vb)
-            k4x, k4e = rhs(x + full_x * k3x, e + full * k3e, vc)
-            x = x + sixth_x * (k1x + 2 * k2x + 2 * k3x + k4x)
-            e = e + sixth * (k1e + 2 * k2e + 2 * k3e + k4e)
-        if not (np.isfinite(x).all() and np.isfinite(e).all()):
-            bad = ~(np.isfinite(x).all(1) & np.isfinite(e).all((1, 2)))
+        stages = stages[0] if len(stages) == 1 else np.concatenate(stages, 2)
+        # inf and NaN where Python floats raise, as NonFiniteState below
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for s in range(substeps):
+                y = rk4_step(rhs, y, hsub, *stages[2 * s:2 * s + 3])
+        finite = np.isfinite(y).all(axis=0)
+        if not finite.all():
             raise NonFiniteState("inverse system became non-finite at node "
-                                 f"{nodes[int(np.argmax(bad)) // b]}")
+                                 f"{nodes[int(np.argmin(finite)) // b]}")
         # a sweep's last node is not classified
+        x = y[:m].T
         if len(going) == len(nodes):
             flagged = model.off_interior(groups, x)
         elif going:
@@ -389,71 +400,67 @@ def _solve_inverse_batch(model: ManifoldModel, charts0, coords0: np.ndarray,
         switches = []
         for i in flagged:
             log = []
-            chart, xi, ei = _switch_state(model, charts[i], x[i], e[i],
+            chart, xi, ei = _switch_state(model, charts[i], x[i],
+                                          y[m:, i].reshape(m, m),
                                           nodes[i // b], log)
             if chart != charts[i]:
                 if not switches:
                     charts = list(charts)
-                charts[i], x[i], e[i] = chart, xi, ei
+                charts[i], y[:m, i], y[m:, i] = chart, xi, ei.ravel()
                 switches.append((i % b, log[0]))
         if switches:
             groups = chart_groups(charts)
-        return charts, groups, x, e, switches
+        return charts, groups, y, switches
 
-    def march(sweeps, t, charts, x, e):
+    def march(sweeps, t, charts, y):
         """Step the sweeps, (direction, stop) pairs, together from step t
         until each has reached its stop; the first to reach it drops out,
         and the other ends alone on a view of its rows.  A failed joint
         step returns its step and the state before it; a sweep alone
         raises."""
         groups = chart_groups(charts)
-        hsub = np.repeat([(d * grid.h) / substeps for d, _ in sweeps],
-                         b)[:, None, None]
-        # per row, the factors of x + 0.5 * hsub * k with a scalar hsub
-        coef = hsub, 0.5 * hsub, hsub / 6.0
+        hsub = np.repeat([(d * grid.h) / substeps for d, _ in sweeps], b)
         while True:
             nodes = [base_node + d * t for d, _ in sweeps]
             going = [k for k, (_, stop) in enumerate(sweeps)
                      if nodes[k] != stop]
             try:
-                charts1, groups1, x1, e1, switches = advance(
-                    nodes, going, charts, groups, x, e, coef)
+                charts1, groups1, y1, switches = advance(
+                    nodes, going, charts, groups, y, hsub)
             except Exception:
                 # any error: the sweeps run alone from here raise it again
                 if len(sweeps) == 1:
                     raise
-                return t, charts, x, e
-            charts, groups, x, e = charts1, groups1, x1, e1
+                return t, charts, y
+            charts, groups, y = charts1, groups1, y1
             for i, entry in switches:
                 logs[i].append(entry)
             for k, j in enumerate(nodes):
                 rows = slice(k * b, (k + 1) * b)
                 charts_out[:, j] = charts[rows]
-                coords_out[:, j] = x[rows]
-                frames_out[:, j] = e[rows]
+                states_out[j] = y[:, rows]
             if not going:
                 return None
             if len(going) < len(sweeps):
                 (k,) = going
                 rows = slice(k * b, (k + 1) * b)
-                sweeps, charts, x, e = [sweeps[k]], charts[rows], x[rows], e[rows]
-                groups = chart_groups(charts)
-                coef = tuple(c[rows] for c in coef)
+                sweeps, charts, y = [sweeps[k]], charts[rows], y[:, rows]
+                groups, hsub = chart_groups(charts), hsub[rows]
             t += 1
 
     sweeps = [(d, stop) for d, stop in ((1, n - 1), (-1, 0))
               if stop != base_node]
     failed = march(sweeps, 1, list(charts0) * len(sweeps),
-                   np.concatenate([coords0] * len(sweeps)),
-                   np.concatenate([frames0] * len(sweeps)))
+                   np.tile(y0, len(sweeps)))
     if failed is not None:
         # one sweep at a time from the failed step: the first one's error wins
-        t, charts, x, e = failed
+        t, charts, y = failed
         for k, sweep in enumerate(sweeps):
             rows = slice(k * b, (k + 1) * b)
-            march([sweep], t, charts[rows], x[rows], e[rows])
-    return (charts_out.tolist(), coords_out, frames_out,
-            [sorted(l) for l in logs])
+            march([sweep], t, charts[rows], y[:, rows])
+    states = states_out.transpose(2, 0, 1)
+    return (charts_out.tolist(), states[..., :m],
+            states[..., m:].reshape(b, n, m, m), [sorted(l) for l in logs])
 
 
 # ---------------------------------------------------------------------------

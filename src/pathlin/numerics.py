@@ -5,15 +5,21 @@ output), 4th-order finite-difference differentiation of grid data, Lagrange
 window interpolation, Fornberg stencil weights, and Bernstein/monomial
 polynomial fitting by least squares.
 
-rk4_step is the RK4 step of integrate, the transport propagators and the
-carrier flow (the inverse solvers keep their own, for speed), and
-stencil_windows plus stencil_derivative are the library's only
-finite-difference stencil: callers on a chart atlas re-express each node's
-window in the node's chart in between.
+rk4_step is the RK4 step of integrate, the transport propagators, the
+carrier flow and the batched inverse (the single-curve inverse keeps its
+own on Python floats, for speed), and stencil_windows plus
+stencil_derivative are the library's only finite-difference stencil:
+callers on a chart atlas re-express each node's window in the node's chart
+in between.
 
 lagrange_weights takes a batch of windows and evaluation points at once;
 lagrange_integral_weights is slow (polynomial products), so its callers
 build the few rows their fixed windows need once and cache them.
+
+det, inv, solve and column_scale are the frame algebra on one (m, m)
+matrix or a stack of them: closed forms at m = 2, where np.linalg costs
+20 to 50 times the arithmetic on stacks of 2 x 2 frames, and np.linalg
+otherwise.
 
 Everything here is a pure function over immutable inputs; fixed steps are
 deliberate so results are reproducible across runs and platforms.
@@ -122,6 +128,57 @@ def integrate(f, y0, grid: Grid, substeps: int = 2) -> np.ndarray:
             raise NonFiniteState(f"state became non-finite in interval {j}")
         out[j + 1] = y
     return out
+
+
+# ---------------------------------------------------------------------------
+# Frame algebra
+# ---------------------------------------------------------------------------
+
+# At m = 2 a singular matrix makes inv and solve divide by zero: the result
+# is not finite and numpy warns, unless the caller's np.errstate says not
+# to; np.linalg raises LinAlgError at other m.
+
+def det(a) -> np.ndarray:
+    """Determinants of an (m, m) matrix or of each of a stack (..., m, m)."""
+    a = np.asarray(a, dtype=float)
+    if a.shape[-1] != 2:
+        return np.linalg.det(a)
+    return a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
+
+
+def inv(a) -> np.ndarray:
+    """Inverses of an (m, m) matrix or of each of a stack (..., m, m); at
+    m = 2 the adjugate over the determinant."""
+    a = np.asarray(a, dtype=float)
+    if a.shape[-1] != 2:
+        return np.linalg.inv(a)
+    d = det(a)
+    return np.stack([a[..., 1, 1] / d, -a[..., 0, 1] / d,
+                     -a[..., 1, 0] / d, a[..., 0, 0] / d],
+                    axis=-1).reshape(a.shape)
+
+
+def solve(a, b) -> np.ndarray:
+    """x with a @ x = b for matrices a (..., m, m) and vectors b (..., m),
+    broadcast together; at m = 2 by Cramer's rule."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.shape[-1] != 2:
+        return np.linalg.solve(a, b[..., None])[..., 0]
+    a00, a01, a10, a11 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
+    b0, b1, d = b[..., 0], b[..., 1], det(a)
+    return np.stack([(a11 * b0 - a01 * b1) / d, (a00 * b1 - a10 * b0) / d],
+                    axis=-1)
+
+
+def column_scale(a) -> np.ndarray:
+    """The product of the column norms of an (m, m) matrix or of each of a
+    stack (..., m, m): np.linalg.norm(a, axis=-2).prod(axis=-1), with the
+    same bits at m = 2."""
+    a = np.asarray(a, dtype=float)
+    if a.shape[-1] != 2:
+        return np.linalg.norm(a, axis=-2).prod(axis=-1)
+    a00, a01, a10, a11 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
+    return np.sqrt(a00 * a00 + a10 * a10) * np.sqrt(a01 * a01 + a11 * a11)
 
 
 # ---------------------------------------------------------------------------

@@ -48,8 +48,8 @@ from .errors import (ChartContinuationFailure, NoOverlap, NonFiniteState,
 from .geometry import (INSIDE, MARGIN, OUTSIDE, Frame, ManifoldModel, Point,
                        Samples, Tangent, chart_groups,
                        require_independent_columns)
-from .numerics import (Grid, lagrange_weights, rk4_step, stencil_derivative,
-                       stencil_windows)
+from .numerics import (Grid, inv, lagrange_weights, rk4_step,
+                       stencil_derivative, stencil_windows)
 
 
 @dataclass(frozen=True)
@@ -494,37 +494,39 @@ def _sweep_frames(phis: np.ndarray, frames0: np.ndarray, switches,
     matrices.
 
     Forward the step matrices are the propagators phis[:, start:stop];
-    backward, one batched inverse of phis[:, stop:start], reversed, and NaN
-    for a non-finite propagator.  switches maps a node to its (element,
-    transition Jacobian) pairs; a Jacobian is folded into the step matrix
-    of the interval that enters its node, or onto the start frame at the
-    start node.  Finiteness is checked once, and NonFiniteState names the
-    first bad node in sweep order.
+    backward, one batched numerics.inv of phis[:, stop:start], reversed,
+    and NaN for a non-finite propagator.  switches maps a node to its
+    (element, transition Jacobian) pairs; a Jacobian is folded into the
+    step matrix of the interval that enters its node, or onto the start
+    frame at the start node.  Finiteness is checked once, and
+    NonFiniteState names the first bad node in sweep order.
     """
     step = 1 if stop >= start else -1
-    if step > 0:
-        mats = phis[:, start:stop].copy()
-    else:
-        # the inverse of a non-finite matrix can be finite, or raise
-        # LinAlgError: such a step is NaN, so its node is named
-        steps, bad = phis[:, stop:start], None
-        if not np.isfinite(steps).all():
-            bad = ~np.isfinite(steps).all(axis=(-2, -1))
-            steps = np.where(bad[..., None, None], np.eye(steps.shape[-1]),
-                             steps)
-        mats = np.linalg.inv(steps)
-        if bad is not None:
-            mats[bad] = np.nan
-        mats = mats[:, ::-1]
-    first = frames0.copy()
-    for j, entries in switches.items():
-        k = (j - start) * step - 1
-        for i, jac in entries:
-            if k < 0:
-                first[i] = jac @ first[i]
-            else:
-                mats[i, k] = jac @ mats[i, k]
-    with np.errstate(over="ignore", invalid="ignore"):
+    # the closed-form inverse of a singular step divides by zero: its
+    # frames are not finite, and its node is named
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if step > 0:
+            mats = phis[:, start:stop].copy()
+        else:
+            # np.linalg's inverse of a non-finite matrix can be finite, or
+            # raise LinAlgError: such a step is NaN, so its node is named
+            steps, bad = phis[:, stop:start], None
+            if not np.isfinite(steps).all():
+                bad = ~np.isfinite(steps).all(axis=(-2, -1))
+                steps = np.where(bad[..., None, None],
+                                 np.eye(steps.shape[-1]), steps)
+            mats = inv(steps)
+            if bad is not None:
+                mats[bad] = np.nan
+            mats = mats[:, ::-1]
+        first = frames0.copy()
+        for j, entries in switches.items():
+            k = (j - start) * step - 1
+            for i, jac in entries:
+                if k < 0:
+                    first[i] = jac @ first[i]
+                else:
+                    mats[i, k] = jac @ mats[i, k]
         frames = _chain(mats, first)
     finite = np.isfinite(frames[:, 1:])
     if not finite.all():

@@ -337,6 +337,44 @@ def test_non_finite_columns_are_rejected(bad):
                    Samples(["xy"] * 5, np.zeros((5, 2))), stack)
 
 
+def _lapack_verdict(cols) -> bool:
+    """require_independent_columns's test as it stood on np.linalg."""
+    scale = np.linalg.norm(cols, axis=-2).prod(axis=-1)
+    return bool(((scale > 0) & np.isfinite(scale)).all()
+                and not (np.abs(np.linalg.det(cols)) < 1e-10 * scale).any())
+
+
+@given(st.lists(st.tuples(st.floats(0.0, 2.0 * math.pi),
+                          st.floats(-13.0, -5.0), st.booleans(),
+                          st.floats(1e-3, 1e3), st.floats(1e-3, 1e3)),
+                min_size=1, max_size=4))
+def test_independence_verdict_matches_lapack_away_from_the_floor(frames):
+    # frames whose columns are a small angle phi apart, |det| / (column
+    # norms' product) = |sin phi|, kept a factor 1.5 or more from 1e-10
+    stack = []
+    for theta, log_phi, flip, r0, r1 in frames:
+        phi = (-1.0 if flip else 1.0) * 10.0 ** log_phi
+        assume(abs(log_phi + 10.0) > math.log10(1.5))
+        stack.append([[r0 * math.cos(theta), r1 * math.cos(theta + phi)],
+                      [r0 * math.sin(theta), r1 * math.sin(theta + phi)]])
+    stack = np.array(stack)
+    for cols in (stack, stack[0]):
+        try:
+            require_independent_columns(cols)
+            accepted = True
+        except ValidationError:
+            accepted = False
+        assert accepted == _lapack_verdict(cols)
+
+
+def test_zero_columns_are_rejected():
+    stack = np.array([[[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [0.0, 1.0]]])
+    for cols in (np.zeros((2, 2)), np.array([[1.0, 0.0], [2.0, 0.0]]), stack):
+        assert not _lapack_verdict(cols)
+        with pytest.raises(ValidationError, match="linearly dependent"):
+            require_independent_columns(cols)
+
+
 def test_orthonormal_frame_gram_identity(model):
     rng = np.random.default_rng(2)
     for _ in range(10):

@@ -9,7 +9,8 @@ import pytest
 
 from pathlin import Frame, Grid, Point, Tangent, get_model
 from pathlin.errors import NonFiniteState, ValidationError
-from pathlin.geometry import INSIDE, ChartSpec, ManifoldModel, chart_groups
+from pathlin.geometry import (INSIDE, MARGIN, OUTSIDE, ChartSpec,
+                              ManifoldModel, TransitionMap, chart_groups)
 from pathlin import linearize
 from pathlin.linearize import (TangentCurve, _solve_inverse_batch,
                                _stage_values, _step_interval_2d,
@@ -450,15 +451,19 @@ def test_generic_stepper_matches_batched_in_3d():
 
 
 def test_christoffel_action_floats_matches_numpy(model):
+    # on floats at one point and on arrays of five, which the batched
+    # inverse passes: the arrays give the floats' bits entry by entry
     rng = np.random.default_rng(16)
     cid = sorted(model.charts)[0]
     lo, hi = model.chart(cid).sample_box
-    for _ in range(5):
-        x = rng.uniform(lo, hi)
-        r = rng.normal(size=2)
+    xs, rs = rng.uniform(lo, hi, (5, 2)), rng.normal(size=(5, 2))
+    on_arrays = model.christoffel_action_floats(cid, xs.T, rs.T)
+    on_arrays = np.broadcast_to(np.reshape(on_arrays, (2, 2, -1)), (2, 2, 5))
+    for k, (x, r) in enumerate(zip(xs, rs)):
         expected = model.christoffel_action_batch(cid, x[None], r[None])[0]
         closed = model.christoffel_action_floats(cid, x.tolist(), r.tolist())
         assert_close(closed, expected, 1e-15 * (1.0 + np.abs(expected).max()))
+        assert _same_bits(on_arrays[:, :, k], closed)
 
 
 @pytest.mark.parametrize("span", [(0.0, 1.0), (-1.0, 1.0)])
@@ -651,7 +656,9 @@ def test_block_march_classifies_a_block_at_a_time(model, monkeypatch):
 
 # _solve_inverse_batch as it stood before the two sweeps of a two-sided grid
 # marched together as one batch: the forward sweep, then the backward one,
-# each on B rows.  The one-march solver must give its bits.
+# each on B rows, with the state as (B, m) positions and (B, m, m) frames
+# and the right-hand side of the component stack.  The one-march solver
+# must give its bits.
 
 def reference_inverse_batch(model, charts0, coords0, frames0, grid,
                             components, substeps=2):
@@ -684,15 +691,17 @@ def reference_inverse_batch(model, charts0, coords0, frames0, grid,
         groups = chart_groups(charts)
 
         def rhs(xs, es, vs):
-            r = np.einsum("bki,bi->bk", es, vs)
-            if len(groups) == 1:
-                cid = next(iter(groups))
-                mm = model.christoffel_action_batch(cid, xs, r)
-            else:
-                mm = np.empty((b, m, m))
-                for cid, idx in groups.items():
-                    mm[idx] = model.christoffel_action_batch(cid, xs[idx], r[idx])
-            return r, -np.matmul(mm, es)
+            # r = E v and -M(x, r) E, each sum from -0.0 in index order as
+            # the float stepper's a * b + c * d; M from the floats hook on
+            # the arrays of each chart's rows
+            r = np.add.reduce(es * vs[:, None, :], axis=2, initial=-0.0)
+            mm = np.empty((b, m, m))
+            for cid, idx in groups.items():
+                action = model.christoffel_action_floats(cid, xs[idx].T,
+                                                         r[idx].T)
+                mm[idx] = np.reshape(action, (m, m, -1)).transpose(2, 0, 1)
+            return r, -np.add.reduce(mm[..., None] * es[:, None], axis=2,
+                                     initial=-0.0)
 
         while j != stop:
             interval = j if direction > 0 else j - 1
@@ -801,22 +810,23 @@ def test_one_march_inverse_switches_both_ways_at_one_step(name):
 
 
 def _failing_hook(model, forward_past, backward_past, failure):
-    """The euclidean connection, failing beyond x = forward_past or below
-    x = backward_past (None: never): NaN entries or a raised exception."""
-    zero = model.christoffel_action_batch
+    """The euclidean connection on floats or arrays, failing beyond
+    x = forward_past or below x = backward_past (None: never): NaN entries
+    or a raised exception."""
+    zero = model.christoffel_action_floats
 
     def action(chart_id, coords, r):
         out = zero(chart_id, coords, r)
-        bad = np.zeros(len(coords), bool)
+        x = np.asarray(coords[0])
+        bad = np.zeros(x.shape, bool)
         if forward_past is not None:
-            bad |= coords[:, 0] > forward_past
+            bad |= x > forward_past
         if backward_past is not None:
-            bad |= coords[:, 0] < backward_past
+            bad |= x < backward_past
         if bad.any():
             if failure is not None:
                 raise failure("the connection hook failed")
-            out = out.copy()
-            out[bad] = np.nan
+            out = np.where(bad, np.nan, np.reshape(out, (2, 2, -1)))
         return out
     return action
 
@@ -828,7 +838,7 @@ def test_one_march_inverse_raises_the_forward_error_first(
     # the backward half fails first, at x < -0.225 (node -5 from the base);
     # the forward half, if at all, later, at x > 0.575 (node 12): the error
     # raised is the one the forward sweep raises when it runs first
-    monkeypatch.setattr(euclidean, "christoffel_action_batch", _failing_hook(
+    monkeypatch.setattr(euclidean, "christoffel_action_floats", _failing_hook(
         euclidean, forward_past, -0.225, failure))
     grid = Grid.regular(-1.0, 1.0, 40)
     comps = np.tile([1.0, 0.0], (3, grid.nodes.size, 1))
@@ -843,3 +853,149 @@ def test_one_march_inverse_raises_the_forward_error_first(
     if failure is None:
         node = grid.base_node() + (12 if forward_past is not None else -5)
         assert str(got.value).endswith(f"at node {node}")
+
+
+# At m = 2 the batched inverse does the float stepper's arithmetic on
+# component arrays: each row must be the bits of p_inverse_detailed on its
+# line, charts, coordinates, frames and switch log.
+
+def _assert_rows_are_single_curve_bits(model, charts0, coords0, frames0,
+                                       grid, comps):
+    charts, coords, frames, logs = _solve_inverse_batch(
+        model, charts0, coords0, frames0, grid, comps)
+    for i, chart in enumerate(charts0):
+        p = Point(chart, coords0[i])
+        field = p_inverse_detailed(model, TangentCurve(
+            p, Frame(p, frames0[i]), grid, comps[i]))
+        assert charts[i] == list(field.points.charts), i
+        assert _same_bits(coords[i], field.points.coords), i
+        assert _same_bits(frames[i], field.columns), i
+        assert logs[i] == list(field.switch_log), i
+    return logs
+
+
+@pytest.mark.parametrize("span,n", [((-1.0, 1.0), 60), ((-0.4, 1.0), 70),
+                                    ((0.0, 1.0), 50)],
+                         ids=["two-sided", "off-centre", "one-sided"])
+def test_batch_rows_are_the_single_curve_bits(model, span, n):
+    grid = Grid.regular(*span, n)
+    _assert_rows_are_single_curve_bits(
+        model, *_batch_from_axis(model, np.random.default_rng(20), grid))
+
+
+@pytest.mark.parametrize("name", ["sphere2", "torus2"])
+def test_batch_rows_are_the_single_curve_bits_across_switches(name):
+    model = get_model(name)
+    logs = _assert_rows_are_single_curve_bits(
+        model, *_symmetric_crossing_batch(model, Grid.regular(-1.0, 1.0, 80)))
+    assert all(logs)
+
+
+class _WarpedPlane(ManifoldModel):
+    """The plane in two charts with different connections: "xy",
+    Cartesian and flat, INSIDE for x < 1, and "uv", with x = u + u^3 / 10
+    and y = v, INSIDE for u > 0, where g = diag((1 + 0.3 u^2)^2, 1) and
+    Gamma^u_uu = 0.6 u / (1 + 0.3 u^2) is the only symbol that is not 0.
+    It writes the two hooks alone, so both inverse solvers call the default
+    christoffel_action_floats: a row given another chart's connection
+    takes other values."""
+
+    def __init__(self):
+        def domain(flip, inside, outside):
+            def test(c):
+                s = flip * c[:, 0]
+                return np.where(~np.isfinite(c).all(axis=1) | (s >= outside),
+                                OUTSIDE, np.where(s < inside, INSIDE, MARGIN))
+            return test
+
+        def to_xy(c):
+            return np.array([c[0] + 0.1 * c[0] ** 3, c[1]])
+
+        def to_uv(c):
+            # the one real root of u^3 + 10 u - 10 x = 0 (Cardano)
+            s = math.sqrt(25.0 * c[0] ** 2 + 1000.0 / 27.0)
+            return np.array([np.cbrt(5.0 * c[0] + s) + np.cbrt(5.0 * c[0] - s),
+                             c[1]])
+
+        def stretch(u):
+            return np.diag([1.0 + 0.3 * u * u, 1.0])
+
+        charts = [ChartSpec("xy", domain(1.0, 1.0, 3.0), np.zeros(2),
+                            (np.array([-1.0, -1.0]), np.array([0.5, 1.0]))),
+                  ChartSpec("uv", domain(-1.0, 0.0, 2.0), np.array([1.0, 0.0]),
+                            (np.array([0.2, -1.0]), np.array([2.0, 1.0])))]
+        transitions = {
+            ("uv", "xy"): TransitionMap(to_xy, lambda c: stretch(c[0])),
+            ("xy", "uv"): TransitionMap(
+                to_uv, lambda c: np.linalg.inv(stretch(to_uv(c)[0])))}
+        super().__init__("warped2", 2, charts, transitions, r0=1.0)
+
+    def metric_many(self, chart_id, coords):
+        g = np.tile(np.eye(2), (len(coords), 1, 1))
+        if chart_id == "uv":
+            g[:, 0, 0] = (1.0 + 0.3 * coords[:, 0] ** 2) ** 2
+        return g
+
+    def christoffel_action_batch(self, chart_id, coords, r):
+        out = np.zeros((len(coords), 2, 2))
+        if chart_id == "uv":
+            u = coords[:, 0]
+            out[:, 0, 0] = 0.6 * u / (1.0 + 0.3 * u * u) * r[:, 0]
+        return out
+
+
+def _warped_batch(model, grid):
+    """Lines starting in both charts of _WarpedPlane: along x, at speeds
+    that cross between them forward, backward or both ways, with a
+    wiggle in y."""
+    starts = [Point("xy", [0.6, 0.1 * k]) for k in range(3)] \
+        + [Point("uv", [0.3, -0.1 * k]) for k in range(3)]
+    frames = np.stack([model.orthonormal_frame(p).columns for p in starts])
+    t = grid.nodes[None, :]
+    speeds = np.array([0.9, -0.7, 2.4, -1.1, 0.8, 2.2])[:, None]
+    comps = np.stack(np.broadcast_arrays(speeds * np.cos(0.5 * t),
+                                         0.3 * np.sin(2.0 * t)), axis=-1)
+    return ([p.chart_id for p in starts], np.stack([p.coords for p in starts]),
+            frames, grid, comps)
+
+
+@pytest.mark.parametrize("span", [(-1.0, 1.0), (0.0, 1.0)])
+def test_batch_takes_each_row_s_connection_from_its_chart(span):
+    model = _WarpedPlane()
+    logs = _assert_rows_are_single_curve_bits(
+        model, *_warped_batch(model, Grid.regular(*span, 80)))
+    moves = {(a, b) for log in logs for _, a, b in log}
+    assert moves == {("xy", "uv"), ("uv", "xy")}
+
+
+@pytest.mark.parametrize("span", [(0.0, 1.0), (-1.0, 1.0)])
+def test_batch_overflow_is_non_finite_state(euclidean, span):
+    # numpy's inf where Python floats raise: NonFiniteState, as on the
+    # single curve, and no RuntimeWarning (tier-1 turns them into errors)
+    grid = Grid.regular(*span, 8)
+    with pytest.raises(NonFiniteState):
+        _solve_inverse_batch(euclidean, ["xy"] * 2, np.zeros((2, 2)),
+                             np.tile(np.eye(2), (2, 1, 1)), grid,
+                             np.full((2, 9, 2), 1e308))
+
+
+@pytest.mark.parametrize("name", ["euclidean2", "torus2"])
+def test_batch_rows_keep_the_float_stepper_s_signed_zeros(name):
+    # frame columns and components with signed zeros on a flat model: the
+    # float stepper's a * b + c * d of two -0.0 products is -0.0, which a
+    # sum that starts from +0.0 (as einsum's does) turns into +0.0
+    model = get_model(name)
+    # the chart centred at the origin: "xy", or torus2's "d"
+    chart = next(c for c in sorted(model.charts)
+                 if not model.chart(c).center.any())
+    grid = Grid.regular(-1.0, 1.0, 8)
+    frames = np.array([[[-0.0, -1.0], [-1.0, -0.0]],
+                       [[1.0, -0.0], [-0.0, -1.0]],
+                       [[-2.0, 0.5], [-0.0, -1.0]]])
+    comps = np.zeros((3, grid.nodes.size, 2))
+    comps[0, :, 1] = -0.0
+    comps[1, ::2] = -0.0
+    comps[2, :, 0] = 0.25 * grid.nodes
+    coords = np.array([[-0.0, -0.0], [0.0, -0.0], [-0.0, 0.0]])
+    _assert_rows_are_single_curve_bits(model, [chart] * 3, coords, frames,
+                                       grid, comps)

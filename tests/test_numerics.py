@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from pathlin.errors import (GridTooCoarse, IllConditioned, NonFiniteState,
                             ValidationError)
-from pathlin.numerics import (Grid, PolyCoeffs, basis_matrix, differentiate,
-                              eval_poly, fd_weights, fit_poly, fit_residual,
-                              integrate)
+from pathlin.numerics import (Grid, PolyCoeffs, basis_matrix, column_scale,
+                              det, differentiate, eval_poly, fd_weights,
+                              fit_poly, fit_residual, integrate, inv, solve)
 
 from conftest import assert_close
 
@@ -144,3 +146,103 @@ def test_fd_weights_polynomial_exact():
     assert abs(w[0] @ f - 1.0) < 1e-12
     assert abs(w[1] @ f - 2.0) < 1e-12
     assert abs(w[2] @ f - 6.0) < 1e-11
+
+
+# The frame algebra against np.linalg: closed forms at m = 2, within
+# bounds of eps times the condition number, and np.linalg itself at m = 3.
+
+EPS = np.finfo(float).eps
+
+
+@st.composite
+def well_conditioned(draw, m=2, single=False):
+    """scale * P ((m + 1) I + E) with |E_ij| <= 1 and P the identity or a
+    row swap: singular values within [1, 2m + 1] times the scale, for one
+    (m, m) matrix or a stack of 0 to 6."""
+    shape = (m, m) if single else (draw(st.integers(0, 6)), m, m)
+    e = draw(arrays(float, shape, elements=st.floats(-1.0, 1.0)))
+    a = draw(st.floats(1e-3, 1e3)) * ((m + 1) * np.eye(m) + e)
+    return a[..., ::-1, :] if draw(st.booleans()) else a
+
+
+matrices = st.one_of(well_conditioned(), well_conditioned(single=True),
+                     well_conditioned(m=3), well_conditioned(m=3, single=True))
+
+
+def _condition(a):
+    return np.linalg.cond(a) if a.size else np.ones(a.shape[:-2])
+
+
+@given(matrices)
+def test_det_matches_numpy(a):
+    got, want = det(a), np.linalg.det(a)
+    assert np.shape(got) == np.shape(want)
+    if a.shape[-1] != 2:
+        assert np.array_equal(got, want)
+        return
+    # the closed form is within 2 eps of the products' magnitudes; numpy's
+    # det is the exp of a sum of logs, within a few eps times |log|
+    size = np.abs(a[..., 0, 0] * a[..., 1, 1]) \
+        + np.abs(a[..., 0, 1] * a[..., 1, 0])
+    bound = 4.0 * EPS * (1.0 + np.abs(np.log(size))) * size
+    assert (np.abs(got - want) <= bound).all()
+
+
+@given(matrices)
+def test_inv_matches_numpy(a):
+    got, want = inv(a), np.linalg.inv(a)
+    assert got.shape == want.shape
+    if a.shape[-1] != 2:
+        assert np.array_equal(got, want)
+        return
+    gap = np.abs(got - want).max(axis=(-2, -1), initial=0.0)
+    size = np.abs(want).max(axis=(-2, -1), initial=0.0)
+    assert (gap <= 8.0 * EPS * _condition(a) * size).all()
+
+
+@given(matrices, st.data())
+def test_solve_matches_numpy(a, data):
+    # entries 0 or above 1e-100, so that no product underflows
+    b = data.draw(arrays(float, a.shape[:-1], elements=st.floats(
+        -10.0, 10.0).filter(lambda v: v == 0.0 or abs(v) > 1e-100)))
+    got, want = solve(a, b), np.linalg.solve(a, b[..., None])[..., 0]
+    assert got.shape == want.shape
+    if a.shape[-1] != 2:
+        assert np.array_equal(got, want)
+        return
+    # the forward error bound eps * cond * |a^-1| |b|, which covers |x|,
+    # with |b| <= sqrt(m) max |b_i|
+    inv_norm = np.linalg.norm(np.linalg.inv(a), ord=2, axis=(-2, -1)) \
+        if a.size else np.ones(a.shape[:-2])
+    gap = np.abs(got - want).max(axis=-1, initial=0.0)
+    size = math.sqrt(a.shape[-1]) * np.abs(b).max(axis=-1, initial=0.0)
+    bound = 16.0 * EPS * _condition(a) * inv_norm * size
+    assert (gap <= bound).all()
+
+
+@given(st.integers(2, 3).flatmap(lambda m: arrays(
+    float, st.tuples(st.integers(0, 6), st.just(m), st.just(m)),
+    elements=st.floats(-1e100, 1e100))))
+def test_column_scale_is_the_norm_product(a):
+    want = np.linalg.norm(a, axis=-2).prod(axis=-1)
+    assert column_scale(a).tobytes() == want.tobytes()
+    if len(a):
+        assert column_scale(a[0]).tobytes() == want[0].tobytes()
+
+
+def test_singular_inverse_is_not_finite_at_m_2():
+    a = np.array([[[1.0, 2.0], [2.0, 4.0]], [[2.0, 0.0], [0.0, 0.5]]])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        got = inv(a)
+        x = solve(a, np.ones((2, 2)))
+    assert not np.isfinite(got[0]).any() and not np.isfinite(x[0]).any()
+    assert np.array_equal(got[1], [[0.5, 0.0], [0.0, 2.0]])
+    assert np.array_equal(x[1], [0.5, 2.0])
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_frame_algebra_on_empty_stacks(m):
+    a, b = np.zeros((0, m, m)), np.zeros((0, m))
+    assert det(a).shape == column_scale(a).shape == (0,)
+    assert inv(a).shape == (0, m, m)
+    assert solve(a, b).shape == (0, m)

@@ -759,6 +759,34 @@ def test_a_non_finite_propagator_names_the_node_the_loop_named(
     # one switching line of the batch gets one bad propagator entry, in the
     # forward sweep (intervals 30 and up, node = interval + 1) or in the
     # backward one (node = interval); no RuntimeWarning may escape
+    fast, loop = _spoiled_transport(torus, monkeypatch, interval, entry, bad)
+    assert fast == f"frame became non-finite at node {node}"
+    # backward, the loop's solve with an inf pivot returned finite,
+    # singular frames, and it raised LinAlgError for a -inf below the
+    # diagonal; the chain names those nodes too
+    backward = interval < 30
+    assert loop == {(np.inf, (0, 0), True): "finite",
+                    (-np.inf, (1, 0), True): "singular"}.get(
+        (bad, entry, backward), fast)
+
+
+@pytest.mark.parametrize("interval", [29, 17, 0])
+def test_a_singular_backward_propagator_names_its_node(torus, monkeypatch,
+                                                       interval):
+    # a finite singular step: its closed-form inverse divides by zero, so
+    # the frames after it are not finite and its node is named, with no
+    # RuntimeWarning; the loop's solve raised LinAlgError, which is not a
+    # PathlinError
+    fast, loop = _spoiled_transport(torus, monkeypatch, interval, ...,
+                                    [[1.0, 2.0], [2.0, 4.0]])
+    assert fast == f"frame became non-finite at node {interval}"
+    assert loop == "singular"
+
+
+def _spoiled_transport(torus, monkeypatch, interval, entry, bad):
+    """_transport_columns on _mixed_torus_batch from node 30 of 60, with
+    phis[6, interval][entry] = bad: the chain's NonFiniteState message,
+    and the node-by-node loop's ("finite", its message, or "singular")."""
     grid = Grid.regular(-1.0, 1.0, 60)
     charts, coords, charts0 = _mixed_torus_batch(torus, grid)
     vel = _velocities(torus, grid, charts, coords)
@@ -773,7 +801,6 @@ def test_a_non_finite_propagator_names_the_node_the_loop_named(
     args = (torus, grid, charts, coords, vel, charts0, frames0, 30, 2)
     with pytest.raises(NonFiniteState) as fast:
         _transport_columns(*args)
-    assert str(fast.value) == f"frame became non-finite at node {node}"
     monkeypatch.setattr(transport, "_sweep_frames", reference_chain)
     with np.errstate(over="ignore", invalid="ignore"):
         try:
@@ -783,10 +810,4 @@ def test_a_non_finite_propagator_names_the_node_the_loop_named(
             loop = str(exc)
         except np.linalg.LinAlgError:
             loop = "singular"
-    # backward, the loop's solve with an inf pivot returned finite,
-    # singular frames, and it raised LinAlgError for a -inf below the
-    # diagonal; the chain names those nodes too
-    backward = interval < 30
-    assert loop == {(np.inf, (0, 0), True): "finite",
-                    (-np.inf, (1, 0), True): "singular"}.get(
-        (bad, entry, backward), str(fast.value))
+    return str(fast.value), loop
