@@ -354,9 +354,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# RK4 is at the rounding floor well below this many substeps per interval
+_MAX_SUBSTEPS = 1024
+
+
 def _validate_args(args) -> None:
-    if args.n_substeps < 1:
-        raise ValidationError("--n-substeps must be positive")
+    if not 1 <= args.n_substeps <= _MAX_SUBSTEPS:
+        raise ValidationError(f"--n-substeps must be in 1..{_MAX_SUBSTEPS}")
     if args.seed < 0:
         raise ValidationError("--seed must be at least 0")
     if args.command == "normalize" and \
@@ -365,8 +369,10 @@ def _validate_args(args) -> None:
     max_time = fileio._MAX_INTERVALS / bundleflow.FLOW_STEPS_PER_UNIT_TIME
     if args.command == "flow" and not abs(args.time) <= max_time:  # nan too
         raise ValidationError(f"--time must be finite, |time| <= {max_time:g}")
-    if args.command == "check" and args.cube_n < 4:
-        raise ValidationError("--cube-n must be at least 4")
+    # a square has no more samples than a curve file may
+    max_cube_n = math.isqrt(fileio._MAX_INTERVALS)
+    if args.command == "check" and not 4 <= args.cube_n <= max_cube_n:
+        raise ValidationError(f"--cube-n must be in 4..{max_cube_n}")
     if args.command == "trivialize":
         if args.inverse and not args.base:
             raise ValidationError("--inverse requires --base CHART:x,y")

@@ -26,7 +26,7 @@ every built-in model, the inverse core integrates a single curve with
 _step_interval_2d, RK4 on six Python floats with the connection from the
 model's christoffel_action_floats, since numpy's per-call overhead, not
 the arithmetic, is the cost there; it classifies its nodes _BLOCK at a
-time, in shorter blocks right after a chart switch.
+time.
 Batches of curves on one grid, and single curves of any other dimension,
 go through _solve_inverse_batch, the same scheme on component arrays: one
 (m + m^2, rows) state stack, the same hook called on the arrays of each
@@ -204,10 +204,8 @@ def _step_interval_2d(action, chart: str):
 
 
 # Intervals the single-curve inverse integrates in a chart before one
-# domain_test_many call; a switch in a block drops the nodes after it, and
-# the block after a switch starts at _RESTART intervals and doubles back.
+# domain_test_many call; a switch in a block drops the nodes after it.
 _BLOCK = 32
-_RESTART = 4
 
 
 def p_inverse_detailed(model: ManifoldModel, v: TangentCurve,
@@ -242,12 +240,11 @@ def p_inverse_detailed(model: ManifoldModel, v: TangentCurve,
         chart, y = v.base.chart_id, y0
         step = _step_interval_2d(action, chart)
         d = 1 if stop >= base_node else -1
-        j, block = base_node, _BLOCK
+        j = base_node
         while j != stop:
             # a failure waits until every node before it is known INSIDE,
             # since a switch before it would have stopped this chart's steps
-            nodes = range(j + d, j + d * (min(block, abs(stop - j)) + 1), d)
-            block = min(2 * block, _BLOCK)
+            nodes = range(j + d, j + d * (min(_BLOCK, abs(stop - j)) + 1), d)
             failure = None
             for k in nodes:
                 stages = v_stages[k - 1] if d > 0 else v_stages[k][::-1]
@@ -281,7 +278,7 @@ def p_inverse_detailed(model: ManifoldModel, v: TangentCurve,
                         chart = charts[k] = moved
                         states[k] = x.tolist() + cols.ravel().tolist()
                         step = _step_interval_2d(action, chart)
-                        nodes, failure, block = nodes[:i + 1], None, _RESTART
+                        nodes, failure = nodes[:i + 1], None
                         break
             if failure is not None:
                 raise failure

@@ -16,7 +16,7 @@ lagrange_weights takes a batch of windows and evaluation points at once;
 lagrange_integral_weights is slow (polynomial products), so its callers
 build the few rows their fixed windows need once and cache them.
 
-det, inv, solve and column_scale are the frame algebra on one (m, m)
+det, solve and column_scale are the frame algebra on one (m, m)
 matrix or a stack of them: closed forms at m = 2, where np.linalg costs
 20 to 50 times the arithmetic on stacks of 2 x 2 frames, and np.linalg
 otherwise.
@@ -134,9 +134,9 @@ def integrate(f, y0, grid: Grid, substeps: int = 2) -> np.ndarray:
 # Frame algebra
 # ---------------------------------------------------------------------------
 
-# At m = 2 a singular matrix makes inv and solve divide by zero: the result
-# is not finite and numpy warns, unless the caller's np.errstate says not
-# to; np.linalg raises LinAlgError at other m.
+# At m = 2 a singular matrix makes solve divide by zero: the result is not
+# finite and numpy warns, unless the caller's np.errstate says not to;
+# np.linalg raises LinAlgError at other m.
 
 def det(a) -> np.ndarray:
     """Determinants of an (m, m) matrix or of each of a stack (..., m, m)."""
@@ -144,18 +144,6 @@ def det(a) -> np.ndarray:
     if a.shape[-1] != 2:
         return np.linalg.det(a)
     return a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
-
-
-def inv(a) -> np.ndarray:
-    """Inverses of an (m, m) matrix or of each of a stack (..., m, m); at
-    m = 2 the adjugate over the determinant."""
-    a = np.asarray(a, dtype=float)
-    if a.shape[-1] != 2:
-        return np.linalg.inv(a)
-    d = det(a)
-    return np.stack([a[..., 1, 1] / d, -a[..., 0, 1] / d,
-                     -a[..., 1, 0] / d, a[..., 0, 0] / d],
-                    axis=-1).reshape(a.shape)
 
 
 def solve(a, b) -> np.ndarray:

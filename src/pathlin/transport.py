@@ -28,10 +28,12 @@ classifies the whole batch once, in one domain_test_many call per start
 chart; the curves that stay stored in and INSIDE their start chart form
 their single run straight from the arrays, and only the others are split
 into runs curve by curve.  Elements whose runs cover the same nodes in the
-same chart build their propagators together.  A sweep's frames are the
-running products of its interval propagators (their inverses backward),
-chained for the whole batch in chunks of about sqrt(L) intervals: no
-per-node loop and no per-node solve.
+same chart build their propagators together, each stepped by RK4 in the
+direction of its sweep: a backward sweep steps from an interval's right
+node to its left, as the inverse map does, so no matrix is inverted.  A
+sweep's frames are the running products of its propagators, chained for
+the whole batch in chunks of about sqrt(L) intervals: no per-node loop and
+no per-node solve.
 """
 
 from __future__ import annotations
@@ -48,8 +50,8 @@ from .errors import (ChartContinuationFailure, NoOverlap, NonFiniteState,
 from .geometry import (INSIDE, MARGIN, OUTSIDE, Frame, ManifoldModel, Point,
                        Samples, Tangent, chart_groups,
                        require_independent_columns)
-from .numerics import (Grid, inv, lagrange_weights, rk4_step,
-                       stencil_derivative, stencil_windows)
+from .numerics import (Grid, lagrange_weights, rk4_step, stencil_derivative,
+                       stencil_windows)
 
 
 @dataclass(frozen=True)
@@ -296,8 +298,9 @@ def _stage_values(node_values: np.ndarray, substeps: int) -> np.ndarray:
 def _interval_propagators(m_stages: np.ndarray, h: float, substeps: int) -> np.ndarray:
     """RK4 propagators of dPhi/dt = -M(t) Phi over each interval, batched.
 
-    m_stages: (n_int, S, m, m) values of M at the stage times.  Returns
-    (n_int, m, m) with Phi mapping the frame at the left node to the right.
+    m_stages: (n_int, S, m, m) values of M at the stage times in the
+    direction of travel, h the signed step.  Returns (n_int, m, m) with Phi
+    mapping the frame at the interval's first node of travel to its last.
     """
     n_int, _, m, _ = m_stages.shape
     a = -m_stages
@@ -310,13 +313,16 @@ def _interval_propagators(m_stages: np.ndarray, h: float, substeps: int) -> np.n
 
 
 def _batch_propagators(model: ManifoldModel, groups, phis: np.ndarray,
-                       h: float, substeps: int) -> None:
+                       h: float, substeps: int, step: int) -> None:
     """Write into phis (B, n - 1, m, m) the propagators of the intervals a
-    batch's runs cover.  groups maps (chart, lo, hi) to the elements whose
-    runs have those nodes and chart, as a list of pieces (elements (G,),
-    coordinates (G, hi - lo + 1, m), velocities of the same shape); their
-    stage values, Christoffel evaluation and RK4 sweep are shared, in
-    blocks of at most _STAGE_POINTS_PER_BLOCK stage points."""
+    batch's runs cover, in the direction step: forward (+1) from each
+    interval's left node to its right, backward (-1) from the right to the
+    left, by RK4 at the negated step through the stage values reversed.
+    groups maps (chart, lo, hi) to the elements whose runs have those nodes
+    and chart, as a list of pieces (elements (G,), coordinates
+    (G, hi - lo + 1, m), velocities of the same shape); their stage values,
+    Christoffel evaluation and RK4 sweep are shared, in blocks of at most
+    _STAGE_POINTS_PER_BLOCK stage points."""
     m = phis.shape[-1]
     stages = 2 * substeps + 1
     for (chart, lo, hi), pieces in groups.items():
@@ -338,8 +344,8 @@ def _batch_propagators(model: ManifoldModel, groups, phis: np.ndarray,
             action = model.christoffel_action_batch(
                 chart, stage_points(coords), stage_points(vel))
             phis[members[block], lo:hi] = _interval_propagators(
-                action.reshape(g * n_int, stages, m, m), h, substeps
-            ).reshape(g, n_int, m, m)
+                action.reshape(g * n_int, stages, m, m)[:, ::step], step * h,
+                substeps).reshape(g, n_int, m, m)
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +457,7 @@ def _transport_columns(model: ManifoldModel, grid: Grid, charts,
                 if run.hi > run.lo:
                     groups.setdefault((chart, run.lo, run.hi), []).append(
                         (np.array([i]), run.coords[None], run.vel[None]))
-        _batch_propagators(model, groups, phis, grid.h, substeps)
+        _batch_propagators(model, groups, phis, grid.h, substeps, step)
         cols[:, start::step] = _sweep_frames(phis, frames0, switches, start,
                                              stop)
     for log in logs:
@@ -490,35 +496,19 @@ def _chain(mats: np.ndarray, start: np.ndarray) -> np.ndarray:
 def _sweep_frames(phis: np.ndarray, frames0: np.ndarray, switches,
                   start: int, stop: int) -> np.ndarray:
     """The frames of one sweep, at nodes start, start +- 1, ..., stop: the
-    (B, |stop - start| + 1, m, m) chain of frames0 through the sweep's step
-    matrices.
+    (B, |stop - start| + 1, m, m) chain of frames0 through the sweep's
+    propagators, phis[:, start:stop] forward and phis[:, stop:start]
+    reversed backward.
 
-    Forward the step matrices are the propagators phis[:, start:stop];
-    backward, one batched numerics.inv of phis[:, stop:start], reversed,
-    and NaN for a non-finite propagator.  switches maps a node to its
-    (element, transition Jacobian) pairs; a Jacobian is folded into the
-    step matrix of the interval that enters its node, or onto the start
-    frame at the start node.  Finiteness is checked once, and
-    NonFiniteState names the first bad node in sweep order.
+    switches maps a node to its (element, transition Jacobian) pairs; a
+    Jacobian is folded into the propagator of the interval that enters its
+    node, or onto the start frame at the start node.  Finiteness is checked
+    once, and NonFiniteState names the first bad node in sweep order.
     """
     step = 1 if stop >= start else -1
-    # the closed-form inverse of a singular step divides by zero: its
-    # frames are not finite, and its node is named
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if step > 0:
-            mats = phis[:, start:stop].copy()
-        else:
-            # np.linalg's inverse of a non-finite matrix can be finite, or
-            # raise LinAlgError: such a step is NaN, so its node is named
-            steps, bad = phis[:, stop:start], None
-            if not np.isfinite(steps).all():
-                bad = ~np.isfinite(steps).all(axis=(-2, -1))
-                steps = np.where(bad[..., None, None],
-                                 np.eye(steps.shape[-1]), steps)
-            mats = inv(steps)
-            if bad is not None:
-                mats[bad] = np.nan
-            mats = mats[:, ::-1]
+    lo, hi = sorted((start, stop))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mats = phis[:, lo:hi][:, ::step].copy()
         first = frames0.copy()
         for j, entries in switches.items():
             k = (j - start) * step - 1

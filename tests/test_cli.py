@@ -462,6 +462,7 @@ _OPTION_ARGS = {
     "flow": ["sphere2", "--p", "north:0,0", "--q", "north:0.15,0.1",
              "POINTS", "-o", "OUT"],
     "check": ["euclidean2"],
+    "linearize": ["CURVE", "-o", "OUT"],
 }
 
 
@@ -477,6 +478,11 @@ _OPTION_ARGS = {
     ("check", ["--cube-n", "0"], "--cube-n"),
     ("check", ["--cube-n=-1"], "--cube-n"),
     ("check", ["--cube-n", "3"], "--cube-n"),
+    ("check", ["--cube-n", "3163"], "--cube-n"),
+    ("check", ["--cube-n", "1000000000000"], "--cube-n"),
+    ("linearize", ["--n-substeps", "0"], "--n-substeps"),
+    ("linearize", ["--n-substeps", "1025"], "--n-substeps"),
+    ("linearize", ["--n-substeps", "1000000000000"], "--n-substeps"),
 ])
 def test_out_of_range_option_exits_2(tmp_path, capsys, sphere_fixture,
                                      command, options, named):

@@ -567,25 +567,6 @@ def test_block_march_switches_where_the_node_by_node_march_does(torus, where):
         assert field.switch_log[0] == (node, "a", "b")
 
 
-def test_block_march_restarts_short_after_a_switch(torus, monkeypatch):
-    # after the switch to chart b at node 16, the blocks classified in b
-    # grow from _RESTART back to _BLOCK intervals
-    sizes = []
-    spec = torus.chart("b")
-
-    def counted(coords):
-        if len(coords) > 1:
-            sizes.append(len(coords))
-        return spec.domain_test_many(coords)
-
-    monkeypatch.setitem(torus.charts, "b",
-                        dataclasses.replace(spec, domain_test_many=counted))
-    field = _assert_matches_reference(torus, _torus_line(torus, 16))
-    assert field.switch_log[0] == (16, "a", "b")
-    r = linearize._RESTART
-    assert sizes[:4] == [r, 2 * r, 4 * r, linearize._BLOCK]
-
-
 def _line_x(v, node):
     """x in chart a of a _torus_line at a fractional node."""
     return v.base.coords[0] + v.components[0, 0] * node * v.grid.h

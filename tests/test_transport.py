@@ -608,18 +608,16 @@ def test_runs_on_arrays_match_per_line_transport(torus, span):
 
 
 # The node-by-node loop that _sweep_frames replaced with one chunked chain
-# per sweep: one (B, m, m) product per node forward, one batched solve per
-# node backward, and an element's transition Jacobian applied to its frame
-# after the step into the switch node.
+# per sweep: one (B, m, m) product per node with the propagator of the
+# interval entering it (a backward sweep's propagators step backward), and
+# an element's transition Jacobian applied to its frame after the step into
+# the switch node.
 def reference_chain(phis, frames0, switches, start, stop):
     step = 1 if stop >= start else -1
     current, frames = frames0.copy(), []
     for j in range(start, stop + step, step):
         if j != start:
-            if step > 0:
-                current = phis[:, j - 1] @ current
-            else:
-                current = np.linalg.solve(phis[:, j], current)
+            current = phis[:, j - 1 if step > 0 else j] @ current
             if not np.isfinite(current).all():
                 raise NonFiniteState(f"frame became non-finite at node {j}")
         for i, jac in switches.get(j, ()):
@@ -749,6 +747,35 @@ def test_transport_columns_match_the_chain_in_3d(monkeypatch):
                        coords, ["xyz"] * 3, frames0, grid.base_node())
 
 
+def _one_chart_line(name):
+    """sphere2 or the 3-D _Conformal3, and a line that stays in one chart,
+    on a two-sided 40-interval grid: (model, grid, chart, coords)."""
+    grid = Grid.regular(-1.0, 1.0, 40)
+    t = grid.nodes[:, None]
+    if name == "conformal3":
+        return (_Conformal3(), grid, "xyz",
+                0.5 * np.sin(t + np.array([0.0, 1.0, 2.0])))
+    return (get_model(name), grid, "north",
+            np.concatenate([0.6 * t, 0.3 * np.cos(t)], axis=1))
+
+
+@pytest.mark.parametrize("name", ["sphere2", "conformal3"])
+def test_backward_propagators_undo_the_forward_ones(name):
+    # RK4 from each interval's right node to its left undoes the step from
+    # left to right up to its local error, O(h^5).  At m = 2 the conformal
+    # Christoffel actions commute and RK4 cannot tell the stage order; at
+    # m = 3 they do not, and stages in the wrong order leave about 1e-6
+    model, grid, chart, coords = _one_chart_line(name)
+    coords, m, n = coords[None], model.dim, grid.n_intervals
+    vel = _velocities(model, grid, [[chart] * (n + 1)], coords)
+    groups = {(chart, 0, n): [(np.array([0]), coords, vel)]}
+    forward, backward = np.empty((2, 1, n, m, m))
+    transport._batch_propagators(model, groups, forward, grid.h, 2, 1)
+    transport._batch_propagators(model, groups, backward, grid.h, 2, -1)
+    assert np.abs(forward - np.eye(m)).max() > 1e-3
+    assert np.abs(backward @ forward - np.eye(m)).max() < 1e-10
+
+
 @pytest.mark.parametrize("bad,entry", [(np.nan, (0, 0)), (np.nan, (0, 1)),
                                        (np.inf, (0, 0)), (np.inf, (0, 1)),
                                        (-np.inf, (1, 0))])
@@ -761,43 +788,29 @@ def test_a_non_finite_propagator_names_the_node_the_loop_named(
     # backward one (node = interval); no RuntimeWarning may escape
     fast, loop = _spoiled_transport(torus, monkeypatch, interval, entry, bad)
     assert fast == f"frame became non-finite at node {node}"
-    # backward, the loop's solve with an inf pivot returned finite,
-    # singular frames, and it raised LinAlgError for a -inf below the
-    # diagonal; the chain names those nodes too
-    backward = interval < 30
-    assert loop == {(np.inf, (0, 0), True): "finite",
-                    (-np.inf, (1, 0), True): "singular"}.get(
-        (bad, entry, backward), fast)
+    assert loop == fast
 
 
-@pytest.mark.parametrize("interval", [29, 17, 0])
-def test_a_singular_backward_propagator_names_its_node(torus, monkeypatch,
-                                                       interval):
-    # a finite singular step: its closed-form inverse divides by zero, so
-    # the frames after it are not finite and its node is named, with no
-    # RuntimeWarning; the loop's solve raised LinAlgError, which is not a
-    # PathlinError
-    fast, loop = _spoiled_transport(torus, monkeypatch, interval, ...,
-                                    [[1.0, 2.0], [2.0, 4.0]])
-    assert fast == f"frame became non-finite at node {interval}"
-    assert loop == "singular"
+def _spoiled(monkeypatch, element, interval, entry, bad):
+    """Make _batch_propagators set phis[element, interval][entry] = bad."""
+    build = transport._batch_propagators
+
+    def spoiled(model, groups, phis, h, substeps, step):
+        build(model, groups, phis, h, substeps, step)
+        phis[element, interval][entry] = bad
+
+    monkeypatch.setattr(transport, "_batch_propagators", spoiled)
 
 
 def _spoiled_transport(torus, monkeypatch, interval, entry, bad):
     """_transport_columns on _mixed_torus_batch from node 30 of 60, with
     phis[6, interval][entry] = bad: the chain's NonFiniteState message,
-    and the node-by-node loop's ("finite", its message, or "singular")."""
+    and the node-by-node loop's ("finite" or its message)."""
     grid = Grid.regular(-1.0, 1.0, 60)
     charts, coords, charts0 = _mixed_torus_batch(torus, grid)
     vel = _velocities(torus, grid, charts, coords)
     frames0 = _near_identity(np.random.default_rng(5), (len(charts0),), 2)
-    build = transport._batch_propagators
-
-    def spoiled(model, groups, phis, h, substeps):
-        build(model, groups, phis, h, substeps)
-        phis[6, interval][entry] = bad
-
-    monkeypatch.setattr(transport, "_batch_propagators", spoiled)
+    _spoiled(monkeypatch, 6, interval, entry, bad)
     args = (torus, grid, charts, coords, vel, charts0, frames0, 30, 2)
     with pytest.raises(NonFiniteState) as fast:
         _transport_columns(*args)
@@ -808,6 +821,22 @@ def _spoiled_transport(torus, monkeypatch, interval, entry, bad):
             loop = "finite"
         except NonFiniteState as exc:
             loop = str(exc)
-        except np.linalg.LinAlgError:
-            loop = "singular"
     return str(fast.value), loop
+
+
+@pytest.mark.parametrize("interval", [25, 10])
+@pytest.mark.parametrize("name", ["sphere2", "conformal3"])
+def test_a_singular_propagator_makes_dependent_frames_in_either_sweep(
+        monkeypatch, name, interval):
+    # a finite singular step in the forward sweep (interval 25 of a curve
+    # based at node 20) or in the backward one (interval 10) leaves finite,
+    # linearly dependent frames: one ValidationError at m = 2 and m = 3,
+    # never numpy's LinAlgError
+    model, grid, chart, coords = _one_chart_line(name)
+    curve = SampledCurve(grid, Samples([chart] * len(coords), coords),
+                         base_index=grid.base_node())
+    f0 = model.orthonormal_frame(curve.basepoint)
+    m = model.dim
+    _spoiled(monkeypatch, 0, interval, ..., np.ones((m, m)))
+    with pytest.raises(ValidationError, match="linearly dependent"):
+        transport_frame(model, curve, f0)
