@@ -248,16 +248,17 @@ class ManifoldModel:
     metric g_ij at (K, m) points of one chart as (K, m, m).
     christoffel_action_batch returns M[s, l, j] = Gamma^l_{kj} r[s, k] at
     (K, m) points: the frame equation contracts the k slot of Gamma with
-    the velocity and the j slot with the frame component.  Transport and
-    covariant derivatives call the action; metric, christoffel
+    the velocity and the j slot with the frame component.  Covariant
+    derivatives call the action; metric, christoffel
     (Gamma[l, k, j] = Gamma^l_{kj}) and christoffel_action_floats derive
     from the two hooks.  christoffel_action_floats is the hook of both
-    inverse solvers: the action entry by entry, on Python floats or on
-    equal-shape arrays, elementwise.  The built-in models override it with
-    closed forms that serve both.  The constructor probes that Gamma
-    is the Levi-Civita connection of g.  place is the one rule that puts a
-    point given in every chart's coordinates into a chart.  r0, the
-    conservative injectivity floor, is one positive number per model.
+    inverse solvers and of transport's propagators: the action entry by
+    entry, on Python floats or on equal-shape arrays, elementwise.  The
+    built-in models override it with closed forms that serve both.  The
+    constructor probes that Gamma is the Levi-Civita connection of g.
+    place is the one rule that puts a point given in every chart's
+    coordinates into a chart.  r0, the conservative injectivity floor, is
+    one positive number per model.
     """
 
     def __init__(self, name: str, dim: int, charts: Sequence[ChartSpec],
@@ -385,13 +386,14 @@ class ManifoldModel:
 
     def christoffel_action_floats(self, chart_id: str, coords, r):
         """christoffel_action_batch entry by entry, the hook of both
-        inverse solvers.  coords and r are m entries each, Python floats or
-        equal-shape arrays; M is m rows of m entries, M[l][j] =
-        Gamma^l_{kj}(coords) r^k elementwise: all floats, or all arrays of
-        that shape, or both given as one (m, m, ...) array.  The
-        single-curve inverse at m = 2 passes floats, the batched one the
-        arrays of a chart's rows.  The default is the batch form, at K = 1
-        for floats; models override it with a closed form."""
+        inverse solvers and of transport's propagators.  coords and r are
+        m entries each, Python floats or equal-shape arrays; M is m rows of
+        m entries, M[l][j] = Gamma^l_{kj}(coords) r^k elementwise: all
+        floats, or all arrays of that shape, or both given as one
+        (m, m, ...) array.  The single-curve inverse at m = 2 passes
+        floats, the batched one the arrays of a chart's rows, transport the
+        arrays of a block's stage points.  The default is the batch form,
+        at K = 1 for floats; models override it with a closed form."""
         x = np.asarray(coords, dtype=float)
         action = self.christoffel_action_batch(
             chart_id, x.reshape(self.dim, -1).T,

@@ -24,9 +24,11 @@ transport._transport_columns, as a batch of one, and solves all nodes at
 once for the components with numerics.solve.  At m = 2, the dimension of
 every built-in model, the inverse core integrates a single curve with
 _step_interval_2d, RK4 on six Python floats with the connection from the
-model's christoffel_action_floats, since numpy's per-call overhead, not
-the arithmetic, is the cost there; it classifies its nodes _BLOCK at a
-time.
+model's christoffel_action_floats and the four right-hand sides written
+out in the step, since call overhead, numpy's and then Python's, not the
+arithmetic, is the cost there; it classifies its nodes _BLOCK at a
+time.  Both inverse cores take their stage values from
+transport._stage_values.
 Batches of curves on one grid, and single curves of any other dimension,
 go through _solve_inverse_batch, the same scheme on component arrays: one
 (m + m^2, rows) state stack, the same hook called on the arrays of each
@@ -163,44 +165,59 @@ def _switch_state(model, chart, x, cols, node, switch_log):
     return moved.chart_id, moved.coords, jac @ cols
 
 
-def _step_interval_2d(action, chart: str):
-    """step(y, stages, hsub): one grid interval in a chart at m = 2, classic
-    RK4 with len(stages) // 2 substeps on Python floats.  y holds x0, x1
-    and the frame by rows (e01 is e_1^0), stages the component vectors at
-    the 2 * substeps + 1 stage times in the direction of travel, hsub the
-    signed substep.  Bit-equal to the generic stepper of the tests."""
-    def rhs(x0, x1, e00, e01, e10, e11, v0, v1):
-        r0 = e00 * v0 + e01 * v1
-        r1 = e10 * v0 + e11 * v1
-        (m00, m01), (m10, m11) = action(chart, (x0, x1), (r0, r1))
-        return (r0, r1,
-                -(m00 * e00 + m01 * e10), -(m00 * e01 + m01 * e11),
-                -(m10 * e00 + m11 * e10), -(m10 * e01 + m11 * e11))
-
-    def step(y, stages, hsub):
-        half = 0.5 * hsub
-        sixth = hsub / 6.0
-        x0, x1, e00, e01, e10, e11 = y
-        for s in range(0, len(stages) - 1, 2):
-            (a0, a1), (b0, b1), (c0, c1) = stages[s], stages[s + 1], stages[s + 2]
-            p0, p1, p2, p3, p4, p5 = rhs(x0, x1, e00, e01, e10, e11, a0, a1)
-            q0, q1, q2, q3, q4, q5 = rhs(
-                x0 + half * p0, x1 + half * p1, e00 + half * p2,
-                e01 + half * p3, e10 + half * p4, e11 + half * p5, b0, b1)
-            r0, r1, r2, r3, r4, r5 = rhs(
-                x0 + half * q0, x1 + half * q1, e00 + half * q2,
-                e01 + half * q3, e10 + half * q4, e11 + half * q5, b0, b1)
-            t0, t1, t2, t3, t4, t5 = rhs(
-                x0 + hsub * r0, x1 + hsub * r1, e00 + hsub * r2,
-                e01 + hsub * r3, e10 + hsub * r4, e11 + hsub * r5, c0, c1)
-            x0 = x0 + sixth * (p0 + 2.0 * q0 + 2.0 * r0 + t0)
-            x1 = x1 + sixth * (p1 + 2.0 * q1 + 2.0 * r1 + t1)
-            e00 = e00 + sixth * (p2 + 2.0 * q2 + 2.0 * r2 + t2)
-            e01 = e01 + sixth * (p3 + 2.0 * q3 + 2.0 * r3 + t3)
-            e10 = e10 + sixth * (p4 + 2.0 * q4 + 2.0 * r4 + t4)
-            e11 = e11 + sixth * (p5 + 2.0 * q5 + 2.0 * r5 + t5)
-        return x0, x1, e00, e01, e10, e11
-    return step
+def _step_interval_2d(action, chart: str, y, stages, hsub):
+    """One grid interval in a chart at m = 2, classic RK4 with
+    len(stages) // 2 substeps on Python floats.  y holds x0, x1 and the
+    frame by rows (e01 is e_1^0), stages the component vectors at the
+    2 * substeps + 1 stage times in the direction of travel, hsub the
+    signed substep; returns the new state.  Each of the four right-hand
+    sides is written out in place: r = E v, then -M(x, r) E with M from
+    action.  Bit-equal to the generic stepper of the tests."""
+    half = 0.5 * hsub
+    sixth = hsub / 6.0
+    x0, x1, e00, e01, e10, e11 = y
+    for s in range(0, len(stages) - 1, 2):
+        (a0, a1), (b0, b1), (c0, c1) = stages[s], stages[s + 1], stages[s + 2]
+        # k1 = p at (x, E) and the stage a
+        p0 = e00 * a0 + e01 * a1
+        p1 = e10 * a0 + e11 * a1
+        (m00, m01), (m10, m11) = action(chart, (x0, x1), (p0, p1))
+        p2, p3 = -(m00 * e00 + m01 * e10), -(m00 * e01 + m01 * e11)
+        p4, p5 = -(m10 * e00 + m11 * e10), -(m10 * e01 + m11 * e11)
+        # k2 = q at y + half p and the stage b
+        y0, y1 = x0 + half * p0, x1 + half * p1
+        f00, f01 = e00 + half * p2, e01 + half * p3
+        f10, f11 = e10 + half * p4, e11 + half * p5
+        q0 = f00 * b0 + f01 * b1
+        q1 = f10 * b0 + f11 * b1
+        (m00, m01), (m10, m11) = action(chart, (y0, y1), (q0, q1))
+        q2, q3 = -(m00 * f00 + m01 * f10), -(m00 * f01 + m01 * f11)
+        q4, q5 = -(m10 * f00 + m11 * f10), -(m10 * f01 + m11 * f11)
+        # k3 = r at y + half q and the stage b
+        y0, y1 = x0 + half * q0, x1 + half * q1
+        f00, f01 = e00 + half * q2, e01 + half * q3
+        f10, f11 = e10 + half * q4, e11 + half * q5
+        r0 = f00 * b0 + f01 * b1
+        r1 = f10 * b0 + f11 * b1
+        (m00, m01), (m10, m11) = action(chart, (y0, y1), (r0, r1))
+        r2, r3 = -(m00 * f00 + m01 * f10), -(m00 * f01 + m01 * f11)
+        r4, r5 = -(m10 * f00 + m11 * f10), -(m10 * f01 + m11 * f11)
+        # k4 = t at y + hsub r and the stage c
+        y0, y1 = x0 + hsub * r0, x1 + hsub * r1
+        f00, f01 = e00 + hsub * r2, e01 + hsub * r3
+        f10, f11 = e10 + hsub * r4, e11 + hsub * r5
+        t0 = f00 * c0 + f01 * c1
+        t1 = f10 * c0 + f11 * c1
+        (m00, m01), (m10, m11) = action(chart, (y0, y1), (t0, t1))
+        t2, t3 = -(m00 * f00 + m01 * f10), -(m00 * f01 + m01 * f11)
+        t4, t5 = -(m10 * f00 + m11 * f10), -(m10 * f01 + m11 * f11)
+        x0 = x0 + sixth * (p0 + 2.0 * q0 + 2.0 * r0 + t0)
+        x1 = x1 + sixth * (p1 + 2.0 * q1 + 2.0 * r1 + t1)
+        e00 = e00 + sixth * (p2 + 2.0 * q2 + 2.0 * r2 + t2)
+        e01 = e01 + sixth * (p3 + 2.0 * q3 + 2.0 * r3 + t3)
+        e10 = e10 + sixth * (p4 + 2.0 * q4 + 2.0 * r4 + t4)
+        e11 = e11 + sixth * (p5 + 2.0 * q5 + 2.0 * r5 + t5)
+    return x0, x1, e00, e01, e10, e11
 
 
 # Intervals the single-curve inverse integrates in a chart before one
@@ -238,7 +255,6 @@ def p_inverse_detailed(model: ManifoldModel, v: TangentCurve,
 
     def march(stop: int):
         chart, y = v.base.chart_id, y0
-        step = _step_interval_2d(action, chart)
         d = 1 if stop >= base_node else -1
         j = base_node
         while j != stop:
@@ -249,7 +265,8 @@ def p_inverse_detailed(model: ManifoldModel, v: TangentCurve,
             for k in nodes:
                 stages = v_stages[k - 1] if d > 0 else v_stages[k][::-1]
                 try:
-                    y = step(y, stages, d * hsub)
+                    y = _step_interval_2d(action, chart, y, stages,
+                                          d * hsub)
                     finite = all(map(math.isfinite, y))
                 except (ZeroDivisionError, OverflowError):
                     # Python floats raise where numpy would have returned inf
@@ -277,7 +294,6 @@ def p_inverse_detailed(model: ManifoldModel, v: TangentCurve,
                     if moved != chart:
                         chart = charts[k] = moved
                         states[k] = x.tolist() + cols.ravel().tolist()
-                        step = _step_interval_2d(action, chart)
                         nodes, failure = nodes[:i + 1], None
                         break
             if failure is not None:

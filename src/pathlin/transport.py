@@ -4,7 +4,11 @@ The frame equation de_i^l/dt = -e_i^j Gamma^l_{kj}(gamma) r^k is linear in
 the frame, so transport is computed from per-interval RK4 propagators of the
 matrix system dPhi/dt = -M(t) Phi with M[l,j] = Gamma^l_{kj} r^k.  The
 propagators depend only on curve data and are built vectorized across all
-intervals; frames are then chained node to node.  Curve velocities r come
+intervals, on component arrays: the stage values of a block of K intervals
+are interpolated as shifted slices of the node data, M comes from the
+model's christoffel_action_floats on (m, S K) arrays of stage points, and
+RK4 steps the (m, m, K) propagator components with elementwise products,
+no BLAS call.  Frames are then chained node to node.  Curve velocities r come
 from the 4th-order stencil of numerics applied to the sampled positions,
 never from an analytic curve, after each node's window is re-expressed in
 the node's chart; covariant derivatives difference vector fields the same
@@ -122,8 +126,8 @@ class FrameField:
 # Elements of a batch whose chart runs coincide get their propagators built
 # together, at most this many RK4 stage points at a time.  Building a whole
 # 100-line batch at once raises peak memory by about a fifth for no speed;
-# with blocks of this size (8 lines of 100 intervals) a 100 x 100 p2_forward
-# peaks below p2_inverse.
+# with blocks of this size (16 lines of a 50-interval sweep) a 100 x 100
+# p2_forward peaks below p2_inverse.
 _STAGE_POINTS_PER_BLOCK = 4096
 
 
@@ -278,38 +282,55 @@ def _stage_weights(width: int, shift: int, substeps: int) -> np.ndarray:
 def _stage_values(node_values: np.ndarray, substeps: int) -> np.ndarray:
     """Lagrange interpolation of per-node data to RK4 stage times.
 
-    node_values: (n, m) on a uniform grid; returns (n - 1, S, m) with
-    S = 2 * substeps + 1 stage offsets per interval.  Windows are cubic
-    (4 nodes) where the run allows, degrading gracefully on short runs.
+    node_values: (n, cols) on a uniform grid, n >= 2; returns
+    (n - 1, S, cols) with S = 2 * substeps + 1 stage offsets per interval.
+    Windows are cubic (4 nodes) where the run allows, degrading gracefully
+    on short runs.  Interval k's window starts at node
+    clip(k - 1, 0, n - width), so the intervals fall into at most three
+    runs of one window shift: interval 0, the intervals up to
+    n - width + 1, and the rest.  Each run sums its window slots as
+    shifted slices of node_values, from +0.0 in slot order.
     """
-    n = node_values.shape[0]
+    n, cols = node_values.shape
     width = min(4, n)
-    starts = np.clip(np.arange(n - 1) - 1, 0, n - width)
-    rel = starts - np.arange(n - 1)           # window start relative to interval
-    out = np.empty((n - 1, 2 * substeps + 1, node_values.shape[1]))
-    for shift in np.unique(rel):
-        mask = rel == shift
-        wts = _stage_weights(width, int(shift), substeps)
-        idx = starts[mask][:, None] + np.arange(width)[None, :]
-        out[mask] = np.einsum("us,nsm->num", wts, node_values[idx])
+    stages = 2 * substeps + 1
+    middle = min(n - 2, n - width + 1)       # the last interval of shift -1
+    out = np.empty((n - 1, stages, cols))
+    for first, count, shift in ((0, 1, 0), (1, middle, -1),
+                                (middle + 1, n - 2 - middle, 2 - width)):
+        if count <= 0:
+            continue
+        wts = _stage_weights(width, shift, substeps)
+        acc = np.zeros((stages, count, cols))
+        for s in range(width):
+            lo = first + shift + s
+            acc += wts[:, s, None, None] * node_values[lo:lo + count]
+        out[first:first + count] = acc.swapaxes(0, 1)
     return out
 
 
-def _interval_propagators(m_stages: np.ndarray, h: float, substeps: int) -> np.ndarray:
-    """RK4 propagators of dPhi/dt = -M(t) Phi over each interval, batched.
+def _interval_propagators(a: np.ndarray, h: float, substeps: int) -> np.ndarray:
+    """RK4 propagators of dPhi/dt = A(t) Phi over K intervals at once, on
+    component arrays.
 
-    m_stages: (n_int, S, m, m) values of M at the stage times in the
-    direction of travel, h the signed step.  Returns (n_int, m, m) with Phi
-    mapping the frame at the interval's first node of travel to its last.
+    a: (m, m, S, K), A[l, j] at each interval's S stage times in the
+    direction of travel, h the signed step.  Returns (m, m, K): entry
+    [l, j, k] of the propagator that maps the frame at interval k's first
+    node of travel to its last.  Each product is summed over its m terms
+    as a * b + c * d, with no BLAS kernel.
     """
-    n_int, _, m, _ = m_stages.shape
-    a = -m_stages
-    phi = np.broadcast_to(np.eye(m), (n_int, m, m)).copy()
+    m, _, _, k = a.shape
+    phi = np.broadcast_to(np.eye(m)[:, :, None], (m, m, k)).copy()
     hsub = h / substeps
     for s in range(substeps):
-        phi = rk4_step(np.matmul, phi, hsub,
-                       a[:, 2 * s], a[:, 2 * s + 1], a[:, 2 * s + 2])
+        phi = rk4_step(_product, phi, hsub,
+                       a[:, :, 2 * s], a[:, :, 2 * s + 1], a[:, :, 2 * s + 2])
     return phi
+
+
+def _product(a: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """The (m, m, K) products A Phi of two component stacks."""
+    return np.add.reduce(a[:, :, None] * phi[None], axis=1)
 
 
 def _batch_propagators(model: ManifoldModel, groups, phis: np.ndarray,
@@ -322,7 +343,11 @@ def _batch_propagators(model: ManifoldModel, groups, phis: np.ndarray,
     and chart, as a list of pieces (elements (G,), coordinates
     (G, hi - lo + 1, m), velocities of the same shape); their stage values,
     Christoffel evaluation and RK4 sweep are shared, in blocks of at most
-    _STAGE_POINTS_PER_BLOCK stage points."""
+    _STAGE_POINTS_PER_BLOCK stage points.
+
+    A block's K = n_int * g intervals are laid out component-major: its
+    stage points as (m, S * K) arrays, on which christoffel_action_floats
+    is called once, and the negated actions as (m, m, S, K)."""
     m = phis.shape[-1]
     stages = 2 * substeps + 1
     for (chart, lo, hi), pieces in groups.items():
@@ -330,22 +355,27 @@ def _batch_propagators(model: ManifoldModel, groups, phis: np.ndarray,
         members, coords, vel = (np.concatenate(p) if len(p) > 1 else p[0]
                                 for p in zip(*pieces))
         per_block = max(1, _STAGE_POINTS_PER_BLOCK // (n_int * stages))
-        for k in range(0, len(members), per_block):
-            block = slice(k, k + per_block)
+        for first in range(0, len(members), per_block):
+            block = slice(first, first + per_block)
             g = len(members[block])
+            k = n_int * g
 
             def stage_points(values):
-                # (G, n_int + 1, m) node values -> (g * n_int * S, m)
-                flat = _stage_values(values[block].transpose(1, 0, 2)
-                                     .reshape(n_int + 1, g * m), substeps)
-                return flat.reshape(n_int, stages, g, m) \
-                    .transpose(2, 0, 1, 3).reshape(-1, m)
+                # (G, n_int + 1, m) node values -> (m, S * K), K by
+                # (interval, element)
+                flat = _stage_values(values[block].transpose(1, 2, 0)
+                                     .reshape(n_int + 1, m * g), substeps)
+                return flat.reshape(n_int, stages, m, g) \
+                    .transpose(2, 1, 0, 3).reshape(m, -1)
 
-            action = model.christoffel_action_batch(
-                chart, stage_points(coords), stage_points(vel))
+            action = np.asarray(model.christoffel_action_floats(
+                chart, stage_points(coords), stage_points(vel)))
+            # a constant connection, as on flat models, comes as floats
+            a = np.broadcast_to(np.negative(action).reshape(m, m, -1),
+                                (m, m, stages * k)).reshape(m, m, stages, k)
             phis[members[block], lo:hi] = _interval_propagators(
-                action.reshape(g * n_int, stages, m, m)[:, ::step], step * h,
-                substeps).reshape(g, n_int, m, m)
+                a[:, :, ::step], step * h, substeps) \
+                .reshape(m, m, n_int, g).transpose(3, 2, 0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +388,7 @@ def _check_frame_base(model: ManifoldModel, f0: Frame, point: Point):
         return
     # near-coincident distances can be conditioning-limited for some oracles
     d = model.point_distance(f0.base, point)
-    if d > 1e-7:
+    if not d <= 1e-7:       # a NaN distance fails too
         raise ValidationError(
             f"frame base is {d:.2e} away from the curve's start point")
 

@@ -267,12 +267,15 @@ def test_batched_lines_with_different_chart_runs(sphere):
                             "ignore:invalid value:RuntimeWarning")
 def test_non_finite_line_in_batch_names_its_node(euclidean, monkeypatch):
     # a connection that blows up on one s2-line (x = 0.05) past y = 0.2:
-    # the batch must fail where that line alone fails
+    # the batch must fail where that line alone fails.  Transport takes its
+    # connection from the floats hook, on floats or on arrays
     def action(chart_id, coords, r):
-        bad = (np.abs(coords[:, 0] - 0.05) < 0.01) & (coords[:, 1] > 0.2)
-        return np.where(bad[:, None, None], 1e200, 0.0) * np.eye(2)
+        x, y = np.asarray(coords[0]), np.asarray(coords[1])
+        diagonal = np.where((np.abs(x - 0.05) < 0.01) & (y > 0.2), 1e200, 0.0)
+        zero = np.zeros_like(diagonal)
+        return (diagonal, zero), (zero, diagonal)
 
-    monkeypatch.setattr(euclidean, "christoffel_action_batch", action)
+    monkeypatch.setattr(euclidean, "christoffel_action_floats", action)
     cube = affine_cube(euclidean, np.array([0.4, 0.0]), np.array([0.0, 0.5]),
                        n=16)
     _, j0 = cube.base_indices

@@ -305,7 +305,8 @@ def reference_inverse(model, v, substeps=2):
 
     def stepper(chart):
         if m == 2:
-            return _step_interval_2d(action, chart)
+            return lambda y, stages, h: _step_interval_2d(action, chart, y,
+                                                          stages, h)
         rhs = _frame_rhs_generic(action, chart, m)
         return lambda y, stages, h: _step_interval(rhs, y, stages, h)
 
@@ -370,7 +371,6 @@ def test_unrolled_rhs_matches_generic(monkeypatch):
         action = model.christoffel_action_floats
         for cid in sorted(model.charts):
             lo, hi = model.chart(cid).sample_box
-            fast = _step_interval_2d(action, cid)
             generic = _frame_rhs_generic(action, cid, 2)
             for substeps in (1, 2, 3):
                 for trial in range(8):
@@ -381,15 +381,16 @@ def test_unrolled_rhs_matches_generic(monkeypatch):
                         stages[rng.random(stages.shape) < 0.5] = -0.0
                     y = rng.uniform(lo, hi).tolist() + frame.tolist()
                     hsub = float(rng.choice([-1.0, 1.0]) * rng.uniform(1e-3, 0.2))
-                    got = fast(y, stages.tolist(), hsub)
+                    got = _step_interval_2d(action, cid, y, stages.tolist(),
+                                            hsub)
                     ref = _step_interval(generic, y, stages.tolist(), hsub)
                     assert _same_bits(got, ref), (name, cid, substeps, trial)
 
     # and whole inverses across a chart switch, the generic interval swapped
     # in where the 2-D one is chosen
-    def generic_2d(action, chart):
+    def generic_2d(action, chart, y, stages, hsub):
         rhs = _frame_rhs_generic(action, chart, 2)
-        return lambda y, stages, hsub: _step_interval(rhs, y, stages, hsub)
+        return _step_interval(rhs, y, stages, hsub)
 
     for name in ("sphere2", "torus2"):
         model = get_model(name)

@@ -3,23 +3,31 @@
 import copy
 import dataclasses
 import math
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from pathlin import Frame, Grid, Point, Tangent, get_model, transport
-from pathlin.geometry import MARGIN, OUTSIDE, Samples
+from pathlin.geometry import (INSIDE, MARGIN, OUTSIDE, ChartSpec,
+                              ManifoldModel, Samples)
 from pathlin.errors import (ChartContinuationFailure, NonFiniteState,
                             ValidationError)
-from pathlin.linearize import TangentCurve, p_inverse
+from pathlin.linearize import TangentCurve, p_inverse, roundtrip_check
 from pathlin.models import (_torus_window_starts, _torus_wrap,
                             sphere_pull_from_embedding,
                             sphere_push_to_embedding, torus_point_from_angles)
 from pathlin.suite import random_curve, random_tangent
-from pathlin.numerics import lagrange_weights
+from pathlin.numerics import lagrange_weights, rk4_step
 from pathlin.transport import (FrameField, SampledCurve, _build_runs,
-                               _chain, _coords_in, _frame_at, _sweep_frames,
+                               _chain, _coords_in, _frame_at,
+                               _interval_propagators, _stage_values,
+                               _stage_weights, _sweep_frames,
                                _transport_columns, _velocities,
                                covariant_derivative, curve_velocities,
                                transport_frame, transport_vector)
@@ -747,24 +755,56 @@ def test_transport_columns_match_the_chain_in_3d(monkeypatch):
                        coords, ["xyz"] * 3, frames0, grid.base_node())
 
 
+class _RoundTorus(ManifoldModel):
+    """The embedded round torus, g = diag((2 + cos v)^2, 1) in angle
+    coordinates (u, v) on one chart, written as the two hooks alone.  Its
+    Christoffel actions do not commute, unlike those of every built-in
+    2-D model, so at m = 2 it sees a product taken in the wrong order and
+    stages taken in the wrong order."""
+
+    def __init__(self):
+        chart = ChartSpec("uv", lambda c: np.full(len(c), INSIDE),
+                          np.zeros(2), (-np.ones(2), np.ones(2)))
+        super().__init__("roundtorus2", 2, [chart], {}, r0=0.5)
+
+    def metric_many(self, chart_id, coords):
+        g = np.tile(np.eye(2), (len(coords), 1, 1))
+        g[:, 0, 0] = (2.0 + np.cos(coords[:, 1])) ** 2
+        return g
+
+    def christoffel_action_batch(self, chart_id, coords, r):
+        # Gamma^u_{uv} = Gamma^u_{vu} = rho'/rho, Gamma^v_{uu} = -rho rho'
+        rho, drho = 2.0 + np.cos(coords[:, 1]), -np.sin(coords[:, 1])
+        out = np.zeros((len(coords), 2, 2))
+        out[:, 0, 0] = drho / rho * r[:, 1]
+        out[:, 0, 1] = drho / rho * r[:, 0]
+        out[:, 1, 0] = -rho * drho * r[:, 0]
+        return out
+
+
 def _one_chart_line(name):
-    """sphere2 or the 3-D _Conformal3, and a line that stays in one chart,
-    on a two-sided 40-interval grid: (model, grid, chart, coords)."""
+    """sphere2, the round torus or the 3-D _Conformal3, and a line that
+    stays in one chart, on a two-sided 40-interval grid: (model, grid,
+    chart, coords)."""
     grid = Grid.regular(-1.0, 1.0, 40)
     t = grid.nodes[:, None]
     if name == "conformal3":
         return (_Conformal3(), grid, "xyz",
                 0.5 * np.sin(t + np.array([0.0, 1.0, 2.0])))
+    if name == "roundtorus2":
+        return (_RoundTorus(), grid, "uv",
+                np.concatenate([0.6 * t, 0.8 + 0.5 * t], axis=1))
     return (get_model(name), grid, "north",
             np.concatenate([0.6 * t, 0.3 * np.cos(t)], axis=1))
 
 
-@pytest.mark.parametrize("name", ["sphere2", "conformal3"])
+@pytest.mark.parametrize("name", ["sphere2", "roundtorus2", "conformal3"])
 def test_backward_propagators_undo_the_forward_ones(name):
     # RK4 from each interval's right node to its left undoes the step from
-    # left to right up to its local error, O(h^5).  At m = 2 the conformal
-    # Christoffel actions commute and RK4 cannot tell the stage order; at
-    # m = 3 they do not, and stages in the wrong order leave about 1e-6
+    # left to right up to its local error, O(h^5).  The conformal
+    # Christoffel actions of sphere2 commute and RK4 cannot tell the stage
+    # order; those of the round torus and of _Conformal3 do not, and
+    # stages in the wrong order leave about 1e-6
     model, grid, chart, coords = _one_chart_line(name)
     coords, m, n = coords[None], model.dim, grid.n_intervals
     vel = _velocities(model, grid, [[chart] * (n + 1)], coords)
@@ -840,3 +880,148 @@ def test_a_singular_propagator_makes_dependent_frames_in_either_sweep(
     _spoiled(monkeypatch, 0, interval, ..., np.ones((m, m)))
     with pytest.raises(ValidationError, match="linearly dependent"):
         transport_frame(model, curve, f0)
+
+
+def test_transport_frame_rejects_a_nan_frame_base(sphere):
+    # d > 1e-7 is False for a NaN distance, so the check must be written
+    # the other way round
+    curve = great_circle_curve(sphere, n=40)
+    f0 = Frame(Point("north", [np.nan, np.nan]), np.eye(2))
+    with pytest.raises(ValidationError, match="frame base"):
+        transport_frame(sphere, curve, f0)
+
+
+# The stage values as _stage_values computed them before it summed each
+# run of one window shift as shifted slices: a window gather and an einsum
+# per shift, kept as its bit reference.
+
+def reference_stage_values(node_values, substeps):
+    n = node_values.shape[0]
+    width = min(4, n)
+    starts = np.clip(np.arange(n - 1) - 1, 0, n - width)
+    rel = starts - np.arange(n - 1)
+    out = np.empty((n - 1, 2 * substeps + 1, node_values.shape[1]))
+    for shift in np.unique(rel):
+        mask = rel == shift
+        wts = _stage_weights(width, int(shift), substeps)
+        idx = starts[mask][:, None] + np.arange(width)[None, :]
+        out[mask] = np.einsum("us,nsm->num", wts, node_values[idx])
+    return out
+
+
+_SPECIAL_VALUES = np.array([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1e-309,
+                            1e300, -1e300])
+
+
+@example(n=2, cols=2, substeps=1, seed=0, special=0.5)
+@example(n=3, cols=2, substeps=2, seed=1, special=0.5)
+@example(n=4, cols=3, substeps=3, seed=2, special=0.5)
+@example(n=5, cols=2, substeps=2, seed=3, special=1.0)
+@given(n=st.integers(2, 900), cols=st.integers(1, 40),
+       substeps=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+       special=st.floats(0.0, 1.0))
+def test_stage_values_are_the_reference_bits(n, cols, substeps, seed,
+                                             special):
+    # a share `special` of the node values is signed zeros, subnormals or
+    # +-1e300, the rest spans six decades; the bits, signs of zeros too.
+    # At one column the reference's einsum sums each window in another
+    # inner loop, which rounds differently: a single column is compared
+    # with the same column of a two-column call, as the library makes
+    # them (m * B >= 2 columns)
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=(n, cols)) * 10.0 ** rng.integers(-3, 4,
+                                                               (n, cols))
+    pick = rng.random((n, cols)) < special
+    values[pick] = rng.choice(_SPECIAL_VALUES, int(pick.sum()))
+    got = _stage_values(values, substeps)
+    wide = values if cols > 1 else np.hstack([values, values[::-1]])
+    ref = reference_stage_values(wide, substeps)[:, :, :cols]
+    assert got.shape == ref.shape == (n - 1, 2 * substeps + 1, cols)
+    assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
+def reference_interval_propagators(m_stages, h, substeps):
+    """The propagator RK4 as it stood on (K, S, m, m) stacks of M, with
+    np.matmul, before it moved to component arrays; kept as a reference."""
+    n_int, _, m, _ = m_stages.shape
+    a = -m_stages
+    phi = np.broadcast_to(np.eye(m), (n_int, m, m)).copy()
+    hsub = h / substeps
+    for s in range(substeps):
+        phi = rk4_step(np.matmul, phi, hsub,
+                       a[:, 2 * s], a[:, 2 * s + 1], a[:, 2 * s + 2])
+    return phi
+
+
+@pytest.mark.parametrize("substeps", [1, 2, 3])
+@pytest.mark.parametrize("m", [2, 3])
+def test_propagators_match_a_matmul_rk4(m, substeps):
+    # random stacks do not commute, so A Phi taken as Phi A fails this
+    rng = np.random.default_rng(10 * m + substeps)
+    m_stages = rng.normal(size=(300, 2 * substeps + 1, m, m))
+    for h in (0.3, -0.3):
+        ref = reference_interval_propagators(m_stages, h, substeps)
+        got = _interval_propagators(-m_stages.transpose(2, 3, 1, 0), h,
+                                    substeps)
+        assert got.shape == (m, m, 300)
+        assert np.abs(got.transpose(2, 0, 1) - ref).max() \
+            <= 1e-14 * np.abs(ref).max()
+
+
+def _round_torus_line():
+    """_RoundTorus and a two-sided 200-interval curve on it that winds
+    once around the tube, a frame at its base node that is not
+    orthonormal, and the curve's transported frame field."""
+    model = _RoundTorus()
+    grid = Grid.regular(-1.0, 1.0, 200)
+    t = grid.nodes[:, None]
+    coords = np.hstack([1.5 * t + 0.3 * np.sin(2.0 * t),
+                        0.8 + 2.0 * t + 0.2 * np.cos(3.0 * t)])
+    curve = SampledCurve(grid, Samples(["uv"] * len(coords), coords),
+                         order=3, base_index=grid.base_node())
+    f0 = Frame(curve.basepoint, np.array([[0.3, 0.1], [-0.2, 0.9]]))
+    return model, curve, f0
+
+
+def test_round_torus_transport_keeps_the_gram_matrix():
+    # parallel transport is an isometry: g(e_i, e_j) stays that of the
+    # base node's frame.  The matmul propagators left 1.0005e-8 on this
+    # curve, and the component products may leave at most 10 times that
+    model, curve, f0 = _round_torus_line()
+    field = transport_frame(model, curve, f0)
+    g = model.metric_many("uv", field.points.coords)
+    gram = np.einsum("nli,nlk,nkj->nij", field.columns, g, field.columns)
+    drift = np.abs(gram - gram[curve.base_index]).max()
+    assert drift <= 10 * 1.0006e-8
+    assert np.abs(field.columns - f0.columns).max() > 0.1
+
+
+def test_round_torus_roundtrip():
+    model, curve, f0 = _round_torus_line()
+    assert roundtrip_check(model, curve, f0).max_distance < 1e-5
+
+
+_PROPAGATOR_DIGEST = """
+import hashlib
+import numpy as np
+from pathlin.transport import _interval_propagators
+a = np.random.default_rng(22).normal(size=(2, 2, 5, 4000))
+print(hashlib.sha256(_interval_propagators(a, 0.3, 2).tobytes()).hexdigest())
+"""
+
+
+def test_propagators_do_not_depend_on_the_blas_kernel():
+    # OPENBLAS_CORETYPE=Prescott selects OpenBLAS's kernel without FMA, on
+    # which stacked 2 x 2 matmul rounds differently; it acts only on the
+    # child process that is given it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    digests = []
+    for kernel in ({}, {"OPENBLAS_CORETYPE": "Prescott"}):
+        env = {**os.environ, **kernel, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", _PROPAGATOR_DIGEST],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+        digests.append(done.stdout)
+    assert len(digests[0]) == 65 and digests[0] == digests[1]
