@@ -70,7 +70,7 @@ def make_carrier(model: ManifoldModel, p: Point, q: Point) -> CarrierFieldSpec:
     """Carrier data for the pair (p, q); requires d(p, q) < r0(p) / 2."""
     r0 = model.r0(p)
     d = model.dist_oracle(p, q)
-    if d >= 0.5 * r0:
+    if not d < 0.5 * r0:    # a NaN distance fails too
         raise OutOfInjectivityRange(
             f"d(p, q) = {d:.6f} must stay below r0/2 = {0.5 * r0:.6f}")
     return CarrierFieldSpec(model=model, p=p, q=q,
@@ -219,7 +219,7 @@ def mapping_chart_in(model: ManifoldModel, gamma_ref: SampledCurve,
         raise ValidationError("curves must share their grid")
     model._require_oracle()
     dists = model.point_distances(gamma_ref.points, f.points)
-    far = np.flatnonzero(dists >= model.r0()).tolist()
+    far = np.flatnonzero(~(dists < model.r0())).tolist()
     if far:
         j = far[0]
         raise OutOfInjectivityRange(

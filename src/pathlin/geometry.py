@@ -4,11 +4,11 @@ A model is a subclass of ManifoldModel.  It is constructed from explicit
 coordinate charts with transition maps (and their Jacobians), an optional
 closed-form Oracle, three array kernels from which exp/log/dist and
 point_distances follow, and a conservative injectivity floor r0, and it
-writes its geometry as two array hooks: metric_many, the metric at many
-points of a chart, and christoffel_action_batch, the connection acting on
-frame columns there.  The connection must be the Levi-Civita connection of
-the metric, the one whose parallel transport the metric's oracles assume,
-and the constructor probes that it is.
+writes its geometry as two hooks: metric_many, the metric at many points
+of a chart, and christoffel_action_floats, the one closed form of the
+connection acting on frame columns.  The connection must be the
+Levi-Civita connection of the metric, the one whose parallel transport the
+metric's oracles assume, and the constructor probes that the hook is.
 
 All values are immutable after construction and every operation is a pure
 function, so concurrent use needs no synchronization.
@@ -235,7 +235,7 @@ class Oracle:
     def log(self, model: "ManifoldModel", p: Point, q: Point) -> Tangent:
         """log_p(q); OutOfInjectivityRange unless d(p, q) < r0(p)."""
         (d,), (log,) = self.log_from(model, p, q.chart_id, q.coords[None])
-        if d >= model.r0(p):
+        if not d < model.r0(p):     # a NaN distance fails too
             raise OutOfInjectivityRange(
                 f"d(p, q) = {d:.6f} exceeds r0 = {model.r0(p):.6f}")
         return Tangent(p, log)
@@ -246,17 +246,12 @@ class ManifoldModel:
 
     A model is a subclass that writes two hooks.  metric_many returns the
     metric g_ij at (K, m) points of one chart as (K, m, m).
-    christoffel_action_batch returns M[s, l, j] = Gamma^l_{kj} r[s, k] at
-    (K, m) points: the frame equation contracts the k slot of Gamma with
-    the velocity and the j slot with the frame component.  Covariant
-    derivatives call the action; metric, christoffel
-    (Gamma[l, k, j] = Gamma^l_{kj}) and christoffel_action_floats derive
-    from the two hooks.  christoffel_action_floats is the hook of both
-    inverse solvers and of transport's propagators: the action entry by
-    entry, on Python floats or on equal-shape arrays, elementwise.  The
-    built-in models override it with closed forms that serve both.  The
-    constructor probes that Gamma is the Levi-Civita connection of g.
-    place is the one rule that puts a point given in every chart's
+    christoffel_action_floats returns M[l][j] = Gamma^l_{kj} r^k: the frame
+    equation contracts the k slot of Gamma with the velocity and the j slot
+    with the frame component.  metric, christoffel_action_batch and
+    christoffel (Gamma[l, k, j] = Gamma^l_{kj}) derive from the two hooks,
+    and the constructor probes that Gamma is the Levi-Civita connection of
+    g.  place is the one rule that puts a point given in every chart's
     coordinates into a chart.  r0, the conservative injectivity floor, is
     one positive number per model.
     """
@@ -378,40 +373,44 @@ class ManifoldModel:
         """The metric g_ij at (K, m) points of one chart, as (K, m, m)."""
         raise NotImplementedError
 
-    def christoffel_action_batch(self, chart_id: str, coords: np.ndarray,
-                                 r: np.ndarray) -> np.ndarray:
-        """M[s, l, j] = Gamma^l_{kj}(coords[s]) r[s, k] at (K, m) points of
-        one chart: the matrix that acts on frame columns."""
-        raise NotImplementedError
-
     def christoffel_action_floats(self, chart_id: str, coords, r):
-        """christoffel_action_batch entry by entry, the hook of both
-        inverse solvers and of transport's propagators.  coords and r are
-        m entries each, Python floats or equal-shape arrays; M is m rows of
-        m entries, M[l][j] = Gamma^l_{kj}(coords) r^k elementwise: all
-        floats, or all arrays of that shape, or both given as one
-        (m, m, ...) array.  The single-curve inverse at m = 2 passes
-        floats, the batched one the arrays of a chart's rows, transport the
-        arrays of a block's stage points.  The default is the batch form,
-        at K = 1 for floats; models override it with a closed form."""
-        x = np.asarray(coords, dtype=float)
-        action = self.christoffel_action_batch(
-            chart_id, x.reshape(self.dim, -1).T,
-            np.asarray(r, dtype=float).reshape(self.dim, -1).T)
-        return action[0].tolist() if x.ndim == 1 else action.transpose(1, 2, 0)
+        """M[l][j] = Gamma^l_{kj}(coords) r^k, the hook of both inverse
+        solvers, of transport and of covariant derivatives.  coords and r
+        are m entries each, Python floats or equal-shape arrays; M is m
+        rows of m entries, elementwise: all floats, or all arrays of that
+        shape, or one (m, m, ...) array; a constant connection may return
+        floats.  The single-curve inverse at m = 2 passes floats, the
+        batched one the arrays of a chart's rows, transport the arrays of a
+        block's stage points."""
+        raise NotImplementedError
 
     def metric(self, chart_id: str, coords: np.ndarray) -> np.ndarray:
         return self.metric_many(chart_id, np.array([coords], float))[0]
 
     def christoffel(self, chart_id: str, coords: np.ndarray) -> np.ndarray:
-        """Gamma[l, k, j] = Gamma^l_{kj}: the action on the m coordinate
-        basis vectors e_k, at one point (m,)."""
+        """Gamma[l, k, j] = Gamma^l_{kj}: the hook on the m coordinate basis
+        vectors e_k, at one point (m,), as the construction probe reads it."""
         x = np.asarray(coords, dtype=float)
-        return self.christoffel_action_batch(
-            chart_id, np.tile(x, (x.size, 1)), np.eye(x.size)).transpose(1, 0, 2)
+        m = x.size
+        action = self.christoffel_action_floats(
+            chart_id, np.repeat(x[:, None], m, axis=1), np.eye(m))
+        return np.broadcast_to(np.reshape(action, (m, m, -1)),
+                               (m, m, m)).transpose(0, 2, 1).copy()
 
-    # christoffel_batch and christoffel_action are derived only because the
-    # benchmark's tracer wraps every Christoffel method by name.
+    # No code of the library outside them calls the three forms below; they
+    # are derived only because the benchmark's tracer wraps every
+    # Christoffel method by name.
+    def christoffel_action_batch(self, chart_id: str, coords: np.ndarray,
+                                 r: np.ndarray) -> np.ndarray:
+        """M[s, l, j] = Gamma^l_{kj}(coords[s]) r[s, k] at (K, m) points of
+        one chart: the hook on (m, K) arrays, as (K, m, m)."""
+        coords = np.asarray(coords, dtype=float)
+        action = self.christoffel_action_floats(
+            chart_id, coords.T, np.asarray(r, dtype=float).T)
+        return np.broadcast_to(np.reshape(action, (self.dim, self.dim, -1)),
+                               (self.dim, self.dim, len(coords))
+                               ).transpose(2, 0, 1).copy()
+
     def christoffel_batch(self, chart_id: str, coords: np.ndarray) -> np.ndarray:
         return np.stack([self.christoffel(chart_id, x) for x in coords])
 

@@ -43,20 +43,9 @@ class _ConformalModel(ManifoldModel):
         self._grad_scale = -2.0 * kappa
         super().__init__(**kwargs)
 
-    def _phi_grad(self, coords):
-        r2 = np.sum(coords * coords, axis=-1, keepdims=True)
-        return self._grad_scale * coords / (1.0 + self._kappa * r2)
-
-    def christoffel_action_batch(self, chart_id, coords, r):
-        # M[l, j] = Gamma^l_{kj} r^k expanded for a conformal metric
-        phi = self._phi_grad(np.asarray(coords, dtype=float))
-        eye = np.eye(self.dim)
-        return (np.einsum("bl,bj->blj", r, phi)
-                + np.einsum("bk,bk->b", phi, r)[:, None, None] * eye
-                - np.einsum("bl,bj->blj", phi, r))
-
     def christoffel_action_floats(self, chart_id, coords, r):
-        # christoffel_action_batch term by term, in the same order, at m = 2
+        # Gamma^l_{kj} = d_lk p_j + d_lj p_k - d_kj p_l, p = grad log lam, so
+        # M[l][j] = r_l p_j + (p . r) d_lj - p_l r_j, written out at m = 2
         x0, x1 = coords
         r0, r1 = r
         d = 1.0 + self._kappa * (x0 * x0 + x1 * x1)
@@ -77,10 +66,6 @@ class _ConformalModel(ManifoldModel):
 # ---------------------------------------------------------------------------
 
 class _FlatMixin:
-    def christoffel_action_batch(self, chart_id, coords, r):
-        coords = np.asarray(coords, dtype=float)
-        return np.zeros((coords.shape[0], self.dim, self.dim))
-
     @cached_property
     def _zero_action(self):
         return ((0.0,) * self.dim,) * self.dim

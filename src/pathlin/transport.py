@@ -12,7 +12,8 @@ no BLAS call.  Frames are then chained node to node.  Curve velocities r come
 from the 4th-order stencil of numerics applied to the sampled positions,
 never from an analytic curve, after each node's window is re-expressed in
 the node's chart; covariant derivatives difference vector fields the same
-way.
+way, and take M from the same hook on the (m, K) arrays of each chart's
+nodes.
 
 A curve's samples are stored as arrays (geometry.Samples), and so is a
 frame field (FrameField: the samples plus (n, m, m) frame columns), which
@@ -628,10 +629,12 @@ def covariant_derivative(model: ManifoldModel, curve: SampledCurve,
         windows[j, s] = model.transition_jacobian(
             vector_field[k].base, charts[j]) @ comps[k]
     x = windows[np.arange(n), position]
-    action = np.empty((n, model.dim, model.dim))
+    m = model.dim
+    action = np.empty((n, m, m))
     for chart, nodes in chart_groups(charts).items():
-        action[nodes] = model.christoffel_action_batch(chart, coords[nodes],
-                                                       r[nodes])
+        # a constant connection, as on flat models, comes as floats
+        action[nodes] = np.reshape(model.christoffel_action_floats(
+            chart, coords[nodes].T, r[nodes].T), (m, m, -1)).transpose(2, 0, 1)
     out = stencil_derivative(windows, grid.h) \
         + np.matmul(action, x[:, :, None])[:, :, 0]
     return tuple(Tangent(p, d) for p, d in zip(curve.points, out))

@@ -258,6 +258,13 @@ def test_carrier_rejects_distant_pair(sphere):
         make_carrier(sphere, p, q)
 
 
+def test_carrier_rejects_a_nan_distance(model):
+    cid = sorted(model.charts)[0]
+    p = Point(cid, model.chart(cid).center)
+    with pytest.raises(OutOfInjectivityRange, match="nan"):
+        make_carrier(model, p, Point(cid, [math.nan, 0.0]))
+
+
 def test_euclidean_carrier_constant_inside(euclidean):
     p, q = Point("xy", [0.1, 0.2]), Point("xy", [1.1, -0.6])
     spec = make_carrier(euclidean, p, q)
@@ -414,6 +421,17 @@ def test_mapping_chart_out_of_range_reports_node(sphere):
     with pytest.raises(OutOfInjectivityRange) as err:
         mapping_chart_in(sphere, ref, f)
     assert err.value.node == 30
+
+
+def test_mapping_chart_in_reports_a_nan_node(sphere):
+    grid = Grid.regular(0.0, 1.0, 30)
+    pole = Point("north", [0.0, 0.0])
+    ref = SampledCurve(grid, tuple(pole for _ in grid.nodes))
+    f = SampledCurve(grid, tuple(Point("north", [math.nan, 0.0]) if j == 12
+                                 else pole for j in range(31)))
+    with pytest.raises(OutOfInjectivityRange, match="d = nan") as err:
+        mapping_chart_in(sphere, ref, f)
+    assert err.value.node == 12
 
 
 def test_arclength_normalize_euclidean_line(euclidean):

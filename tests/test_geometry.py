@@ -13,7 +13,7 @@ from pathlin.geometry import (INSIDE, MARGIN, OUTSIDE, ChartSpec,
                               metric_compatibility_residual,
                               require_independent_columns)
 from pathlin.linearize import TangentCurve, p_forward, p_inverse
-from pathlin.models import (manifest, sphere_embed,
+from pathlin.models import (_ConformalModel, manifest, sphere_embed,
                             sphere_point_from_embedding,
                             sphere_pull_from_embedding,
                             sphere_push_to_embedding, torus_point_from_angles)
@@ -124,8 +124,8 @@ class _PlaneModel(ManifoldModel):
     def metric_many(self, chart_id, coords):
         return np.broadcast_to(self.g, (len(coords), 2, 2))
 
-    def christoffel_action_batch(self, chart_id, coords, r):
-        return np.einsum("lkj,sk->slj", self.gamma, r)
+    def christoffel_action_floats(self, chart_id, coords, r):
+        return np.einsum("lkj,k...->lj...", self.gamma, np.asarray(r, float))
 
 
 class _Torsion(_PlaneModel):
@@ -161,13 +161,29 @@ class _FlippedConformal2(_Conformal2):
     gamma = -_Conformal2.gamma
 
 
+class _NegatedDisk(_ConformalModel):
+    """The Poincare disk's metric with the negated closed-form action."""
+
+    def __init__(self):
+        disk = get_model("hyperbolic2")
+        super().__init__(kappa=-1.0, name="negated-disk", dim=2,
+                         charts=list(disk.charts.values()), transitions={},
+                         r0=1.0)
+
+    def christoffel_action_floats(self, chart_id, coords, r):
+        return tuple(tuple(-m for m in row) for row in
+                     super().christoffel_action_floats(chart_id, coords, r))
+
+
 @pytest.mark.parametrize("mutant, defect", [
     (_Torsion, "torsion 3.000e-01"),
     (_AsymmetricMetric, "metric asymmetry 1.000e-01"),
     (_IndefiniteMetric, "not positive definite"),
     (_NanConnection, "compatibility residual nan"),
     (_FlippedConformal2, "compatibility residual"),
-], ids=["torsion", "asymmetric", "indefinite", "nan", "flipped-conformal"])
+    (_NegatedDisk, "compatibility residual"),
+], ids=["torsion", "asymmetric", "indefinite", "nan", "flipped-conformal",
+        "negated-disk"])
 def test_construction_rejects_a_connection_that_is_not_levi_civita(
         mutant, defect):
     with pytest.raises(ValidationError, match=defect):
@@ -207,13 +223,40 @@ def test_models_of_the_two_hooks_construct_and_linearize():
 def test_a_nan_connection_fails_the_compatibility_check(euclidean,
                                                         monkeypatch):
     # max(0.0, nan) is 0.0, so a running max() would pass it
-    monkeypatch.setattr(euclidean, "christoffel_action_batch",
-                        lambda cid, x, r: np.full((len(x), 2, 2), np.nan))
+    monkeypatch.setattr(euclidean, "christoffel_action_floats",
+                        lambda cid, x, r: ((math.nan,) * 2,) * 2)
     assert np.isnan(metric_compatibility_residual(euclidean, "xy",
                                                   np.zeros(2)))
     check = geometry_checks(euclidean, 0)[0]
     assert check.name == "geometry.metric_compatibility"
     assert np.isnan(check.value) and not check.passed
+
+
+_GEOMETRY_METHODS = {name for name in vars(ManifoldModel)
+                     if name.startswith(("metric", "christoffel"))}
+
+
+def test_built_in_models_write_the_connection_once(model):
+    # the two hooks and nothing else: a second closed form of the
+    # connection would be one the construction probe does not check
+    assert {"metric", "christoffel", "christoffel_batch", "christoffel_action",
+            "christoffel_action_batch"} < _GEOMETRY_METHODS
+    own = {name for cls in type(model).__mro__
+           if cls not in ManifoldModel.__mro__ for name in vars(cls)}
+    assert own & _GEOMETRY_METHODS == {"metric_many",
+                                       "christoffel_action_floats"}
+
+
+def test_a_model_of_the_batch_form_alone_does_not_construct():
+    # the hook has no default, and the probe reads the hook itself
+    class BatchOnly(_PlaneModel):
+        christoffel_action_floats = ManifoldModel.christoffel_action_floats
+
+        def christoffel_action_batch(self, chart_id, coords, r):
+            return np.zeros((len(coords), 2, 2))
+
+    with pytest.raises(NotImplementedError):
+        BatchOnly()
 
 
 # The closed forms of Gamma and g each built-in wrote out before both
@@ -543,6 +586,15 @@ def test_log_raises_beyond_r0(name, p, q):
         model.log_oracle(p, q)
     assert str(exc.value) == \
         f"d(p, q) = {d:.6f} exceeds r0 = {model.r0(p):.6f}"
+
+
+def test_log_rejects_a_nan_distance(model):
+    # NaN >= r0 is False, so a NaN distance passed as in range
+    cid = sorted(model.charts)[0]
+    p = Point(cid, model.chart(cid).center + 0.1)
+    q = Point(cid, [math.nan, model.chart(cid).center[1]])
+    with pytest.raises(OutOfInjectivityRange, match=r"d\(p, q\) = nan"):
+        model.log_oracle(p, q)
 
 
 def _kernel_points(model, rng, k):

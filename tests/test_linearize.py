@@ -424,8 +424,8 @@ class _Conformal3(ManifoldModel):
         return np.exp(2.0 * np.sum(coords * self.a, axis=-1))[:, None, None] \
             * np.eye(3)
 
-    def christoffel_action_batch(self, chart_id, coords, r):
-        return np.einsum("lkj,sk->slj", self.gamma, r)
+    def christoffel_action_floats(self, chart_id, coords, r):
+        return np.einsum("lkj,k...->lj...", self.gamma, np.asarray(r, float))
 
 
 def test_generic_stepper_matches_batched_in_3d():
@@ -878,8 +878,7 @@ class _WarpedPlane(ManifoldModel):
     Cartesian and flat, INSIDE for x < 1, and "uv", with x = u + u^3 / 10
     and y = v, INSIDE for u > 0, where g = diag((1 + 0.3 u^2)^2, 1) and
     Gamma^u_uu = 0.6 u / (1 + 0.3 u^2) is the only symbol that is not 0.
-    It writes the two hooks alone, so both inverse solvers call the default
-    christoffel_action_floats: a row given another chart's connection
+    It writes the two hooks alone: a row given another chart's connection
     takes other values."""
 
     def __init__(self):
@@ -918,12 +917,12 @@ class _WarpedPlane(ManifoldModel):
             g[:, 0, 0] = (1.0 + 0.3 * coords[:, 0] ** 2) ** 2
         return g
 
-    def christoffel_action_batch(self, chart_id, coords, r):
-        out = np.zeros((len(coords), 2, 2))
-        if chart_id == "uv":
-            u = coords[:, 0]
-            out[:, 0, 0] = 0.6 * u / (1.0 + 0.3 * u * u) * r[:, 0]
-        return out
+    def christoffel_action_floats(self, chart_id, coords, r):
+        if chart_id == "xy":
+            return ((0.0, 0.0), (0.0, 0.0))
+        u = coords[0]
+        zero = 0.0 * (u * u)    # +0.0, a float or an array as u is
+        return ((0.6 * u / (1.0 + 0.3 * u * u) * r[0], zero), (zero, zero))
 
 
 def _warped_batch(model, grid):

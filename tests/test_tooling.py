@@ -69,3 +69,42 @@ def test_the_benchmark_tracer_installs_and_restores(monkeypatch):
              np.linalg.solve, geometry.Point.__init__,
              geometry.Frame.__init__)
     assert after == before
+
+
+def _bench_compare(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    import bench_compare
+    return bench_compare
+
+
+def test_bench_compare_reads_each_metric_s_direction(monkeypatch):
+    better = _bench_compare(monkeypatch).directions()
+    assert better["ops_per_kref"] == "higher"
+    assert better["peak_rss_mb"] == "lower"
+    assert set(better.values()) == {"higher", "lower"}
+
+
+def test_bench_compare_counts_the_pairs_the_change_won(monkeypatch):
+    bench_compare = _bench_compare(monkeypatch)
+    parent = {"ops": [10.0, 20.0, 30.0, 40.0], "rss": [5.0, 5.0, 5.0, 5.0],
+              "extra": [1.0, 2.0, 3.0, 4.0]}
+    # sorted, the change's ops beat the parent's at every rank; paired by
+    # repeat they win twice, and a tie is not a win
+    change = {"ops": [45.0, 15.0, 35.0, 25.0], "rss": [4.0, 5.0, 6.0, 4.5],
+              "extra": [0.0, 0.0, 0.0, 0.0]}
+
+    def records(values):
+        return [{"metrics": {name: v[i] for name, v in values.items()}}
+                for i in range(4)]
+
+    runs = {"curves": {"parent": records(parent), "change": records(change)}}
+    summary = bench_compare.summarize(
+        runs, {"ops": "higher", "rss": "lower"})["curves"]
+    assert sorted(summary) == ["extra", "ops", "rss"]
+    assert summary["ops"]["pairs_won"] == 2
+    assert summary["rss"]["pairs_won"] == 2
+    assert summary["extra"]["pairs_won"] is None
+    assert summary["ops"]["parent"] == {"q1": 17.5, "median": 25.0,
+                                        "q3": 32.5}
+    assert summary["ops"]["ratio_of_medians"] == 30.0 / 25.0
+    assert summary["extra"]["ratio_of_medians"] == 0.0

@@ -772,14 +772,11 @@ class _RoundTorus(ManifoldModel):
         g[:, 0, 0] = (2.0 + np.cos(coords[:, 1])) ** 2
         return g
 
-    def christoffel_action_batch(self, chart_id, coords, r):
+    def christoffel_action_floats(self, chart_id, coords, r):
         # Gamma^u_{uv} = Gamma^u_{vu} = rho'/rho, Gamma^v_{uu} = -rho rho'
-        rho, drho = 2.0 + np.cos(coords[:, 1]), -np.sin(coords[:, 1])
-        out = np.zeros((len(coords), 2, 2))
-        out[:, 0, 0] = drho / rho * r[:, 1]
-        out[:, 0, 1] = drho / rho * r[:, 0]
-        out[:, 1, 0] = -rho * drho * r[:, 0]
-        return out
+        rho, drho = 2.0 + np.cos(coords[1]), -np.sin(coords[1])
+        return ((drho / rho * r[1], drho / rho * r[0]),
+                (-rho * drho * r[0], 0.0 * rho))
 
 
 def _one_chart_line(name):

@@ -7,9 +7,12 @@ Each checkout runs `benchmarks/run.py --trace 0` from its own root, so each
 is measured with its own library, on every workload, REPEATS times.  Runs
 alternate between the two, and the checkout that goes first alternates from
 one repeat to the next, so both see the same spells of machine load; ten
-alternating pairs are the fewest that can show a gain in nine of ten.  The output holds every run's result
-record, the quartiles of each end-to-end metric over the repeats, the
-ratio of the medians (change / parent) and the machine facts.
+alternating pairs are the fewest that can show a gain in nine of ten.
+The output holds every run's result record, the quartiles of each
+end-to-end metric over the repeats, the ratio of the medians (change /
+parent), the number of pairs the change won and the machine facts.  Runs
+pair by repeat index, and a pair is won when the change's value is strictly
+better in the direction BENCHMARK.json gives the metric.
 """
 
 import argparse
@@ -24,6 +27,7 @@ import numpy as np
 
 WORKLOADS = ("curves", "switching", "squares", "files")
 REPEATS = 10
+BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -40,6 +44,37 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
 def quartiles(values) -> dict:
     q1, q2, q3 = np.percentile(values, [25, 50, 75])
     return {"q1": float(q1), "median": float(q2), "q3": float(q3)}
+
+
+def directions(benchmark: Path = BENCHMARK) -> dict:
+    """Each end-to-end metric's better direction, "lower" or "higher"."""
+    spec = json.loads(benchmark.read_text())
+    return {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
+
+
+def summarize(runs: dict, better: dict) -> dict:
+    """Per workload and metric of runs[workload][checkout], the records of
+    the "parent" and "change" checkouts by repeat: the quartiles of each,
+    ratio_of_medians (change / parent, None at a zero parent median) and
+    pairs_won, the repeats in which the change is strictly better in the
+    direction better[metric] gives (None for a metric without one)."""
+    sign = {"higher": 1.0, "lower": -1.0}
+    summary = {}
+    for workload, by_tree in runs.items():
+        summary[workload] = {}
+        for metric in sorted(by_tree["parent"][0]["metrics"]):
+            values = {name: [r["metrics"][metric] for r in records]
+                      for name, records in by_tree.items()}
+            q = {name: quartiles(v) for name, v in values.items()}
+            parent = q["parent"]["median"]
+            q["ratio_of_medians"] = (q["change"]["median"] / parent
+                                     if parent else None)
+            s = sign.get(better.get(metric))
+            q["pairs_won"] = None if s is None else sum(
+                s * (c - p) > 0.0
+                for p, c in zip(values["parent"], values["change"]))
+            summary[workload][metric] = q
+    return summary
 
 
 def cpu_model() -> str:
@@ -61,6 +96,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=11)
     args = parser.parse_args(argv)
 
+    better = directions()
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     runs = {w: {name: [] for name in trees} for w in WORKLOADS}
     for i in range(REPEATS):
@@ -73,17 +109,7 @@ def main(argv=None) -> int:
                 print(f"{workload} {name} repeat {i}: ops_per_kref "
                       f"{record['metrics']['ops_per_kref']:.2f}", flush=True)
 
-    summary = {}
-    for workload, by_tree in runs.items():
-        metrics = sorted(by_tree["parent"][0]["metrics"])
-        summary[workload] = {}
-        for metric in metrics:
-            q = {name: quartiles([r["metrics"][metric] for r in records])
-                 for name, records in by_tree.items()}
-            parent = q["parent"]["median"]
-            q["ratio_of_medians"] = (q["change"]["median"] / parent
-                                     if parent else None)
-            summary[workload][metric] = q
+    summary = summarize(runs, better)
     first = runs[WORKLOADS[0]]["parent"][0]["facts"]
     payload = {
         "protocol": {"repeats": REPEATS, "seconds": args.seconds,
